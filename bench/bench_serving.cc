@@ -1,11 +1,16 @@
 // Serving-path cost (DESIGN.md §12): what one RSP1 round trip adds on
-// top of the flat evaluation it carries. Every row runs against a real
-// in-process Server over loopback TCP — framing, CRC32C, admission,
+// top of the flat evaluation it carries. The Serve rows run against a
+// real in-process Server over loopback TCP — framing, CRC32C, admission,
 // deadline arming, thread-pool handoff, and reply serialization are all
 // in the timed loop, so these numbers are the daemon's actual per-
-// request overhead, not a codec microbenchmark.
+// request overhead. The Crc32c and Codec rows isolate the codec layer.
 //
 //   BM_LocalEvalBatch/N  — FlatSynopsis::EstimateMany alone (the floor)
+//   BM_Crc32c/B          — CRC32C over B bytes
+//   BM_CodecRoundTrip/N  — the RSP1 codec work of one N-range request,
+//                          in process with no socket: encode query,
+//                          header + CRC check, parse, encode reply,
+//                          header + CRC check, parse reply
 //   BM_ServePing         — empty round trip: pure protocol + socket cost
 //   BM_ServeQueryBatch/N — one query frame carrying N ranges
 //   BM_ServeQueryPipelined/T — T client threads, one connection each
@@ -21,12 +26,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/crc32c.h"
 #include "core/logging.h"
 #include "core/random.h"
 #include "engine/catalog.h"
 #include "engine/table.h"
 #include "qpath/flat_synopsis.h"
 #include "serve/client.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 
 namespace rangesyn::serve {
@@ -69,8 +76,8 @@ ServerHolder& SharedServer() {
   return holder;
 }
 
-std::vector<FlatQuery> BenchRanges(size_t count) {
-  const int64_t n = SharedServer().oracle->n();  // the value domain
+/// `count` seeded ranges over the value domain [1, n].
+std::vector<FlatQuery> RandomRanges(size_t count, int64_t n) {
   Rng rng(41);
   std::vector<FlatQuery> ranges;
   for (size_t i = 0; i < count; ++i) {
@@ -80,6 +87,10 @@ std::vector<FlatQuery> BenchRanges(size_t count) {
     ranges.push_back(q);
   }
   return ranges;
+}
+
+std::vector<FlatQuery> BenchRanges(size_t count) {
+  return RandomRanges(count, SharedServer().oracle->n());
 }
 
 ClientOptions BenchClientOptions() {
@@ -102,6 +113,55 @@ void BM_LocalEvalBatch(benchmark::State& state) {
                           static_cast<int64_t>(ranges.size()));
 }
 BENCHMARK(BM_LocalEvalBatch)->Arg(1)->Arg(16)->Arg(256);
+
+void BM_Crc32c(benchmark::State& state) {
+  Rng rng(3720);
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
+
+void BM_CodecRoundTrip(benchmark::State& state) {
+  QueryRequest request;
+  request.request_id = 1;
+  request.deadline_ms = 5000;
+  request.key = kKey;
+  request.ranges = RandomRanges(static_cast<size_t>(state.range(0)), 1000);
+  QueryResponse response;
+  response.request_id = request.request_id;
+  for (const FlatQuery& q : request.ranges) {
+    response.estimates.push_back(0.5 * static_cast<double>(q.b - q.a + 1));
+  }
+  for (auto _ : state) {
+    const std::string frame = EncodeQuery(request);
+    auto header = DecodeFrameHeader(
+        std::string_view(frame).substr(0, kFrameHeaderBytes));
+    RANGESYN_CHECK_OK(header.status());
+    auto payload = CheckFrameCrc(frame, *header);
+    RANGESYN_CHECK_OK(payload.status());
+    auto parsed = ParseQuery(*payload);
+    RANGESYN_CHECK_OK(parsed.status());
+    benchmark::DoNotOptimize(parsed->ranges.data());
+
+    const std::string reply = EncodeQueryOk(response);
+    auto reply_header = DecodeFrameHeader(
+        std::string_view(reply).substr(0, kFrameHeaderBytes));
+    RANGESYN_CHECK_OK(reply_header.status());
+    auto reply_payload = CheckFrameCrc(reply, *reply_header);
+    RANGESYN_CHECK_OK(reply_payload.status());
+    auto decoded = ParseQueryOk(*reply_payload);
+    RANGESYN_CHECK_OK(decoded.status());
+    benchmark::DoNotOptimize(decoded->estimates.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(request.ranges.size()));
+}
+BENCHMARK(BM_CodecRoundTrip)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_ServePing(benchmark::State& state) {
   Client client(BenchClientOptions());

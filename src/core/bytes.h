@@ -25,6 +25,13 @@ class ByteWriter {
   /// Length-prefixed (u32) string.
   void WriteString(std::string_view v);
 
+  /// Raw bytes, no length prefix.
+  void WriteBytes(std::string_view v) { buffer_.append(v); }
+
+  /// Reserves room for `bytes` bytes in total, so a writer sized up front
+  /// never reallocates.
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+
   /// Length-prefixed vectors.
   void WriteI64Vector(const std::vector<int64_t>& v);
   void WriteDoubleVector(const std::vector<double>& v);

@@ -151,6 +151,15 @@ Status Client::Ping(uint32_t deadline_ms) {
 Result<std::vector<double>> Client::Query(const std::string& key,
                                           std::span<const FlatQuery> ranges,
                                           uint32_t deadline_ms) {
+  // A frame over the cap would be refused by the server's header check,
+  // which closes the connection; refuse it here before anything is sent.
+  const size_t payload_bytes = QueryPayloadBytes(key, ranges.size());
+  if (payload_bytes > kMaxPayloadBytes) {
+    return InvalidArgumentError(
+        StrCat("query: ", ranges.size(), " ranges under a ", key.size(),
+               "-byte key need a ", payload_bytes,
+               "-byte payload, over the frame cap of ", kMaxPayloadBytes));
+  }
   QueryRequest request;
   request.request_id = next_request_id_++;
   request.deadline_ms = deadline_ms;

@@ -73,7 +73,8 @@ class Client {
   /// in range order. Typed server errors surface as the matching Status
   /// code (WireErrorStatusCode); transport failures that outlive the
   /// retry budget surface as Internal (or DeadlineExceeded once the
-  /// budget is spent).
+  /// budget is spent). A batch whose frame would exceed
+  /// kMaxPayloadBytes is InvalidArgument, and nothing is sent.
   Result<std::vector<double>> Query(const std::string& key,
                                     std::span<const FlatQuery> ranges,
                                     uint32_t deadline_ms);

@@ -1,23 +1,114 @@
 #include "serve/protocol.h"
 
-#include <limits>
+#include <bit>
+#include <cstddef>
+#include <cstring>
+#include <span>
+#include <type_traits>
+#include <utility>
 
 #include "core/bytes.h"
 #include "core/crc32c.h"
 #include "core/strings.h"
 
 namespace rangesyn::serve {
+
+// The bulk copies below move FlatQuery arrays as 8-byte words: on a
+// little-endian host its in-memory layout is the wire layout.
+static_assert(std::is_trivially_copyable_v<FlatQuery>);
+static_assert(sizeof(FlatQuery) == 16);
+static_assert(offsetof(FlatQuery, a) == 0 && offsetof(FlatQuery, b) == 8);
+static_assert(sizeof(double) == 8);
+
 namespace {
+
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
 /// Hard cap on the per-frame query count: every range costs 16 payload
 /// bytes, so this is implied by kMaxPayloadBytes; checking it explicitly
 /// keeps the reader from trusting a length field over the actual bytes.
-constexpr uint32_t kMaxRangesPerQuery = kMaxPayloadBytes / 16;
+constexpr uint32_t kMaxRangesPerQuery = kMaxPayloadBytes / sizeof(FlatQuery);
 
 Status RequireAtEnd(const ByteReader& reader, std::string_view what) {
   if (reader.AtEnd()) return OkStatus();
   return InvalidArgumentError(
       StrCat(what, ": ", reader.remaining(), " trailing payload bytes"));
+}
+
+// Frames are encoded in place: one writer reserved at the frame's final
+// size receives the header, the payload fields and then the CRC of
+// everything before it.
+
+/// Arrays of 64-bit fields (FlatQuery's two i64s, f64 estimates) travel
+/// as little-endian 8-byte words: one memcpy on a little-endian host, a
+/// per-word byte-order loop elsewhere.
+template <typename T>
+void WriteWordsLe(ByteWriter& out, std::span<const T> values) {
+  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0);
+  const auto* bytes = reinterpret_cast<const char*>(values.data());
+  if constexpr (kLittleEndianHost) {
+    out.WriteBytes(std::string_view(bytes, values.size_bytes()));
+  } else {
+    for (size_t off = 0; off < values.size_bytes(); off += 8) {
+      uint64_t word;
+      std::memcpy(&word, bytes + off, sizeof(word));
+      out.WriteU64(word);
+    }
+  }
+}
+
+/// A writer reserved at the frame's final size, holding the header.
+ByteWriter BeginFrame(MsgType type, size_t payload_size) {
+  ByteWriter frame;
+  frame.Reserve(kFrameHeaderBytes + payload_size + kFrameTrailerBytes);
+  frame.WriteU32(kWireMagic);
+  frame.WriteU8(kWireVersion);
+  frame.WriteU8(static_cast<uint8_t>(type));
+  frame.WriteU32(static_cast<uint32_t>(payload_size));
+  return frame;
+}
+
+/// Appends the CRC trailer over header + payload.
+std::string FinishFrame(ByteWriter frame) {
+  frame.WriteU32(Crc32c(frame.buffer()));
+  return frame.Release();
+}
+
+/// The unread rest of `payload` as `count` elements of `width` bytes. The
+/// count must match the bytes actually present exactly: this runs before
+/// the caller allocates, so a corrupted count cannot force a large
+/// allocation, and the exact match leaves no trailing bytes.
+Result<std::string_view> ArrayBytes(std::string_view payload,
+                                    const ByteReader& reader, uint32_t count,
+                                    size_t width, std::string_view what,
+                                    std::string_view noun) {
+  if (reader.remaining() != static_cast<size_t>(count) * width) {
+    return InvalidArgumentError(StrCat(what, ": ", reader.remaining(),
+                                       " payload bytes for ", count, " ",
+                                       noun));
+  }
+  return payload.substr(payload.size() - reader.remaining());
+}
+
+/// Inverse of WriteWordsLe; `wire` holds exactly out.size_bytes().
+template <typename T>
+void CopyWordsLe(std::string_view wire, std::span<T> out) {
+  static_assert(std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0);
+  if (wire.empty()) return;
+  auto* bytes = reinterpret_cast<char*>(out.data());
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(bytes, wire.data(), wire.size());
+  } else {
+    for (size_t off = 0; off < wire.size(); off += 8) {
+      uint64_t word = 0;
+      for (size_t i = 0; i < 8; ++i) {
+        word |= static_cast<uint64_t>(
+                    static_cast<unsigned char>(wire[off + i]))
+                << (8 * i);
+      }
+      std::memcpy(bytes + off, &word, sizeof(word));
+    }
+  }
 }
 
 }  // namespace
@@ -59,58 +150,54 @@ StatusCode WireErrorStatusCode(WireError code) {
 }
 
 std::string EncodeFrame(MsgType type, std::string_view payload) {
-  ByteWriter writer;
-  writer.WriteU32(kWireMagic);
-  writer.WriteU8(kWireVersion);
-  writer.WriteU8(static_cast<uint8_t>(type));
-  writer.WriteU32(static_cast<uint32_t>(payload.size()));
-  std::string frame = writer.Release();
-  frame.append(payload);
-  ByteWriter trailer;
-  trailer.WriteU32(Crc32c(frame));
-  frame.append(trailer.buffer());
-  return frame;
+  ByteWriter frame = BeginFrame(type, payload.size());
+  frame.WriteBytes(payload);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodePing(uint64_t request_id) {
-  ByteWriter writer;
-  writer.WriteU64(request_id);
-  return EncodeFrame(MsgType::kPing, writer.buffer());
+  ByteWriter frame = BeginFrame(MsgType::kPing, 8);
+  frame.WriteU64(request_id);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodePong(uint64_t request_id) {
-  ByteWriter writer;
-  writer.WriteU64(request_id);
-  return EncodeFrame(MsgType::kPong, writer.buffer());
+  ByteWriter frame = BeginFrame(MsgType::kPong, 8);
+  frame.WriteU64(request_id);
+  return FinishFrame(std::move(frame));
+}
+
+size_t QueryPayloadBytes(std::string_view key, size_t range_count) {
+  return 8 + 4 + 4 + key.size() + 4 + range_count * sizeof(FlatQuery);
 }
 
 std::string EncodeQuery(const QueryRequest& request) {
-  ByteWriter writer;
-  writer.WriteU64(request.request_id);
-  writer.WriteU32(request.deadline_ms);
-  writer.WriteString(request.key);
-  writer.WriteU32(static_cast<uint32_t>(request.ranges.size()));
-  for (const FlatQuery& q : request.ranges) {
-    writer.WriteI64(q.a);
-    writer.WriteI64(q.b);
-  }
-  return EncodeFrame(MsgType::kQuery, writer.buffer());
+  ByteWriter frame = BeginFrame(
+      MsgType::kQuery, QueryPayloadBytes(request.key, request.ranges.size()));
+  frame.WriteU64(request.request_id);
+  frame.WriteU32(request.deadline_ms);
+  frame.WriteString(request.key);
+  frame.WriteU32(static_cast<uint32_t>(request.ranges.size()));
+  WriteWordsLe(frame, std::span<const FlatQuery>(request.ranges));
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeQueryOk(const QueryResponse& response) {
-  ByteWriter writer;
-  writer.WriteU64(response.request_id);
-  writer.WriteU32(static_cast<uint32_t>(response.estimates.size()));
-  for (double v : response.estimates) writer.WriteDouble(v);
-  return EncodeFrame(MsgType::kQueryOk, writer.buffer());
+  ByteWriter frame = BeginFrame(
+      MsgType::kQueryOk, 8 + 4 + response.estimates.size() * sizeof(double));
+  frame.WriteU64(response.request_id);
+  frame.WriteU32(static_cast<uint32_t>(response.estimates.size()));
+  WriteWordsLe(frame, std::span<const double>(response.estimates));
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeError(const ErrorResponse& response) {
-  ByteWriter writer;
-  writer.WriteU64(response.request_id);
-  writer.WriteU8(static_cast<uint8_t>(response.code));
-  writer.WriteString(response.message);
-  return EncodeFrame(MsgType::kError, writer.buffer());
+  ByteWriter frame =
+      BeginFrame(MsgType::kError, 8 + 1 + 4 + response.message.size());
+  frame.WriteU64(response.request_id);
+  frame.WriteU8(static_cast<uint8_t>(response.code));
+  frame.WriteString(response.message);
+  return FinishFrame(std::move(frame));
 }
 
 Result<FrameHeader> DecodeFrameHeader(std::string_view header) {
@@ -185,22 +272,12 @@ Result<QueryRequest> ParseQuery(std::string_view payload) {
     return InvalidArgumentError(
         StrCat("query: range count ", count, " exceeds cap"));
   }
-  // The count field must be consistent with the bytes actually present;
-  // reserving from the bytes (not the field) keeps a corrupted count from
-  // forcing a large allocation before the per-range reads fail.
-  if (reader.remaining() != static_cast<size_t>(count) * 16) {
-    return InvalidArgumentError(
-        StrCat("query: ", reader.remaining(), " payload bytes for ", count,
-               " ranges"));
-  }
-  request.ranges.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FlatQuery q;
-    RANGESYN_ASSIGN_OR_RETURN(q.a, reader.ReadI64());
-    RANGESYN_ASSIGN_OR_RETURN(q.b, reader.ReadI64());
-    request.ranges.push_back(q);
-  }
-  RANGESYN_RETURN_IF_ERROR(RequireAtEnd(reader, "query"));
+  RANGESYN_ASSIGN_OR_RETURN(
+      const std::string_view bytes,
+      ArrayBytes(payload, reader, count, sizeof(FlatQuery), "query",
+                 "ranges"));
+  request.ranges.resize(count);
+  CopyWordsLe(bytes, std::span<FlatQuery>(request.ranges));
   return request;
 }
 
@@ -209,17 +286,12 @@ Result<QueryResponse> ParseQueryOk(std::string_view payload) {
   QueryResponse response;
   RANGESYN_ASSIGN_OR_RETURN(response.request_id, reader.ReadU64());
   RANGESYN_ASSIGN_OR_RETURN(const uint32_t count, reader.ReadU32());
-  if (reader.remaining() != static_cast<size_t>(count) * 8) {
-    return InvalidArgumentError(
-        StrCat("query-ok: ", reader.remaining(), " payload bytes for ",
-               count, " estimates"));
-  }
-  response.estimates.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    RANGESYN_ASSIGN_OR_RETURN(const double v, reader.ReadDouble());
-    response.estimates.push_back(v);
-  }
-  RANGESYN_RETURN_IF_ERROR(RequireAtEnd(reader, "query-ok"));
+  RANGESYN_ASSIGN_OR_RETURN(
+      const std::string_view bytes,
+      ArrayBytes(payload, reader, count, sizeof(double), "query-ok",
+                 "estimates"));
+  response.estimates.resize(count);
+  CopyWordsLe(bytes, std::span<double>(response.estimates));
   return response;
 }
 

@@ -112,6 +112,11 @@ struct FrameHeader {
 /// Encodes a complete frame (header + payload + CRC trailer).
 std::string EncodeFrame(MsgType type, std::string_view payload);
 
+/// Payload size of a kQuery frame carrying `key` and `range_count`
+/// ranges. Callers compare it with kMaxPayloadBytes before encoding: the
+/// encoders themselves do not check the cap.
+size_t QueryPayloadBytes(std::string_view key, size_t range_count);
+
 /// Typed encoders.
 std::string EncodePing(uint64_t request_id);
 std::string EncodePong(uint64_t request_id);

@@ -1,12 +1,16 @@
 // Unit tests for the core foundation: Status/Result, strings, flags,
-// deterministic RNG, math helpers.
+// deterministic RNG, math helpers, CRC32C.
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/crc32c.h"
 #include "core/flags.h"
 #include "core/mathutil.h"
 #include "core/random.h"
@@ -298,6 +302,55 @@ TEST(MathTest, AlmostEqual) {
   EXPECT_TRUE(AlmostEqual(1.0, 1.0 + 1e-12));
   EXPECT_FALSE(AlmostEqual(1.0, 1.1));
   EXPECT_TRUE(AlmostEqual(0.0, 1e-12));
+}
+
+// ---------------------------------------------------------------- CRC32C
+
+TEST(Crc32cTest, KnownAnswers) {
+  // RFC 3720 §B.4 test vectors plus the customary "123456789" check value.
+  EXPECT_EQ(Crc32c(std::string(32, '\x00')), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(std::string(32, '\xff')), 0x62A8AB43u);
+  std::string ascending;
+  for (int i = 0; i < 32; ++i) ascending.push_back(static_cast<char>(i));
+  EXPECT_EQ(Crc32c(ascending), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c("123456789"), 0xE3069283u);
+  EXPECT_EQ(Crc32c(""), 0u);
+  for (const std::string_view v : {std::string_view("123456789"),
+                                   std::string_view(ascending)}) {
+    EXPECT_EQ(Crc32cExtendPortable(0, v), Crc32c(v));
+  }
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableAtEveryLengthAndOffset) {
+  // Random bytes, so every length and alignment exercises the hardware
+  // path's 8-byte body and its byte tail against the table reference.
+  Rng rng(3720);
+  std::string bytes(1024 + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextInt(0, 255));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const std::string_view v = std::string_view(bytes).substr(offset, len);
+      ASSERT_EQ(Crc32c(v), Crc32cExtendPortable(0, v))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendAtAnySplitEqualsOneShot) {
+  Rng rng(82);
+  std::string bytes(300, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextInt(0, 255));
+  const std::string_view all(bytes);
+  const uint32_t whole = Crc32c(all);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    const std::string_view head = all.substr(0, split);
+    const std::string_view tail = all.substr(split);
+    ASSERT_EQ(Crc32cExtend(Crc32c(head), tail), whole) << split;
+    // The two implementations chain into each other.
+    ASSERT_EQ(Crc32cExtendPortable(Crc32c(head), tail), whole) << split;
+    ASSERT_EQ(Crc32cExtend(Crc32cExtendPortable(0, head), tail), whole)
+        << split;
+  }
 }
 
 }  // namespace

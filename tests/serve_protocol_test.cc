@@ -5,8 +5,10 @@
 
 #include "serve/protocol.h"
 
+#include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +30,17 @@ QueryRequest SampleQuery() {
     q.ranges.push_back(range);
   }
   return q;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    hex.push_back(kDigits[byte >> 4]);
+    hex.push_back(kDigits[byte & 0xf]);
+  }
+  return hex;
 }
 
 TEST(ServeProtocolTest, PingPongRoundTrip) {
@@ -231,6 +244,75 @@ TEST(ServeProtocolTest, EncodedSizesMatchLayoutSpec) {
   EXPECT_EQ(EncodeQueryOk(r).size(),
             kFrameHeaderBytes + 8 + 4 + 8 * r.estimates.size() +
                 kFrameTrailerBytes);
+}
+
+TEST(ServeProtocolTest, GoldenBytesPinTheWireLayout) {
+  // Exact RSP1 bytes, computed independently of this codec (Python
+  // struct packing plus a bitwise CRC32C). Any change to field order,
+  // width, byte order or checksum shows up here, not just in sizes.
+  QueryRequest q;
+  q.request_id = 0x0123456789abcdefULL;
+  q.deadline_ms = 250;
+  q.key = "orders.price";
+  q.ranges = {{-3, 17},
+              {-(int64_t{1} << 40), (int64_t{1} << 33) + 5},
+              {4294967297, INT64_MAX}};
+  const std::string query = EncodeQuery(q);
+  EXPECT_EQ(Hex(query),
+            "52535031"                          // "RSP1"
+            "010350000000"                      // v1 kQuery, 80-byte payload
+            "efcdab8967452301"                  // request_id
+            "fa000000"                          // deadline_ms
+            "0c0000006f72646572732e7072696365"  // key
+            "03000000"                          // count
+            "fdffffffffffffff1100000000000000"  // (-3, 17)
+            "0000000000ffffff0500000002000000"  // (-2^40, 2^33 + 5)
+            "0100000001000000ffffffffffffff7f"  // (2^32 + 1, INT64_MAX)
+            "604a3467");                        // CRC32C
+  QueryResponse r;
+  r.request_id = 42;
+  r.estimates = {-0.0, std::bit_cast<double>(uint64_t{0xbeef}),
+                 std::bit_cast<double>(uint64_t{0x7ff800000000beef}), 1.5};
+  const std::string reply = EncodeQueryOk(r);
+  EXPECT_EQ(Hex(reply),
+            "52535031"            // "RSP1"
+            "01042c000000"        // v1 kQueryOk, 44-byte payload
+            "2a00000000000000"    // request_id
+            "04000000"            // count
+            "0000000000000080"    // -0.0
+            "efbe000000000000"    // denormal
+            "efbe00000000f87f"    // NaN, payload 0xbeef
+            "000000000000f83f"    // 1.5
+            "b7827dd6");          // CRC32C
+
+  // Both frames decode back bit for bit.
+  auto header = DecodeFrameHeader(query.substr(0, kFrameHeaderBytes));
+  ASSERT_TRUE(header.ok());
+  auto payload = CheckFrameCrc(query, *header);
+  ASSERT_TRUE(payload.ok());
+  auto parsed = ParseQuery(*payload);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->request_id, q.request_id);
+  EXPECT_EQ(parsed->deadline_ms, q.deadline_ms);
+  EXPECT_EQ(parsed->key, q.key);
+  ASSERT_EQ(parsed->ranges.size(), q.ranges.size());
+  for (size_t i = 0; i < q.ranges.size(); ++i) {
+    EXPECT_EQ(parsed->ranges[i].a, q.ranges[i].a) << i;
+    EXPECT_EQ(parsed->ranges[i].b, q.ranges[i].b) << i;
+  }
+  auto reply_header = DecodeFrameHeader(reply.substr(0, kFrameHeaderBytes));
+  ASSERT_TRUE(reply_header.ok());
+  auto reply_payload = CheckFrameCrc(reply, *reply_header);
+  ASSERT_TRUE(reply_payload.ok());
+  auto decoded = ParseQueryOk(*reply_payload);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->request_id, r.request_id);
+  ASSERT_EQ(decoded->estimates.size(), r.estimates.size());
+  for (size_t i = 0; i < r.estimates.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(decoded->estimates[i]),
+              std::bit_cast<uint64_t>(r.estimates[i]))
+        << i;
+  }
 }
 
 }  // namespace

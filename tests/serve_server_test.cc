@@ -396,6 +396,50 @@ TEST_F(ServeServerTest, TransportFaultOnReadIsRetriedTransparently) {
   EXPECT_GE(client.stats().reconnects, 1u);
 }
 
+TEST_F(ServeServerTest, OversizedBatchIsRefusedBeforeSending) {
+  Fixture f = Fixture::Make({});
+  Client client(f.ClientFor());
+  // One range more than fits the payload cap, and a key that alone does.
+  const std::vector<FlatQuery> too_many(kMaxPayloadBytes / sizeof(FlatQuery) +
+                                        1);
+  const std::vector<FlatQuery> one = MakeRanges(*f.oracle, 5, 1);
+  const std::string huge_key(kMaxPayloadBytes, 'k');
+  const auto too_many_ranges = client.Query("t.v", too_many, 1000);
+  const auto too_long_key = client.Query(huge_key, one, 1000);
+  for (const auto* got : {&too_many_ranges, &too_long_key}) {
+    ASSERT_FALSE(got->ok());
+    EXPECT_EQ(got->status().code(), StatusCode::kInvalidArgument)
+        << got->status().message();
+  }
+  // Nothing reached the server: no connection was even opened.
+  EXPECT_EQ(client.stats().attempts, 0u);
+  ServerSummary s = f.server->summary();
+  EXPECT_EQ(s.conns_accepted, 0u);
+  EXPECT_EQ(s.requests, 0u);
+
+  // The client is still usable, and a batch at the cap goes through.
+  const std::vector<FlatQuery> at_cap(
+      (kMaxPayloadBytes - QueryPayloadBytes("t.v", 0)) / sizeof(FlatQuery),
+      one[0]);
+  ASSERT_LE(QueryPayloadBytes("t.v", at_cap.size()), kMaxPayloadBytes);
+  const auto got = client.Query("t.v", at_cap, 30000);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_EQ(got->size(), at_cap.size());
+  std::vector<double> expected(1);
+  FlatSynopsis::BatchScratch scratch;
+  ASSERT_TRUE(f.oracle->EstimateMany(one, expected, &scratch).ok());
+  EXPECT_EQ(got->front(), expected[0]);
+  EXPECT_EQ(got->back(), expected[0]);
+
+  ASSERT_TRUE(f.server->DrainAndWait(/*grace_s=*/10.0).ok());
+  s = f.server->summary();
+  EXPECT_EQ(s.requests, 1u);
+  EXPECT_EQ(s.ok, 1u);
+  EXPECT_EQ(s.requests, s.ok + s.shed + s.malformed + s.deadline_exceeded +
+                            s.not_found + s.internal + s.shutting_down);
+  EXPECT_EQ(s.conns_open, 0u);
+}
+
 TEST_F(ServeServerTest, CreateValidatesOptions) {
   SynopsisCatalog catalog;
   ASSERT_TRUE(
