@@ -43,7 +43,6 @@ struct LoopState {
 /// reaches). After an exception, remaining chunks are claimed but skipped
 /// so settled_chunks still reaches num_chunks and the caller can return.
 void RunChunks(LoopState* state) {
-  uint64_t executed = 0;
   int64_t chunk;
   while ((chunk = state->next_chunk.fetch_add(
               1, std::memory_order_relaxed)) < state->num_chunks) {
@@ -56,7 +55,6 @@ void RunChunks(LoopState* state) {
         // exactly as a throwing body would.
         failpoint::MaybeThrow("threadpool.task");
         (*state->body)(lo, hi);
-        ++executed;
       } catch (...) {
         RANGESYN_LOG_EVENT(Warning, "core.threadpool.task_exception")
             .Arg("chunk", chunk)
@@ -75,7 +73,6 @@ void RunChunks(LoopState* state) {
       state->done_cv.notify_all();
     }
   }
-  RANGESYN_OBS_COUNTER_ADD("threadpool.parallel_for.chunks", executed);
 }
 
 }  // namespace
@@ -118,8 +115,14 @@ void ThreadPool::Submit(std::function<void()> fn) {
     MutexLock lock(queues_[target]->mu);
     queues_[target]->tasks.push_back(std::move(fn));
   }
-  const int64_t pending =
-      pending_.fetch_add(1, std::memory_order_release) + 1;
+  int64_t pending = 0;
+  {
+    // Publish under sleep_mu_: a worker that read pending_ == 0 holds the
+    // mutex until it is waiting, so the notify below cannot slip into
+    // the gap between its check and its wait and be lost.
+    MutexLock lock(sleep_mu_);
+    pending = pending_.fetch_add(1, std::memory_order_release) + 1;
+  }
   RANGESYN_OBS_GAUGE_SET("threadpool.queue_depth", pending);
   wake_cv_.notify_one();
 }
@@ -164,6 +167,9 @@ void ThreadPool::WorkerLoop(size_t self) {
     // Explicit wait loop (not a predicate lambda) so the thread-safety
     // analysis sees the stop_ reads under the scoped capability.
     while (!stop_ && pending_.load(std::memory_order_acquire) == 0) {
+      // A `sleep:` rule here widens the gap between the check and the
+      // wait, where a concurrent Submit must not lose its wake-up.
+      (void)failpoint::ShouldFail("threadpool.worker.idle");
       lock.Wait(wake_cv_);
     }
   }
@@ -216,6 +222,10 @@ void ThreadPool::ParallelFor(
     first_exception = state->first_exception;
   }
   if (first_exception) std::rethrow_exception(first_exception);
+  // Counted by the caller once every chunk has settled (as on the serial
+  // path), so the counter is complete when ParallelFor returns.
+  RANGESYN_OBS_COUNTER_ADD("threadpool.parallel_for.chunks",
+                           static_cast<uint64_t>(num_chunks));
 }
 
 Status ThreadPool::ParallelForStatus(

@@ -17,7 +17,8 @@ namespace rangesyn {
 namespace {
 
 constexpr uint32_t kFlatMagic = 0x31465352;  // "RSF1" little-endian
-constexpr uint8_t kFlatVersion = 1;
+// Version 1 held a longer histogram i64 section; such files are refused.
+constexpr uint8_t kFlatVersion = 2;
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kTrailerBytes = sizeof(uint32_t);
 
@@ -45,8 +46,8 @@ Status CheckHostEndianness() {
   return OkStatus();
 }
 
-/// Shared open-time validation: size arithmetic, magic/version, CRC.
-/// Returns the header; the caller slices the sections.
+/// Open-time validation: size arithmetic, magic/version, CRC. Returns
+/// the header; the caller slices the sections.
 Result<FlatHeader> ParseAndCheck(std::string_view bytes,
                                  const std::string& path) {
   RANGESYN_RETURN_IF_ERROR(CheckHostEndianness());
@@ -203,26 +204,6 @@ Result<std::shared_ptr<const FlatSynopsis>> OpenFlatMapped(
                                static_cast<size_t>(header.i64_count)),
       std::span<const double>(f64s, static_cast<size_t>(header.f64_count)),
       std::move(file));
-}
-
-Result<std::shared_ptr<const FlatSynopsis>> OpenFlatHeap(
-    const std::string& path) {
-  RANGESYN_ASSIGN_OR_RETURN(const std::string contents,
-                            ReadFileToString(path));
-  RANGESYN_ASSIGN_OR_RETURN(const FlatHeader header,
-                            ParseAndCheck(contents, path));
-  // The string buffer has no alignment guarantee; copy the sections into
-  // typed vectors (this is the allocating fallback path by design).
-  std::vector<int64_t> i64s(static_cast<size_t>(header.i64_count));
-  std::vector<double> f64s(static_cast<size_t>(header.f64_count));
-  std::memcpy(i64s.data(), contents.data() + kHeaderBytes,
-              8 * i64s.size());
-  std::memcpy(f64s.data(),
-              contents.data() + kHeaderBytes + 8 * i64s.size(),
-              8 * f64s.size());
-  return FlatSynopsis::FromBuffersCopied(
-      static_cast<FlatKind>(header.kind), header.aux, header.n,
-      header.num_buckets, header.padded_size, i64s, f64s);
 }
 
 }  // namespace rangesyn

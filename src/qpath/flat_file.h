@@ -18,7 +18,7 @@ namespace rangesyn {
 /// trailer over everything preceding it.
 ///
 ///   offset  0  u32  magic "RSF1" (bytes 52 53 46 31)
-///           4  u8   version (1)
+///           4  u8   version (2; version 1 files are refused)
 ///           5  u8   kind (FlatKind)
 ///           6  u8   aux (rounding / wavelet domain)
 ///           7  u8   zero
@@ -32,9 +32,10 @@ namespace rangesyn {
 ///         end-4  u32 CRC32C over [0, end-4)
 ///
 /// OpenFlatMapped checks the CRC once at open, validates the structure
-/// (FlatSynopsis::FromBuffers re-derives the Eytzinger mirror and height
-/// table), and then serves queries straight out of the mapping — no
-/// deserialization allocations, shared read-only pages across processes.
+/// (FlatSynopsis::FromBuffers checks the counts, the bucket ends and the
+/// wavelet height table), and then serves queries straight out of the
+/// mapping — no deserialization allocations, shared read-only pages
+/// across processes.
 /// Numbers are stored native little-endian; open fails cleanly on a
 /// big-endian host rather than mis-reading.
 
@@ -49,12 +50,6 @@ Status SaveFlatSynopsis(const FlatSynopsis& flat, const std::string& path);
 /// synopsis keeps the mapping alive for its own lifetime.
 RANGESYN_LENDS_VIEW Result<std::shared_ptr<const FlatSynopsis>>
 OpenFlatMapped(const std::string& path);
-
-/// Opens an RSF1 file into owned heap buffers — same validation, same
-/// bit-identical answers; for hosts or filesystems where mmap is
-/// unavailable, and for the mmap-vs-heap identity leg of the test suite.
-RANGESYN_LENDS_VIEW Result<std::shared_ptr<const FlatSynopsis>>
-OpenFlatHeap(const std::string& path);
 
 }  // namespace rangesyn
 

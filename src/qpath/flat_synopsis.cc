@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <utility>
 
 #include "core/logging.h"
 #include "core/mathutil.h"
@@ -60,31 +62,54 @@ RANGESYN_HOT_PATH inline double ModelAt(const double* m, double x) {
   return m[0] + m[1] * x + m[2] * x * x;
 }
 
-constexpr int64_t kMaxFlatBuckets = int64_t{1} << 40;
+/// Bucket indices live in the uint32 hint table.
+constexpr int64_t kMaxFlatBuckets = std::numeric_limits<uint32_t>::max();
 constexpr int64_t kMaxFlatPadded = int64_t{1} << 40;
 
-}  // namespace
+/// Heap storage of a compiled synopsis. FromBuffers holds it as its
+/// `backing`, the same keep-alive an mmap'd RSF1 file uses.
+struct FlatBuffers {
+  std::vector<int64_t> i64s;
+  std::vector<double> f64s;
+};
 
-void BuildEytzinger(std::span<const int64_t> ends, std::span<int64_t> eytz,
-                    std::span<int64_t> rank) {
-  RANGESYN_CHECK_EQ(eytz.size(), ends.size() + 1);
-  RANGESYN_CHECK_EQ(rank.size(), ends.size() + 1);
-  eytz[0] = 0;
-  rank[0] = 0;
-  // In-order traversal of the implicit complete tree visits the slots in
-  // ascending key order; recursion depth is the tree height, O(log B).
-  size_t next = 0;
-  const size_t buckets = ends.size();
-  const auto fill = [&](const auto& self, size_t k) -> void {
-    if (k > buckets) return;
-    self(self, 2 * k);
-    eytz[k] = ends[next];
-    rank[k] = static_cast<int64_t>(next);
-    ++next;
-    self(self, 2 * k + 1);
-  };
-  fill(fill, 1);
+/// Validates `buffers` into a view that owns them.
+Result<std::shared_ptr<const FlatSynopsis>> FromHeap(
+    FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
+    int64_t padded_size, FlatBuffers buffers) {
+  auto owned = std::make_shared<const FlatBuffers>(std::move(buffers));
+  return FlatSynopsis::FromBuffers(kind, aux, n, num_buckets, padded_size,
+                                   owned->i64s, owned->f64s, owned);
 }
+
+/// The shared histogram compilation: the i64 section is the bucket ends,
+/// the f64 section is the cumulative mass of `mass_values` followed by
+/// the per-kind `tail` sections in order.
+Result<std::shared_ptr<const FlatSynopsis>> CompileHistogram(
+    FlatKind kind, uint8_t aux, const Partition& partition,
+    const std::vector<double>& mass_values,
+    std::initializer_list<std::span<const double>> tail) {
+  FlatBuffers buffers{partition.ends(),
+                      CumulativeMassFlat(partition.ends(), mass_values)};
+  for (std::span<const double> section : tail) {
+    buffers.f64s.insert(buffers.f64s.end(), section.begin(), section.end());
+  }
+  return FromHeap(kind, aux, partition.n(), partition.num_buckets(), 0,
+                  std::move(buffers));
+}
+
+/// Flattens SAP2 quadratic models to c0, c1, c2 per bucket.
+std::vector<double> ModelCoefficients(
+    const std::vector<Sap2Histogram::Model>& models) {
+  std::vector<double> out;
+  out.reserve(3 * models.size());
+  for (const Sap2Histogram::Model& m : models) {
+    out.insert(out.end(), {m.c0, m.c1, m.c2});
+  }
+  return out;
+}
+
+}  // namespace
 
 Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromBuffers(
     FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
@@ -105,26 +130,6 @@ Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromBuffers(
   return std::shared_ptr<const FlatSynopsis>(std::move(s));
 }
 
-Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromBuffersCopied(
-    FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
-    int64_t padded_size, std::span<const int64_t> i64s,
-    std::span<const double> f64s) {
-  // make_shared cannot reach the private constructor; the raw new is
-  // immediately owned.
-  std::shared_ptr<FlatSynopsis> s(new FlatSynopsis());  // lint: waive(LINT-004)
-  s->kind_ = kind;
-  s->aux_ = aux;
-  s->n_ = n;
-  s->num_buckets_ = num_buckets;
-  s->padded_size_ = padded_size;
-  s->own_i64_.assign(i64s.begin(), i64s.end());
-  s->own_f64_.assign(f64s.begin(), f64s.end());
-  s->i64_ = s->own_i64_;
-  s->f64_ = s->own_f64_;
-  RANGESYN_RETURN_IF_ERROR(s->InitAndValidate());
-  return std::shared_ptr<const FlatSynopsis>(std::move(s));
-}
-
 Status FlatSynopsis::InitAndValidate() {
   const int64_t buckets = num_buckets_;
   const bool histogram_kind =
@@ -141,7 +146,7 @@ Status FlatSynopsis::InitAndValidate() {
     if (buckets < 1 || buckets > n_ || buckets > kMaxFlatBuckets) {
       return InvalidArgumentError("FlatSynopsis: bad bucket count");
     }
-    if (static_cast<int64_t>(i64_.size()) != 3 * buckets + 2) {
+    if (static_cast<int64_t>(i64_.size()) != buckets) {
       return InvalidArgumentError("FlatSynopsis: bad i64 section size");
     }
     int64_t expected_f64 = 0;
@@ -173,8 +178,7 @@ Status FlatSynopsis::InitAndValidate() {
     }
 
     // Boundaries must be strictly increasing 1-based endpoints covering
-    // 1..n; the Eytzinger mirror and its ranks are recomputed and compared
-    // wholesale, so a corrupted rank can never index out of bounds.
+    // 1..n, so every bucket search stops inside the ends section.
     const int64_t* ends = i64_.data();
     int64_t prev = 0;
     for (int64_t k = 0; k < buckets; ++k) {
@@ -186,21 +190,7 @@ Status FlatSynopsis::InitAndValidate() {
     if (ends[buckets - 1] != n_) {
       return InvalidArgumentError("FlatSynopsis: last boundary != n");
     }
-    std::vector<int64_t> eytz(static_cast<size_t>(buckets) + 1);
-    std::vector<int64_t> rank(static_cast<size_t>(buckets) + 1);
-    BuildEytzinger(i64_.subspan(0, static_cast<size_t>(buckets)), eytz,
-                   rank);
-    if (std::memcmp(eytz.data(), i64_.data() + buckets,
-                    eytz.size() * sizeof(int64_t)) != 0 ||
-        std::memcmp(rank.data(), i64_.data() + 2 * buckets + 1,
-                    rank.size() * sizeof(int64_t)) != 0) {
-      return InvalidArgumentError(
-          "FlatSynopsis: Eytzinger section disagrees with boundaries");
-    }
-
     ends_ = i64_.data();
-    eytz_ends_ = i64_.data() + buckets;
-    eytz_rank_ = i64_.data() + 2 * buckets + 1;
     cum_ = f64_.data();
     const double* after_cum = f64_.data() + buckets + 1;
     switch (kind_) {
@@ -279,114 +269,37 @@ Status FlatSynopsis::InitAndValidate() {
 Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::Compile(
     const RangeEstimator& estimator) {
   if (const auto* h = dynamic_cast<const AvgHistogram*>(&estimator)) {
-    const std::vector<int64_t>& ends = h->partition().ends();
-    const int64_t buckets = h->partition().num_buckets();
-    std::vector<int64_t> i64s(static_cast<size_t>(3 * buckets + 2));
-    std::copy(ends.begin(), ends.end(), i64s.begin());
-    BuildEytzinger(std::span<const int64_t>(ends),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(buckets),
-                       static_cast<size_t>(buckets) + 1),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(2 * buckets + 1)));
-    std::vector<double> f64s = CumulativeMassFlat(ends, h->values());
-    f64s.insert(f64s.end(), h->values().begin(), h->values().end());
-    return FromBuffersCopied(FlatKind::kAvgHistogram,
-                             static_cast<uint8_t>(h->rounding()),
-                             h->domain_size(), buckets, 0, i64s, f64s);
+    return CompileHistogram(FlatKind::kAvgHistogram,
+                            static_cast<uint8_t>(h->rounding()),
+                            h->partition(), h->values(), {h->values()});
   }
-  const auto append = [](std::vector<double>* dst,
-                         const std::vector<double>& src) {
-    dst->insert(dst->end(), src.begin(), src.end());
-  };
   if (const auto* h = dynamic_cast<const Sap0Histogram*>(&estimator)) {
-    const std::vector<int64_t>& ends = h->partition().ends();
-    const int64_t buckets = h->partition().num_buckets();
-    std::vector<int64_t> i64s(static_cast<size_t>(3 * buckets + 2));
-    std::copy(ends.begin(), ends.end(), i64s.begin());
-    BuildEytzinger(std::span<const int64_t>(ends),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(buckets),
-                       static_cast<size_t>(buckets) + 1),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(2 * buckets + 1)));
-    std::vector<double> f64s = CumulativeMassFlat(ends, h->averages());
-    append(&f64s, h->suffix_values());
-    append(&f64s, h->prefix_values());
-    append(&f64s, h->averages());
-    return FromBuffersCopied(FlatKind::kSap0, 0, h->domain_size(), buckets,
-                             0, i64s, f64s);
+    return CompileHistogram(
+        FlatKind::kSap0, 0, h->partition(), h->averages(),
+        {h->suffix_values(), h->prefix_values(), h->averages()});
   }
   if (const auto* h =
           dynamic_cast<const WeightedSap0Histogram*>(&estimator)) {
-    const std::vector<int64_t>& ends = h->partition().ends();
-    const int64_t buckets = h->partition().num_buckets();
-    std::vector<int64_t> i64s(static_cast<size_t>(3 * buckets + 2));
-    std::copy(ends.begin(), ends.end(), i64s.begin());
-    BuildEytzinger(std::span<const int64_t>(ends),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(buckets),
-                       static_cast<size_t>(buckets) + 1),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(2 * buckets + 1)));
-    std::vector<double> f64s = CumulativeMassFlat(ends, h->averages());
-    append(&f64s, h->suffix_values());
-    append(&f64s, h->prefix_values());
-    append(&f64s, h->averages());
-    return FromBuffersCopied(FlatKind::kWeightedSap0, 0, h->domain_size(),
-                             buckets, 0, i64s, f64s);
+    return CompileHistogram(
+        FlatKind::kWeightedSap0, 0, h->partition(), h->averages(),
+        {h->suffix_values(), h->prefix_values(), h->averages()});
   }
   if (const auto* h = dynamic_cast<const Sap1Histogram*>(&estimator)) {
-    const std::vector<int64_t>& ends = h->partition().ends();
-    const int64_t buckets = h->partition().num_buckets();
-    std::vector<int64_t> i64s(static_cast<size_t>(3 * buckets + 2));
-    std::copy(ends.begin(), ends.end(), i64s.begin());
-    BuildEytzinger(std::span<const int64_t>(ends),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(buckets),
-                       static_cast<size_t>(buckets) + 1),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(2 * buckets + 1)));
-    std::vector<double> f64s = CumulativeMassFlat(ends, h->averages());
-    append(&f64s, h->suffix_slopes());
-    append(&f64s, h->suffix_intercepts());
-    append(&f64s, h->prefix_slopes());
-    append(&f64s, h->prefix_intercepts());
-    append(&f64s, h->averages());
-    return FromBuffersCopied(FlatKind::kSap1, 0, h->domain_size(), buckets,
-                             0, i64s, f64s);
+    return CompileHistogram(
+        FlatKind::kSap1, 0, h->partition(), h->averages(),
+        {h->suffix_slopes(), h->suffix_intercepts(), h->prefix_slopes(),
+         h->prefix_intercepts(), h->averages()});
   }
   if (const auto* h = dynamic_cast<const Sap2Histogram*>(&estimator)) {
-    const std::vector<int64_t>& ends = h->partition().ends();
-    const int64_t buckets = h->partition().num_buckets();
-    std::vector<int64_t> i64s(static_cast<size_t>(3 * buckets + 2));
-    std::copy(ends.begin(), ends.end(), i64s.begin());
-    BuildEytzinger(std::span<const int64_t>(ends),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(buckets),
-                       static_cast<size_t>(buckets) + 1),
-                   std::span<int64_t>(i64s).subspan(
-                       static_cast<size_t>(2 * buckets + 1)));
-    std::vector<double> f64s = CumulativeMassFlat(ends, h->averages());
-    for (const Sap2Histogram::Model& m : h->suffix_models()) {
-      f64s.push_back(m.c0);
-      f64s.push_back(m.c1);
-      f64s.push_back(m.c2);
-    }
-    for (const Sap2Histogram::Model& m : h->prefix_models()) {
-      f64s.push_back(m.c0);
-      f64s.push_back(m.c1);
-      f64s.push_back(m.c2);
-    }
-    append(&f64s, h->averages());
-    return FromBuffersCopied(FlatKind::kSap2, 0, h->domain_size(), buckets,
-                             0, i64s, f64s);
+    return CompileHistogram(FlatKind::kSap2, 0, h->partition(),
+                            h->averages(),
+                            {ModelCoefficients(h->suffix_models()),
+                             ModelCoefficients(h->prefix_models()),
+                             h->averages()});
   }
   if (const auto* e = dynamic_cast<const NaiveEstimator*>(&estimator)) {
-    const double avg = e->average();
-    return FromBuffersCopied(FlatKind::kNaive, 0, e->domain_size(), 0, 0,
-                             std::span<const int64_t>(),
-                             std::span<const double>(&avg, 1));
+    return FromHeap(FlatKind::kNaive, 0, e->domain_size(), 0, 0,
+                    FlatBuffers{{}, {e->average()}});
   }
   if (const auto* w = dynamic_cast<const WaveletSynopsis*>(&estimator)) {
     const int64_t padded = w->padded_size();
@@ -398,8 +311,8 @@ Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::Compile(
       f64s[table_off + static_cast<size_t>(c.index)] = c.value;
     }
     const uint8_t aux = w->domain() == WaveletDomain::kData ? 0 : 1;
-    return FromBuffersCopied(FlatKind::kWavelet, aux, w->domain_size(), 0,
-                             padded, std::span<const int64_t>(), f64s);
+    return FromHeap(FlatKind::kWavelet, aux, w->domain_size(), 0, padded,
+                    FlatBuffers{{}, std::move(f64s)});
   }
   return UnimplementedError(
       StrCat("FlatSynopsis: no flat compilation for estimator '",
@@ -426,40 +339,25 @@ std::string FlatSynopsis::Name() const {
   return "FLAT-?";
 }
 
-int64_t FlatSynopsis::BucketOfEytzinger(int64_t i) const {
-  // Branch-lean Eytzinger lower_bound: descend the implicit tree, then
-  // back out to the last left turn; the stored rank maps the BFS slot to
-  // the sorted bucket index Partition::BucketOf would return.
-  uint64_t k = 1;
-  const uint64_t buckets = static_cast<uint64_t>(num_buckets_);
-  while (k <= buckets) {
-    k = 2 * k + static_cast<uint64_t>(eytz_ends_[k] < i);
-  }
-  k >>= std::countr_one(k) + 1;
-  RANGESYN_DCHECK(k != 0);
-  return eytz_rank_[k];
-}
-
 void FlatSynopsis::BuildBucketHint() {
-  // uint32 bucket indices cover any realistic histogram; past that the
-  // Eytzinger descent serves alone.
-  if (num_buckets_ >= (int64_t{1} << 32)) return;
   constexpr int kHintBits = 12;  // <= 4096 entries, 16 KiB: L2-resident
   const int n_bits =
       64 - static_cast<int>(std::countl_zero(static_cast<uint64_t>(n_)));
   hint_shift_ = std::max(0, n_bits - kHintBits);
   const size_t blocks = static_cast<size_t>(n_ >> hint_shift_) + 1;
   hint_.resize(blocks);
+  // Block starts ascend, so one forward sweep over the ends computes each
+  // block's lower_bound; the last end is n, so the sweep stays in range.
+  int64_t k = 0;
   for (size_t blk = 0; blk < blocks; ++blk) {
-    const int64_t first = std::max<int64_t>(
-        1, static_cast<int64_t>(blk) << hint_shift_);
-    hint_[blk] = static_cast<uint32_t>(
-        BucketOfEytzinger(std::min(first, n_)));
+    const int64_t first = std::min(
+        n_, std::max<int64_t>(1, static_cast<int64_t>(blk) << hint_shift_));
+    while (ends_[k] < first) ++k;
+    hint_[blk] = static_cast<uint32_t>(k);
   }
 }
 
 int64_t FlatSynopsis::BucketOfFlat(int64_t i) const {
-  if (hint_.empty()) return BucketOfEytzinger(i);
   // One cache-resident load gives the bucket of the block's first
   // position — a lower bound on the answer — then a forward scan over
   // the (strictly increasing) boundaries the block spans finishes the

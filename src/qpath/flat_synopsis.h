@@ -35,17 +35,14 @@ struct FlatQuery {
 
 /// Immutable structure-of-arrays compilation of a RangeEstimator for the
 /// serving hot path (DESIGN.md §11). All state lives in exactly two
-/// contiguous buffers — one of int64 words, one of doubles — so a
-/// FlatSynopsis can be backed either by heap vectors or by an mmap'd file
-/// with identical query behavior.
+/// contiguous buffers — one of int64 words, one of doubles — held alive
+/// by one `backing` handle: the heap vectors Compile filled, or an mmap'd
+/// RSF1 file. Queries behave identically over either.
 ///
 /// Layouts (B = num_buckets, P = padded_size, L = log2(P)):
 ///
 ///   histogram kinds — i64 buffer:
 ///     [0, B)         ends        sorted 1-based bucket right endpoints
-///     [B, 2B+1)      eytz_ends   the ends in Eytzinger (BFS heap) order,
-///                                1-indexed; slot 0 is an unused 0 pad
-///     [2B+1, 3B+2)   eytz_rank   sorted rank of each eytz_ends slot
 ///
 ///   f64 buffer by kind (cum = cumulative bucket mass, B+1 entries):
 ///     kAvgHistogram   cum | values[B]                      aux = rounding
@@ -63,16 +60,16 @@ struct FlatQuery {
 /// 0.0-weighted term cannot change any IEEE-754 sum that the legacy
 /// skip-if-absent walk produces, so results are bit-identical.
 ///
-/// Bucket search uses the Eytzinger layout: the branch-free descent
-/// touches one cache line per level and returns the same lower_bound
-/// index Partition::BucketOf computes, via the stored ranks.
+/// Bucket search goes through a derived hint table (see `hint_`) and a
+/// short forward scan over `ends`, returning the same lower_bound index
+/// Partition::BucketOf computes.
 ///
 /// Lifetime contract (machine-checked, DESIGN.md §6.4): FlatSynopsis is
-/// a RANGESYN_OWNER_TYPE — it owns (or keeps alive via `backing_`) every
-/// byte its spans and section pointers reference, so caching them in its
-/// own members is sanctioned. The factories are RANGESYN_LENDS_VIEW:
-/// the shared_ptr they hand out is the keep-alive handle, and callers
-/// must hold it for as long as any span obtained from the synopsis.
+/// a RANGESYN_OWNER_TYPE — it keeps alive via `backing_` every byte its
+/// spans and section pointers reference, so caching them in its own
+/// members is sanctioned. The factories are RANGESYN_LENDS_VIEW: the
+/// shared_ptr they hand out is the keep-alive handle, and callers must
+/// hold it for as long as any span obtained from the synopsis.
 class RANGESYN_OWNER_TYPE FlatSynopsis {
  public:
   /// Compiles a built estimator into its flat form. Supported concrete
@@ -81,23 +78,16 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
   Compile(const RangeEstimator& estimator);
 
-  /// Assembles a view over externally owned buffers (the mmap read path).
-  /// `backing` keeps the storage alive for the synopsis' lifetime. The
-  /// buffers are structurally validated (counts, monotone ends, Eytzinger
-  /// permutation recomputed and compared) so a malformed file can never
+  /// Assembles a view over buffers that `backing` keeps alive for the
+  /// synopsis' lifetime (Compile's heap vectors or an mmap'd file). The
+  /// buffers are structurally validated (counts, strictly increasing ends
+  /// reaching n, the wavelet height table) so a malformed file can never
   /// cause an out-of-bounds query-time access.
   RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
   FromBuffers(
       FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
       int64_t padded_size, std::span<const int64_t> i64s,
       std::span<const double> f64s, std::shared_ptr<const void> backing);
-
-  /// As FromBuffers, but copies the buffers into owned heap vectors.
-  RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
-  FromBuffersCopied(
-      FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
-      int64_t padded_size, std::span<const int64_t> i64s,
-      std::span<const double> f64s);
 
   /// Answer for one range query; bit-identical to the source estimator's
   /// EstimateRange. Requires 1 <= a <= b <= n.
@@ -147,7 +137,6 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   RANGESYN_COLD_PATH Status InitAndValidate();
 
   RANGESYN_HOT_PATH int64_t BucketOfFlat(int64_t i) const;
-  RANGESYN_HOT_PATH int64_t BucketOfEytzinger(int64_t i) const;
   RANGESYN_COLD_PATH void BuildBucketHint();
   RANGESYN_HOT_PATH int64_t BucketStart(int64_t k) const {
     return k == 0 ? 1 : ends_[k - 1] + 1;
@@ -163,10 +152,7 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   RANGESYN_HOT_PATH double WaveReconstructRangeSum(int64_t lo,
                                                    int64_t hi) const;
 
-  // Owned backing (heap mode) or a keep-alive handle (mmap mode); the
-  // spans below point into whichever is active.
-  std::vector<int64_t> own_i64_;
-  std::vector<double> own_f64_;
+  // Keep-alive handle for the storage the spans below point into.
   std::shared_ptr<const void> backing_;
   std::span<const int64_t> i64_;
   std::span<const double> f64_;
@@ -179,8 +165,6 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
 
   // Derived section pointers (into i64_/f64_), set by InitAndValidate.
   const int64_t* ends_ = nullptr;
-  const int64_t* eytz_ends_ = nullptr;
-  const int64_t* eytz_rank_ = nullptr;
   const double* cum_ = nullptr;
   const double* f_a_ = nullptr;  // values / suff / ss / suff models
   const double* f_b_ = nullptr;  // pref / si / pref models
@@ -194,8 +178,8 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   // on-disk format): hint_[i >> hint_shift_] is the bucket of the first
   // domain position in that block, so a search is one table load plus a
   // short forward scan over the boundaries the block spans. The table is
-  // capped at 4K entries to stay cache-resident; the Eytzinger descent
-  // remains the fallback for the (theoretical) >= 2^32-bucket case.
+  // capped at 4K entries to stay cache-resident; InitAndValidate caps the
+  // bucket count so every index fits a uint32.
   std::vector<uint32_t> hint_;
   int hint_shift_ = 0;
 };
@@ -223,12 +207,6 @@ class FlatRangeEstimator : public RangeEstimator {
  private:
   std::shared_ptr<const FlatSynopsis> flat_;
 };
-
-/// Fills `eytz`/`rank` (both `ends.size() + 1` long, slot 0 zeroed) with
-/// the Eytzinger permutation of `ends` and each slot's sorted rank.
-/// Exposed for the file reader's structural validation.
-void BuildEytzinger(std::span<const int64_t> ends, std::span<int64_t> eytz,
-                    std::span<int64_t> rank);
 
 }  // namespace rangesyn
 

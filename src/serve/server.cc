@@ -93,8 +93,7 @@ struct Server::Conn {
   WireSites sites{"serve.conn"};
 };
 
-Server::Server(SynopsisCatalog catalog, const ServerOptions& options)
-    : options_(options), catalog_(std::move(catalog)) {}
+Server::Server(const ServerOptions& options) : options_(options) {}
 
 Result<std::unique_ptr<Server>> Server::Create(SynopsisCatalog catalog,
                                                const ServerOptions& options) {
@@ -108,12 +107,10 @@ Result<std::unique_ptr<Server>> Server::Create(SynopsisCatalog catalog,
     return InvalidArgumentError("serve: eval_chunk must be >= 1");
   }
   std::unique_ptr<Server> server(
-      new Server(std::move(catalog), options));  // lint: waive(LINT-004)
-  for (const SynopsisCatalog::EntryInfo& info :
-       server->catalog_.ListEntries()) {
-    RANGESYN_ASSIGN_OR_RETURN(
-        std::shared_ptr<const FlatSynopsis> view,
-        server->catalog_.FlatView(info.key));
+      new Server(options));  // lint: waive(LINT-004)
+  for (const SynopsisCatalog::EntryInfo& info : catalog.ListEntries()) {
+    RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> view,
+                              catalog.FlatView(info.key));
     server->views_.emplace(info.key, std::move(view));
   }
   return server;

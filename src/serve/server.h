@@ -122,8 +122,9 @@ const ServingMetrics& GetServingMetrics();
 class Server {
  public:
   /// Pre-resolves a FlatView for every catalog entry — the per-request
-  /// lookup is a const hash-map probe with no lock — and takes ownership
-  /// of the catalog. Fails if any entry cannot compile to a flat view.
+  /// lookup is a const hash-map probe with no lock. The views own their
+  /// buffers, so the catalog is dropped once they are resolved. Fails if
+  /// any entry cannot compile to a flat view.
   static Result<std::unique_ptr<Server>> Create(SynopsisCatalog catalog,
                                                 const ServerOptions& options);
 
@@ -170,7 +171,7 @@ class Server {
  private:
   struct Conn;
 
-  Server(SynopsisCatalog catalog, const ServerOptions& options);
+  explicit Server(const ServerOptions& options);
 
   void ListenerLoop();
   void ConnLoop(const std::shared_ptr<Conn>& conn);
@@ -204,7 +205,6 @@ class Server {
   [[nodiscard]] int64_t OpenConnCount() const;
 
   const ServerOptions options_;
-  SynopsisCatalog catalog_;  // owns the estimators behind the views
   /// Immutable after Create: key -> flat view. Lookups are lock-free.
   std::unordered_map<std::string, std::shared_ptr<const FlatSynopsis>>
       views_;

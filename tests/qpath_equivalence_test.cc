@@ -1,8 +1,8 @@
 // Bit-exact equivalence of the flat query path (src/qpath) with the
 // legacy estimators: for 200+ seeded (family x n x budget x method)
 // cases, every range estimate served by the compiled FlatSynopsis —
-// one-at-a-time, batched through EstimateMany, reloaded from an RSF1
-// file on the heap, or mmap'd zero-copy — must be *identical* as a
+// one-at-a-time, batched through EstimateMany, or reloaded zero-copy
+// from an mmap'd RSF1 file — must be *identical* as a
 // 64-bit pattern (std::bit_cast, not EXPECT_DOUBLE_EQ) to what the
 // legacy EstimateRange virtual path returns. A corruption-fuzz leg
 // checks that damaged RSF1 files are rejected at open time, never
@@ -25,6 +25,7 @@
 #include "data/distribution.h"
 #include "data/rounding.h"
 #include "engine/factory.h"
+#include "histogram/builders.h"
 #include "qpath/flat_file.h"
 #include "qpath/flat_synopsis.h"
 
@@ -188,13 +189,63 @@ TEST(QpathEquivalenceTest, LosslessHistogramMatchesNaiveOracle) {
   }
 }
 
-// --- File round-trip: heap load and mmap load are the same object -----
+// --- Many buckets per hint block --------------------------------------
 
-// Save every method's flat compilation to an RSF1 file, reopen it both
-// ways, and sweep all ranges: heap and mmap views must answer
-// bit-identically to the in-memory original (they share no storage with
-// it, so this exercises the full encode -> validate -> re-slice path).
-TEST(QpathEquivalenceTest, MappedAndHeapReopenBitIdentical) {
+// The bucket search reads a 4K-entry hint table and scans forward over
+// the boundaries inside one block. The seeded grid's small B never puts
+// more than one boundary in a block; here B > 4096 at n = 100003 (block
+// width 32, ~10 positions per bucket) puts several in most blocks, and
+// the zipf equi-depth head puts a run of one-wide buckets in one block.
+// Every range endpoint sits at a bucket boundary or one off it, answered
+// one-shot and through the sorted batch walk, bit for bit.
+TEST(QpathEquivalenceTest, ManyBoundariesPerHintBlockMatchLegacy) {
+  const int64_t n = 100'003;
+  const int64_t buckets = 9'973;
+  const std::vector<int64_t> data = SeededDataset(/*case_id=*/0, n, 5e6);
+  auto equiwidth = BuildEquiWidth(data, buckets);
+  ASSERT_TRUE(equiwidth.ok()) << equiwidth.status();
+  auto equidepth = BuildEquiDepth(data, buckets);
+  ASSERT_TRUE(equidepth.ok()) << equidepth.status();
+  for (const AvgHistogram* legacy : {&equiwidth.value(), &equidepth.value()}) {
+    ASSERT_GT(legacy->partition().num_buckets(), 4096);
+    auto flat = FlatSynopsis::Compile(*legacy);
+    ASSERT_TRUE(flat.ok()) << flat.status();
+    std::vector<int64_t> points = {1, n};
+    for (int64_t end : legacy->partition().ends()) {
+      for (int64_t p : {end - 1, end, end + 1}) {
+        if (p >= 1 && p <= n) points.push_back(p);
+      }
+    }
+    std::sort(points.begin(), points.end());
+    points.erase(std::unique(points.begin(), points.end()), points.end());
+    std::vector<FlatQuery> queries;
+    for (size_t i = 0; i < points.size(); ++i) {
+      for (size_t j = i; j < std::min(points.size(), i + 4); ++j) {
+        queries.push_back({points[i], points[j]});
+      }
+      queries.push_back({1, points[i]});
+      queries.push_back({points[i], n});
+    }
+    std::vector<double> out(queries.size());
+    ASSERT_TRUE(flat.value()->EstimateMany(queries, out).ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const FlatQuery q = queries[i];
+      const uint64_t want = Bits(legacy->EstimateRange(q.a, q.b));
+      ASSERT_EQ(want, Bits(flat.value()->EstimateOne(q.a, q.b)))
+          << legacy->Name() << " [" << q.a << "," << q.b << "]";
+      ASSERT_EQ(want, Bits(out[i]))
+          << legacy->Name() << " batched [" << q.a << "," << q.b << "]";
+    }
+  }
+}
+
+// --- File round-trip: the mmap load is the same object ---------------
+
+// Save every method's flat compilation to an RSF1 file, reopen it
+// mmap'd, and sweep all ranges: the view must answer bit-identically to
+// the in-memory original (it shares no storage with it, so this
+// exercises the full encode -> validate -> re-slice path).
+TEST(QpathEquivalenceTest, MappedReopenBitIdentical) {
   int case_id = 0;
   for (const char* method : kMethods) {
     const int64_t n = 33;
@@ -211,16 +262,12 @@ TEST(QpathEquivalenceTest, MappedAndHeapReopenBitIdentical) {
     ASSERT_TRUE(SaveFlatSynopsis(*flat.value(), path).ok());
     auto mapped = OpenFlatMapped(path);
     ASSERT_TRUE(mapped.ok()) << method << ": " << mapped.status();
-    auto heap = OpenFlatHeap(path);
-    ASSERT_TRUE(heap.ok()) << method << ": " << heap.status();
     EXPECT_EQ(flat.value()->Name(), mapped.value()->Name());
     for (int64_t a = 1; a <= n; ++a) {
       for (int64_t b = a; b <= n; ++b) {
         const uint64_t want = Bits(flat.value()->EstimateOne(a, b));
         ASSERT_EQ(want, Bits(mapped.value()->EstimateOne(a, b)))
             << method << " mmap [" << a << "," << b << "]";
-        ASSERT_EQ(want, Bits(heap.value()->EstimateOne(a, b)))
-            << method << " heap [" << a << "," << b << "]";
       }
     }
     ++case_id;
@@ -230,11 +277,10 @@ TEST(QpathEquivalenceTest, MappedAndHeapReopenBitIdentical) {
 // --- Corruption fuzz: damaged files are rejected at open time ---------
 
 // Truncations at every interesting boundary and 200 seeded single-bit
-// flips. Every damaged file must fail OpenFlatMapped/OpenFlatHeap with
-// a clean error — no crash, no Ok with garbage. (A bit flip in the
-// 4-byte CRC trailer or in unused padding is still caught because the
-// CRC covers the whole prefix and validation re-derives every redundant
-// section.)
+// flips. Every damaged file must fail OpenFlatMapped with a clean error
+// — no crash, no Ok with garbage. (Every single-bit flip, the 4-byte CRC
+// trailer included, is caught by the CRC32C, which covers the whole
+// prefix and detects any single-bit error.)
 TEST(QpathEquivalenceTest, CorruptFlatFilesAreRejectedAtOpen) {
   const std::vector<int64_t> data = SeededDataset(/*case_id=*/1, 64, 700.0);
   SynopsisSpec spec;
@@ -254,8 +300,6 @@ TEST(QpathEquivalenceTest, CorruptFlatFilesAreRejectedAtOpen) {
     ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
     auto mapped = OpenFlatMapped(path);
     EXPECT_FALSE(mapped.ok()) << what << ": mmap open accepted damage";
-    auto heap = OpenFlatHeap(path);
-    EXPECT_FALSE(heap.ok()) << what << ": heap open accepted damage";
   };
 
   // Sanity: the pristine bytes do open.

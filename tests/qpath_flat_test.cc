@@ -7,14 +7,18 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cli/commands.h"
+#include "core/crc32c.h"
+#include "core/fs.h"
 #include "core/random.h"
 #include "data/distribution.h"
 #include "data/rounding.h"
@@ -135,7 +139,29 @@ TEST(FlatSynopsisTest, AdapterReportsFlatNameAndDomain) {
 
 TEST(FlatFileTest, OpenMissingFileFails) {
   EXPECT_FALSE(OpenFlatMapped(TempPath("nope.rsf")).ok());
-  EXPECT_FALSE(OpenFlatHeap(TempPath("nope.rsf")).ok());
+}
+
+// RSF1 version 1 also stored an Eytzinger copy of the bucket ends. A
+// version-1 file must be refused by its version byte, never misread. A
+// naive synopsis has no i64 words, so its version-1 and version-2 bodies
+// are the same bytes: only the version byte and the CRC differ.
+TEST(FlatFileTest, VersionOneFileIsRefused) {
+  auto encoded = EncodeFlatSynopsis(*BuildFlat("naive", 4, 32));
+  ASSERT_TRUE(encoded.ok()) << encoded.status();
+  std::string bytes = encoded.value();
+  ASSERT_EQ(bytes[4], 2);
+  bytes[4] = 1;
+  const size_t body = bytes.size() - sizeof(uint32_t);
+  const uint32_t crc = Crc32c(std::string_view(bytes.data(), body));
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  const std::string path = TempPath("v1.rsf");
+  ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
+  auto opened = OpenFlatMapped(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("unsupported version"),
+            std::string::npos)
+      << opened.status();
+  std::remove(path.c_str());
 }
 
 // --- Catalog flat views and eviction lifetime -------------------------

@@ -7,6 +7,7 @@
 #include "core/threadpool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -408,6 +409,33 @@ TEST_F(ThreadPoolFaultTest, GlobalPoolSurvivesInjectedFaults) {
   });
   EXPECT_EQ(sum.load(), 300);
   SetGlobalThreads(-1);
+}
+
+// Lost wake-up regression: a worker that has just seen an empty pool
+// (under sleep_mu_) but has not begun waiting must still be woken by a
+// Submit that lands in that gap. The sleep rule holds every idle worker
+// in the gap for 50 ms; the test thread, outside the pool, submits one
+// task at a time into it and each must run well within the deadline
+// instead of waiting for a later Submit.
+TEST_F(ThreadPoolFaultTest, SubmitIntoIdleWorkerGapIsNotLost) {
+  std::atomic<int> ran{0};  // outlives the pool, which drains on exit
+  ThreadPool pool(2);
+  ASSERT_TRUE(
+      failpoint::Configure("threadpool.worker.idle=sleep:50").ok());
+  for (int round = 1; round <= 4; ++round) {
+    // Let the lone worker reach the gap (it re-enters it after each task).
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_release); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (ran.load(std::memory_order_acquire) < round &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(ran.load(std::memory_order_acquire), round)
+        << "task " << round << " sat queued past the deadline";
+  }
+  failpoint::Clear();
 }
 
 }  // namespace

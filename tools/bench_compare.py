@@ -32,6 +32,12 @@ Noise handling (all knobs per comparison, tunable from the CLI):
     by timer and allocator jitter, and a 2x blip on a 3 µs benchmark is
     not a regression signal. Quantile metrics gate on the same floor.
 
+CPU counts: when both sides of a file pair are google-benchmark output
+and their context.num_cpus differ, one warning line is printed and the
+file's report carries "num_cpus_mismatch": true. Such a comparison still
+gates as usual, but its ratios mix host shapes (every committed baseline
+so far was recorded with num_cpus 1).
+
 Improvements never fail the gate (there is no anti-speedup check), and
 benchmarks present on only one side are reported as added/removed but do
 not gate either — refreshing a baseline is an explicit, reviewed act
@@ -129,6 +135,11 @@ def extract_metrics(doc: dict, path: pathlib.Path) -> Dict[str, dict]:
             f"bench_compare: {path}: unrecognized benchmark JSON "
             "(expected google-benchmark output or a rangesyn BenchReport)")
     return metrics
+
+
+def num_cpus(doc: dict):
+    """context.num_cpus of a google-benchmark document, else None."""
+    return doc.get("context", {}).get("num_cpus")
 
 
 def compare(baseline: Dict[str, dict], candidate: Dict[str, dict],
@@ -229,12 +240,21 @@ def main() -> int:
     reports = []
     all_regressed: List[str] = []
     for base_path, cand_path in gather_pairs(args.baseline, args.candidate):
-        base = extract_metrics(load_json(base_path), base_path)
-        cand = extract_metrics(load_json(cand_path), cand_path)
+        base_doc, cand_doc = load_json(base_path), load_json(cand_path)
+        base = extract_metrics(base_doc, base_path)
+        cand = extract_metrics(cand_doc, cand_path)
         report = compare(base, cand, args.threshold, args.wall_threshold,
                          args.min_time_ns)
         report["baseline_file"] = str(base_path)
         report["candidate_file"] = str(cand_path)
+        base_cpus, cand_cpus = num_cpus(base_doc), num_cpus(cand_doc)
+        report["num_cpus_mismatch"] = (
+            base_cpus is not None and cand_cpus is not None
+            and base_cpus != cand_cpus)
+        if report["num_cpus_mismatch"]:
+            print(f"bench_compare: warning: {cand_path.name}: num_cpus "
+                  f"differs (baseline {base_cpus}, candidate {cand_cpus}); "
+                  "ratios compare different host shapes")
         reports.append(report)
         all_regressed.extend(
             f"{base_path.name}:{m}" for m in report["regressed"])
