@@ -2,6 +2,10 @@
 // construction: the O(n^2 B) dynamic programs, the near-linear wavelet
 // picks, and the pseudo-polynomial OPT-A (on the paper-scale dataset
 // only; it is the one construction that is not polynomial).
+//
+// The n = 1000 rows are the shape the serving benchmark (rsbench/) builds:
+// a 64-word budget, i.e. 21 SAP0 buckets (3 words each), 12 SAP1 (5),
+// 9 SAP2 (7) and 32 A0 (2).
 
 #include <benchmark/benchmark.h>
 
@@ -56,6 +60,7 @@ BENCHMARK(BM_BuildSap0)
     ->Args({1024, 64})
     ->Args({512, 6})
     ->Args({512, 24})
+    ->Args({1000, 21})
     ->Complexity(benchmark::oNSquared);
 
 void BM_BuildSap1(benchmark::State& state) {
@@ -67,7 +72,22 @@ void BM_BuildSap1(benchmark::State& state) {
   }
   RecordThreads(state);
 }
-BENCHMARK(BM_BuildSap1)->Args({128, 12})->Args({512, 12})->Args({1024, 12});
+BENCHMARK(BM_BuildSap1)
+    ->Args({128, 12})
+    ->Args({512, 12})
+    ->Args({1000, 12})
+    ->Args({1024, 12});
+
+void BM_BuildSap2(benchmark::State& state) {
+  const std::vector<int64_t> data = Dataset(state.range(0));
+  for (auto _ : state) {
+    auto h = BuildSap2(data, state.range(1));
+    RANGESYN_CHECK_OK(h.status());
+    benchmark::DoNotOptimize(h);
+  }
+  RecordThreads(state);
+}
+BENCHMARK(BM_BuildSap2)->Args({128, 12})->Args({1000, 9});
 
 void BM_BuildA0(benchmark::State& state) {
   const std::vector<int64_t> data = Dataset(state.range(0));
@@ -78,7 +98,11 @@ void BM_BuildA0(benchmark::State& state) {
   }
   RecordThreads(state);
 }
-BENCHMARK(BM_BuildA0)->Args({128, 12})->Args({512, 12})->Args({1024, 12});
+BENCHMARK(BM_BuildA0)
+    ->Args({128, 12})
+    ->Args({512, 12})
+    ->Args({1000, 32})
+    ->Args({1024, 12});
 
 void BM_BuildPointOpt(benchmark::State& state) {
   const std::vector<int64_t> data = Dataset(state.range(0));

@@ -18,8 +18,9 @@
 namespace rangesyn {
 
 /// Fixed-size work-stealing thread pool behind the library's data-parallel
-/// construction paths (interval DP row fills, the OPT-A Λ-DP layers, Haar
-/// transform levels, wavelet top-B selection, the eval sweep grid).
+/// construction paths (the OPT-A Λ-DP layers, Haar transform levels,
+/// wavelet top-B selection, the eval sweep grid). The interval DP runs
+/// serially and takes no workers from serving.
 ///
 /// Determinism contract (DESIGN.md "Threading model"): ParallelFor splits
 /// [begin, end) into chunks whose layout is a pure function of

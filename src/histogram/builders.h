@@ -17,7 +17,7 @@ namespace rangesyn {
 /// See DESIGN.md §2 for the estimator matrix.
 ///
 /// The DP-backed builders accept an optional cooperative `deadline`
-/// (checked per DP row chunk); expiry fails the build with
+/// (checked once per block of 32 DP rows); expiry fails the build with
 /// DeadlineExceeded, which the engine factory's fallback ladder converts
 /// into a cheaper construction (DESIGN.md §9). The near-linear builders
 /// (equi-*, maxdiff, naive) are the ladder's final rungs and take none.

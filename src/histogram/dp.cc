@@ -4,12 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include <atomic>
-
 #include "core/failpoint.h"
 #include "core/logging.h"
 #include "core/mathutil.h"
-#include "core/threadpool.h"
 #include "obs/obs.h"
 
 namespace rangesyn {
@@ -85,58 +82,46 @@ Result<DpTable> RunDp(int64_t n, int64_t max_buckets,
   t.parent.assign(static_cast<size_t>(max_buckets) + 1,
                   std::vector<int64_t>(static_cast<size_t>(n) + 1, -1));
   t.best[0][0] = 0.0;
-  // Row k depends only on row k-1, so each row fills its cells in parallel
-  // over the end index i. A cell's inner minimization scans boundaries j
-  // in ascending order with a strict '<', exactly as the serial loop does,
-  // so ties break toward the lowest j no matter how cells are distributed
-  // over threads: the parallel table (and hence the reconstructed
-  // partition and cost) is bit-identical to a serial fill.
-  //
-  // Instrumentation is accumulated per chunk and flushed with two atomic
-  // adds, so the O(n^2 B) inner loop never touches an atomic.
-  std::atomic<uint64_t> cells{0};
-  std::atomic<uint64_t> transitions{0};
-  // ~8 chunks per thread bound scheduling overhead while the triangular
-  // work profile (cell i costs O(i)) still load-balances via chunk claims.
-  const int64_t grain = std::max<int64_t>(
-      8, (n + 1) / (8 * static_cast<int64_t>(GlobalThreads())));
-  for (int64_t k = 1; k <= max_buckets; ++k) {
-    auto& bk = t.best[static_cast<size_t>(k)];
-    auto& pk = t.parent[static_cast<size_t>(k)];
-    const auto& prev = t.best[static_cast<size_t>(k - 1)];
-    // The deadline is observed once per row chunk: an expired chunk
-    // returns DeadlineExceeded without touching its cells, and
-    // ParallelForStatus reports the first failing chunk in chunk order.
-    RANGESYN_RETURN_IF_ERROR(ParallelForStatus(
-        k, n + 1, grain, [&](int64_t i_begin, int64_t i_end) -> Status {
+  // best[k][i] reads only best[k-1][j] with j < i, so the table can be
+  // filled with the end index i outermost. Each i computes its bucket
+  // costs c[j] = cost(j + 1, i) once and every k reuses them: the oracle
+  // runs n(n+1)/2 times, not once per bucket count. The ascending j scan
+  // with a strict '<' breaks ties toward the lowest boundary, as the
+  // k-outermost order did, so the table is bit-identical to it.
+  constexpr int64_t kRowsPerPoll = 32;
+  std::vector<double> c(static_cast<size_t>(n));
+  uint64_t cells = 0;
+  uint64_t transitions = 0;
+  for (int64_t i = 1; i <= n; ++i) {
+    if (i % kRowsPerPoll == 1) {
       RANGESYN_RETURN_IF_ERROR(deadline.Check("interval DP row"));
-      uint64_t chunk_cells = 0;
-      uint64_t chunk_transitions = 0;
-      for (int64_t i = i_begin; i < i_end; ++i) {
-        ++chunk_cells;
-        double best_cost = kInf;
-        int64_t best_j = -1;
-        for (int64_t j = k - 1; j < i; ++j) {
-          const double pj = prev[static_cast<size_t>(j)];
-          if (pj == kInf) continue;
-          ++chunk_transitions;
-          const double c = pj + cost(j + 1, i);
-          if (c < best_cost) {
-            best_cost = c;
-            best_j = j;
-          }
+    }
+    for (int64_t j = 0; j < i; ++j) {
+      c[static_cast<size_t>(j)] = cost(j + 1, i);
+    }
+    const int64_t k_end = std::min(max_buckets, i);
+    for (int64_t k = 1; k <= k_end; ++k) {
+      const auto& prev = t.best[static_cast<size_t>(k - 1)];
+      ++cells;
+      double best_cost = kInf;
+      int64_t best_j = -1;
+      for (int64_t j = k - 1; j < i; ++j) {
+        const double pj = prev[static_cast<size_t>(j)];
+        if (pj == kInf) continue;
+        ++transitions;
+        const double cand = pj + c[static_cast<size_t>(j)];
+        if (cand < best_cost) {
+          best_cost = cand;
+          best_j = j;
         }
-        bk[static_cast<size_t>(i)] = best_cost;
-        pk[static_cast<size_t>(i)] = best_j;
       }
-      cells.fetch_add(chunk_cells, std::memory_order_relaxed);
-      transitions.fetch_add(chunk_transitions, std::memory_order_relaxed);
-      return OkStatus();
-    }));
+      t.best[static_cast<size_t>(k)][static_cast<size_t>(i)] = best_cost;
+      t.parent[static_cast<size_t>(k)][static_cast<size_t>(i)] = best_j;
+    }
   }
   RANGESYN_OBS_COUNTER_INC("histogram.dp.solves");
-  RANGESYN_OBS_COUNTER_ADD("histogram.dp.cells", cells.load());
-  RANGESYN_OBS_COUNTER_ADD("histogram.dp.transitions", transitions.load());
+  RANGESYN_OBS_COUNTER_ADD("histogram.dp.cells", cells);
+  RANGESYN_OBS_COUNTER_ADD("histogram.dp.transitions", transitions);
   return t;
 }
 

@@ -13,9 +13,10 @@
 namespace rangesyn {
 
 /// Additive bucket cost oracle: cost of making [l, r] (1-based, inclusive)
-/// one bucket. Must be defined for all 1 <= l <= r <= n, and must be safe
-/// to invoke concurrently (the DP row fills are parallelized; the stock
-/// BucketCosts/WeightedPointCosts oracles are pure reads and qualify).
+/// one bucket. Must be defined for all 1 <= l <= r <= n. The DP runs
+/// serially on the calling thread, and its table fill invokes the oracle
+/// exactly once per pair (l, r), n(n+1)/2 calls in all, whatever the
+/// bucket budget (RANGESYN_AUDIT builds then re-sum the chosen buckets).
 using BucketCostFn = std::function<double(int64_t l, int64_t r)>;
 
 /// Result of an interval-partition dynamic program.
@@ -33,9 +34,9 @@ struct IntervalDpResult {
 /// When `exact_buckets` is true the partition must use exactly
 /// `max_buckets` buckets (requires max_buckets <= n).
 ///
-/// `deadline` is checked at every row chunk and DP layer; an expired
-/// deadline aborts the solve with DeadlineExceeded (the default Deadline
-/// never expires and adds no clock reads).
+/// `deadline` is checked before the fill and once per block of 32 end
+/// indices; an expired deadline aborts the solve with DeadlineExceeded
+/// (the default Deadline never expires and adds no clock reads).
 RANGESYN_CANCELLABLE RANGESYN_DETERMINISTIC Result<IntervalDpResult>
 SolveIntervalDp(int64_t n, int64_t max_buckets, const BucketCostFn& cost,
                 bool exact_buckets = false,

@@ -13,6 +13,7 @@
 
 #include "engine/factory.h"
 #include "histogram/builders.h"
+#include "histogram/dp.h"
 #include "histogram/opt_a_dp.h"
 #include "wavelet/selection.h"
 
@@ -88,6 +89,25 @@ TEST(DeadlineTest, DpBuildersReturnDeadlineExceeded) {
       BuildVOptimal(data, 4, PieceRounding::kPerPiece, expired);
   ASSERT_FALSE(vopt.ok());
   EXPECT_EQ(vopt.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// A token cancelled mid-solve, from inside the cost oracle once the fill
+// reaches the second half of the end indices, must still stop the DP: the
+// per-block poll observes it and the oracle is not run for every pair.
+TEST(DeadlineTest, DpStopsWhenDeadlineExpiresMidSolve) {
+  constexpr int64_t kN = 512;
+  CancellationToken token;
+  int64_t calls = 0;
+  const BucketCostFn cost = [&](int64_t l, int64_t r) {
+    ++calls;
+    if (r >= kN / 2) token.Cancel();
+    return static_cast<double>(r - l + 1);
+  };
+  const auto r = SolveIntervalDp(kN, 8, cost, /*exact_buckets=*/false,
+                                 Deadline::FromToken(token));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(calls, kN * (kN + 1) / 2);
 }
 
 TEST(DeadlineTest, OptABuildReturnsDeadlineExceeded) {

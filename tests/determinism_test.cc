@@ -62,9 +62,11 @@ void ExpectSamePartition(const Partition& serial, const Partition& parallel,
 
 // --- Interval DP (SAP0 cost) ------------------------------------------
 
-// 90 seeded cases over n up to 256. The serial run is taken first and the
-// comparison is exact (== on doubles): ties in the DP must break toward
-// the lowest boundary index no matter how the rows were chunked.
+// 90 seeded cases over n up to 256. The interval DP runs serially on the
+// calling thread whatever the pool size, so this pins that the thread
+// count has no way into its answer. The comparison is exact (== on
+// doubles); tests/dp_test.cc compares the fill against the textbook
+// k -> i -> j loop, ties included.
 TEST(DeterminismTest, IntervalDpBitIdenticalAcrossThreadCounts) {
   const int64_t sizes[] = {4, 7, 12, 33, 64, 256};
   int case_id = 0;
@@ -99,7 +101,7 @@ TEST(DeterminismTest, IntervalDpBitIdenticalAcrossThreadCounts) {
         ExpectSamePartition(serial[k].partition, parallel[k].partition,
                             case_id);
       }
-      // Oracle cross-check on enumerable domains: the parallel DP result
+      // Oracle cross-check on enumerable domains: the DP result
       // must also be the exhaustive optimum.
       if (n <= 12) {
         auto naive = audit::NaiveMinCostPartitionAtMost(n, max_b, cost);

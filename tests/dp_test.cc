@@ -4,11 +4,15 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/random.h"
+#include "data/distribution.h"
+#include "data/rounding.h"
 #include "data/workload.h"
 #include "eval/metrics.h"
 #include "histogram/bucket_cost.h"
@@ -134,6 +138,156 @@ TEST_P(IntervalDpPropertyTest, AllKIsConsistentWithSingleK) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalDpPropertyTest,
                          ::testing::Values(3, 11, 21, 42));
+
+// ------------------------------------------------- Cost-oracle economy
+
+// The DP computes each bucket cost once per (l, r) and reuses it for every
+// bucket count: exactly n(n+1)/2 oracle calls, each pair seen once, for
+// any budget. Audit builds re-sum the chosen partition through the oracle
+// after the fill, so there only the fill's calls (the first n(n+1)/2) are
+// checked for uniqueness and the total is not pinned.
+TEST(IntervalDpTest, CostOracleRunsOncePerPair) {
+  for (const int64_t n : {1, 7, 64, 300}) {
+    const int64_t pairs = n * (n + 1) / 2;
+    for (const int64_t b : {int64_t{1}, int64_t{5}, n}) {
+      std::vector<std::pair<int64_t, int64_t>> calls;
+      const BucketCostFn counted = [&calls](int64_t l, int64_t r) {
+        calls.emplace_back(l, r);
+        return static_cast<double>((l * 7 + r * 13) % 5);
+      };
+      const auto expect_each_pair_once = [&](const char* solver) {
+        ASSERT_GE(static_cast<int64_t>(calls.size()), pairs)
+            << solver << " n=" << n << " B=" << b;
+#ifndef RANGESYN_AUDIT
+        EXPECT_EQ(static_cast<int64_t>(calls.size()), pairs)
+            << solver << " n=" << n << " B=" << b;
+#endif
+        std::vector<int> seen(static_cast<size_t>(n * n), 0);
+        for (int64_t c = 0; c < pairs; ++c) {
+          const auto [l, r] = calls[static_cast<size_t>(c)];
+          ASSERT_TRUE(1 <= l && l <= r && r <= n) << l << ", " << r;
+          ++seen[static_cast<size_t>((l - 1) * n + (r - 1))];
+        }
+        for (int64_t l = 1; l <= n; ++l) {
+          for (int64_t r = l; r <= n; ++r) {
+            ASSERT_EQ(seen[static_cast<size_t>((l - 1) * n + (r - 1))], 1)
+                << solver << " n=" << n << " B=" << b << " pair (" << l
+                << ", " << r << ")";
+          }
+        }
+      };
+      ASSERT_TRUE(SolveIntervalDp(n, b, counted).ok());
+      expect_each_pair_once("SolveIntervalDp");
+      calls.clear();
+      ASSERT_TRUE(SolveIntervalDpAllK(n, b, counted).ok());
+      expect_each_pair_once("SolveIntervalDpAllK");
+    }
+  }
+}
+
+// The textbook fill, written out serially: k outermost, then the end index
+// i, then the split j ascending with a strict '<', calling the oracle in
+// the innermost loop. Returns the optimal exactly-k partitions for every
+// k in 1..b as (cost, ends) pairs.
+std::vector<std::pair<double, std::vector<int64_t>>> TextbookAllK(
+    int64_t n, int64_t b, const BucketCostFn& cost) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const size_t rows = static_cast<size_t>(b) + 1;
+  const size_t cols = static_cast<size_t>(n) + 1;
+  std::vector<std::vector<double>> best(rows, std::vector<double>(cols, kInf));
+  std::vector<std::vector<int64_t>> parent(rows,
+                                           std::vector<int64_t>(cols, -1));
+  best[0][0] = 0.0;
+  for (int64_t k = 1; k <= b; ++k) {
+    const std::vector<double>& prev = best[static_cast<size_t>(k - 1)];
+    for (int64_t i = k; i <= n; ++i) {
+      double best_cost = kInf;
+      int64_t best_j = -1;
+      for (int64_t j = k - 1; j < i; ++j) {
+        const double pj = prev[static_cast<size_t>(j)];
+        if (pj == kInf) continue;
+        const double c = pj + cost(j + 1, i);
+        if (c < best_cost) {
+          best_cost = c;
+          best_j = j;
+        }
+      }
+      best[static_cast<size_t>(k)][static_cast<size_t>(i)] = best_cost;
+      parent[static_cast<size_t>(k)][static_cast<size_t>(i)] = best_j;
+    }
+  }
+  std::vector<std::pair<double, std::vector<int64_t>>> out;
+  for (int64_t k = 1; k <= b; ++k) {
+    std::vector<int64_t> ends;
+    int64_t i = n;
+    for (int64_t kk = k; kk >= 1; --kk) {
+      ends.insert(ends.begin(), i);
+      i = parent[static_cast<size_t>(kk)][static_cast<size_t>(i)];
+    }
+    out.emplace_back(best[static_cast<size_t>(k)][static_cast<size_t>(n)],
+                     std::move(ends));
+  }
+  return out;
+}
+
+void ExpectMatchesTextbook(int64_t n, int64_t b, const BucketCostFn& cost,
+                           const std::string& label) {
+  const auto want = TextbookAllK(n, b, cost);
+  auto got = SolveIntervalDpAllK(n, b, cost);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+  ASSERT_EQ(got->size(), want.size()) << label;
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ((*got)[k].cost, want[k].first)
+        << label << " n=" << n << " k=" << k + 1;
+    EXPECT_EQ((*got)[k].partition.ends(), want[k].second)
+        << label << " n=" << n << " k=" << k + 1;
+  }
+}
+
+// Shapes (n, B) for the textbook comparison: a single cell, an audit-
+// enumerable domain, and two larger ones with a budget below n.
+constexpr std::pair<int64_t, int64_t> kTextbookShapes[] = {
+    {1, 1}, {9, 9}, {64, 16}, {300, 24}};
+
+TEST(IntervalDpTest, MatchesTextbookFillOnTieHeavyCosts) {
+  const std::vector<std::pair<const char*, BucketCostFn>> costs = {
+      {"const-1", [](int64_t, int64_t) { return 1.0; }},
+      {"width-mod-3",
+       [](int64_t l, int64_t r) { return static_cast<double>((r - l) % 3); }},
+      {"zero", [](int64_t, int64_t) { return 0.0; }}};
+  for (const auto& [n, b] : kTextbookShapes) {
+    for (const auto& [name, fn] : costs) {
+      ExpectMatchesTextbook(n, b, fn, name);
+    }
+  }
+}
+
+TEST(IntervalDpTest, MatchesTextbookFillOnRealCosts) {
+  uint64_t seed = 1;
+  for (const auto& [n, b] : kTextbookShapes) {
+    Rng rng(seed++);
+    auto floats = MakeNamedDistribution("zipf", n, 2000.0, &rng);
+    ASSERT_TRUE(floats.ok()) << floats.status();
+    auto rounded =
+        RandomRound(floats.value(), RandomRoundingMode::kHalf, &rng);
+    ASSERT_TRUE(rounded.ok()) << rounded.status();
+    const std::vector<int64_t>& data = rounded.value();
+    PrefixStats stats(data);
+    BucketCosts costs(stats);
+    WeightedPointCosts point(data,
+                             WeightedPointCosts::RangeCoverageWeights(n));
+    const std::vector<std::pair<const char*, BucketCostFn>> oracles = {
+        {"sap0", [&](int64_t l, int64_t r) { return costs.Sap0Cost(l, r); }},
+        {"sap1", [&](int64_t l, int64_t r) { return costs.Sap1Cost(l, r); }},
+        {"sap2", [&](int64_t l, int64_t r) { return costs.Sap2Cost(l, r); }},
+        {"a0", [&](int64_t l, int64_t r) { return costs.A0Cost(l, r); }},
+        {"weighted-point",
+         [&](int64_t l, int64_t r) { return point.Cost(l, r); }}};
+    for (const auto& [name, fn] : oracles) {
+      ExpectMatchesTextbook(n, b, fn, name);
+    }
+  }
+}
 
 // ------------------------------------------------------------ Builders
 
