@@ -1,9 +1,9 @@
 #include "histogram/bucket_cost.h"
 
 #include <cmath>
+#include <mutex>
 
 #include "core/logging.h"
-#include "histogram/quadratic_fit.h"
 
 namespace rangesyn {
 
@@ -99,6 +99,19 @@ double BucketCosts::Sap1Cost(int64_t l, int64_t r) const {
          static_cast<double>(l - 1) * ssr_prefix;
 }
 
+const std::vector<QuadraticDesign>& BucketCosts::Sap2Designs() const {
+  std::call_once(sap2_once_, [this] {
+    sap2_designs_.reserve(static_cast<size_t>(n()));
+    for (int64_t m = 1; m <= n(); ++m) {
+      sap2_designs_.emplace_back(
+          static_cast<double>(m), PrefixStats::SumT(1, m),
+          PrefixStats::SumT2(1, m), PrefixStats::SumT3(1, m),
+          PrefixStats::SumT4(1, m));
+    }
+  });
+  return sap2_designs_;
+}
+
 double BucketCosts::Sap2Cost(int64_t l, int64_t r) const {
   RANGESYN_DCHECK(l >= 1 && l <= r && r <= n());
   const double m = static_cast<double>(r - l + 1);
@@ -106,8 +119,7 @@ double BucketCosts::Sap2Cost(int64_t l, int64_t r) const {
   const double pl1 = static_cast<double>(stats_.P(l - 1));
   const double sx = PrefixStats::SumT(1, r - l + 1);
   const double sx2 = PrefixStats::SumT2(1, r - l + 1);
-  const double sx3 = PrefixStats::SumT3(1, r - l + 1);
-  const double sx4 = PrefixStats::SumT4(1, r - l + 1);
+  const QuadraticDesign& design = Sap2Designs()[static_cast<size_t>(r - l)];
 
   double ssr_suffix = 0.0;
   {
@@ -121,9 +133,7 @@ double BucketCosts::Sap2Cost(int64_t l, int64_t r) const {
     const double sx2y =
         pr * sx2 - (static_cast<double>(r) * static_cast<double>(r) * sum_p -
                     2.0 * static_cast<double>(r) * sum_tp + sum_t2p);
-    ssr_suffix =
-        FitQuadraticFromMoments(m, sx, sx2, sx3, sx4, sy, sxy, sx2y, sy2)
-            .ssr;
+    ssr_suffix = design.Ssr(sy, sxy, sx2y, sy2);
   }
   double ssr_prefix = 0.0;
   {
@@ -137,9 +147,7 @@ double BucketCosts::Sap2Cost(int64_t l, int64_t r) const {
     const double sxy = (sum_tp - lm1 * sum_p) - pl1 * sx;
     const double sx2y =
         (sum_t2p - 2.0 * lm1 * sum_tp + lm1 * lm1 * sum_p) - pl1 * sx2;
-    ssr_prefix =
-        FitQuadraticFromMoments(m, sx, sx2, sx3, sx4, sy, sxy, sx2y, sy2)
-            .ssr;
+    ssr_prefix = design.Ssr(sy, sxy, sx2y, sy2);
   }
   return Intra(l, r) + static_cast<double>(n() - r) * ssr_suffix +
          static_cast<double>(l - 1) * ssr_prefix;

@@ -2,9 +2,11 @@
 #define RANGESYN_HISTOGRAM_BUCKET_COST_H_
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "histogram/prefix_stats.h"
+#include "histogram/quadratic_fit.h"
 
 namespace rangesyn {
 
@@ -43,6 +45,12 @@ class BucketCosts {
   /// Decomposition Lemma argument applies (with-intercept LS residuals sum
   /// to zero), so the DP over this cost is exactly optimal for the SAP2
   /// representation.
+  ///
+  /// Both regressions have x = 1..m with m = r-l+1, so their 3x3 normal
+  /// equations are factored once per bucket length: the first call builds
+  /// a QuadraticDesign for every m in 1..n (thread-safe, once per object)
+  /// and every call then only replays it on the bucket's y moments.
+  /// Objects that never price a SAP2 bucket never build the table.
   double Sap2Cost(int64_t l, int64_t r) const;
 
   /// A0 heuristic bucket cost: Intra + (n-r)*sum u'^2 + (l-1)*sum v'^2 with
@@ -71,7 +79,13 @@ class BucketCosts {
            static_cast<double>(r - l + 1);
   }
 
+  /// Sap2Designs()[m - 1] factors the fit over x = 1..m, for m in 1..n;
+  /// built by the first call.
+  const std::vector<QuadraticDesign>& Sap2Designs() const;
+
   const PrefixStats& stats_;
+  mutable std::once_flag sap2_once_;
+  mutable std::vector<QuadraticDesign> sap2_designs_;
 };
 
 /// Weighted V-optimal bucket costs for point queries:

@@ -1,14 +1,41 @@
 #include "histogram/quadratic_fit.h"
 
 #include <cmath>
+#include <utility>
 
 namespace rangesyn {
-namespace {
 
-/// Solves the symmetric 3x3 system G c = b by Gaussian elimination with
-/// partial pivoting; returns false when (numerically) singular.
-bool Solve3x3(double g[3][3], double b[3], double c[3]) {
+QuadraticDesign::QuadraticDesign(double m, double sx, double sx2, double sx3,
+                                 double sx4)
+    : m_(m), sx_(sx) {
+  if (m <= 0.5) return;
+  if (m < 1.5) {
+    // One point: exact constant.
+    kind_ = Kind::kConstant;
+    interpolates_ = true;
+    return;
+  }
+  sxx_ = sx2 - sx * sx / m;
+  if (m < 2.5) {
+    // Two points: exact line through both (Sxx > 0 unless x's coincide).
+    interpolates_ = sxx_ > 1e-12;
+    kind_ = interpolates_ ? Kind::kLinear : Kind::kConstant;
+    return;
+  }
+  if (Eliminate(sx2, sx3, sx4)) {
+    kind_ = Kind::kQuadratic;
+    return;
+  }
+  // Fall back to the linear fit (x's nearly collinear in x² space).
+  kind_ = sxx_ > 1e-12 ? Kind::kLinear : Kind::kConstant;
+}
+
+bool QuadraticDesign::Eliminate(double sx2, double sx3, double sx4) {
+  // Gaussian elimination with partial pivoting on the symmetric Gram
+  // matrix. Fit() replays the right-hand-side half of each row update.
+  double g[3][3] = {{m_, sx_, sx2}, {sx_, sx2, sx3}, {sx2, sx3, sx4}};
   int perm[3] = {0, 1, 2};
+  int step = 0;
   for (int col = 0; col < 3; ++col) {
     int pivot = col;
     for (int r = col + 1; r < 3; ++r) {
@@ -22,67 +49,53 @@ bool Solve3x3(double g[3][3], double b[3], double c[3]) {
     for (int r = col + 1; r < 3; ++r) {
       const double f = g[perm[r]][col] / d;
       for (int cc = col; cc < 3; ++cc) g[perm[r]][cc] -= f * g[perm[col]][cc];
-      b[perm[r]] -= f * b[perm[col]];
+      steps_[step++] = {f, static_cast<uint8_t>(perm[r]),
+                        static_cast<uint8_t>(perm[col])};
     }
   }
-  for (int col = 2; col >= 0; --col) {
-    double acc = b[perm[col]];
-    for (int cc = col + 1; cc < 3; ++cc) acc -= g[perm[col]][cc] * c[cc];
-    c[col] = acc / g[perm[col]][col];
+  for (int r = 0; r < 3; ++r) {
+    perm_[r] = static_cast<uint8_t>(perm[r]);
+    for (int cc = r; cc < 3; ++cc) u_[r][cc] = g[perm[r]][cc];
   }
   return true;
 }
 
-}  // namespace
+QuadraticFit QuadraticDesign::Fit(double sy, double sxy, double sx2y,
+                                  double sy2) const {
+  QuadraticFit fit;
+  switch (kind_) {
+    case Kind::kEmpty:
+      break;
+    case Kind::kConstant:
+      fit.c0 = sy / m_;
+      if (!interpolates_) fit.ssr = std::fmax(0.0, sy2 - sy * sy / m_);
+      break;
+    case Kind::kLinear:
+      fit.c1 = (sxy - sx_ * sy / m_) / sxx_;
+      fit.c0 = (sy - fit.c1 * sx_) / m_;
+      if (!interpolates_) {
+        const double syy = std::fmax(0.0, sy2 - sy * sy / m_);
+        const double sxy_c = sxy - sx_ * sy / m_;
+        fit.ssr = std::fmax(0.0, syy - sxy_c * sxy_c / sxx_);
+      }
+      break;
+    case Kind::kQuadratic: {
+      double c[3];
+      Solve(sy, sxy, sx2y, c);
+      fit.c0 = c[0];
+      fit.c1 = c[1];
+      fit.c2 = c[2];
+      fit.ssr = FullRankSsr(c, sy, sxy, sx2y, sy2);
+      break;
+    }
+  }
+  return fit;
+}
 
 QuadraticFit FitQuadraticFromMoments(double m, double sx, double sx2,
                                      double sx3, double sx4, double sy,
                                      double sxy, double sx2y, double sy2) {
-  QuadraticFit fit;
-  if (m <= 0.5) return fit;
-  if (m < 1.5) {
-    // One point: exact constant.
-    fit.c0 = sy / m;
-    fit.ssr = 0.0;
-    return fit;
-  }
-  if (m < 2.5) {
-    // Two points: exact line through both (Sxx > 0 unless x's coincide).
-    const double sxx = sx2 - sx * sx / m;
-    if (sxx > 1e-12) {
-      fit.c1 = (sxy - sx * sy / m) / sxx;
-      fit.c0 = (sy - fit.c1 * sx) / m;
-      fit.ssr = 0.0;
-      return fit;
-    }
-    fit.c0 = sy / m;
-    fit.ssr = std::fmax(0.0, sy2 - sy * sy / m);
-    return fit;
-  }
-  double g[3][3] = {{m, sx, sx2}, {sx, sx2, sx3}, {sx2, sx3, sx4}};
-  double b[3] = {sy, sxy, sx2y};
-  double c[3] = {0, 0, 0};
-  if (!Solve3x3(g, b, c)) {
-    // Fall back to the linear fit (x's nearly collinear in x² space).
-    const double sxx = sx2 - sx * sx / m;
-    if (sxx > 1e-12) {
-      fit.c1 = (sxy - sx * sy / m) / sxx;
-      fit.c0 = (sy - fit.c1 * sx) / m;
-      const double syy = std::fmax(0.0, sy2 - sy * sy / m);
-      const double sxy_c = sxy - sx * sy / m;
-      fit.ssr = std::fmax(0.0, syy - sxy_c * sxy_c / sxx);
-    } else {
-      fit.c0 = sy / m;
-      fit.ssr = std::fmax(0.0, sy2 - sy * sy / m);
-    }
-    return fit;
-  }
-  fit.c0 = c[0];
-  fit.c1 = c[1];
-  fit.c2 = c[2];
-  // SSR = y'y - c'X'y for least squares.
-  fit.ssr = std::fmax(0.0, sy2 - (c[0] * sy + c[1] * sxy + c[2] * sx2y));
-  return fit;
+  return QuadraticDesign(m, sx, sx2, sx3, sx4).Fit(sy, sxy, sx2y, sy2);
 }
 
 }  // namespace rangesyn

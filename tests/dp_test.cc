@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/failpoint.h"
 #include "core/random.h"
 #include "data/distribution.h"
 #include "data/rounding.h"
@@ -19,6 +20,7 @@
 #include "histogram/builders.h"
 #include "histogram/dp.h"
 #include "histogram/prefix_stats.h"
+#include "obs/obs.h"
 
 namespace rangesyn {
 namespace {
@@ -185,12 +187,21 @@ TEST(IntervalDpTest, CostOracleRunsOncePerPair) {
   }
 }
 
+// Work counts of the textbook fill: the (k, i) cells it fills and the
+// (k, i, j) candidates it evaluates (those with a finite predecessor).
+struct TextbookCounts {
+  uint64_t cells = 0;
+  uint64_t transitions = 0;
+};
+
 // The textbook fill, written out serially: k outermost, then the end index
 // i, then the split j ascending with a strict '<', calling the oracle in
 // the innermost loop. Returns the optimal exactly-k partitions for every
-// k in 1..b as (cost, ends) pairs.
+// k in 1..b as (cost, ends) pairs, and its work counts in `counts`.
 std::vector<std::pair<double, std::vector<int64_t>>> TextbookAllK(
-    int64_t n, int64_t b, const BucketCostFn& cost) {
+    int64_t n, int64_t b, const BucketCostFn& cost,
+    TextbookCounts* counts = nullptr) {
+  TextbookCounts tally;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const size_t rows = static_cast<size_t>(b) + 1;
   const size_t cols = static_cast<size_t>(n) + 1;
@@ -201,11 +212,13 @@ std::vector<std::pair<double, std::vector<int64_t>>> TextbookAllK(
   for (int64_t k = 1; k <= b; ++k) {
     const std::vector<double>& prev = best[static_cast<size_t>(k - 1)];
     for (int64_t i = k; i <= n; ++i) {
+      ++tally.cells;
       double best_cost = kInf;
       int64_t best_j = -1;
       for (int64_t j = k - 1; j < i; ++j) {
         const double pj = prev[static_cast<size_t>(j)];
         if (pj == kInf) continue;
+        ++tally.transitions;
         const double c = pj + cost(j + 1, i);
         if (c < best_cost) {
           best_cost = c;
@@ -227,6 +240,7 @@ std::vector<std::pair<double, std::vector<int64_t>>> TextbookAllK(
     out.emplace_back(best[static_cast<size_t>(k)][static_cast<size_t>(n)],
                      std::move(ends));
   }
+  if (counts != nullptr) *counts = tally;
   return out;
 }
 
@@ -287,6 +301,124 @@ TEST(IntervalDpTest, MatchesTextbookFillOnRealCosts) {
       ExpectMatchesTextbook(n, b, fn, name);
     }
   }
+}
+
+// Budgets around the fill's two-wide bucket-count vectors (odd and even B,
+// B = 1) and beyond any fixed-size buffer, including B = n.
+TEST(IntervalDpTest, MatchesTextbookFillAcrossBudgets) {
+  const std::vector<std::pair<const char*, BucketCostFn>> ties = {
+      {"const-1", [](int64_t, int64_t) { return 1.0; }},
+      {"width-mod-3",
+       [](int64_t l, int64_t r) { return static_cast<double>((r - l) % 3); }}};
+  Rng rng(17);
+  auto floats = MakeNamedDistribution("zipf", 300, 5000.0, &rng);
+  ASSERT_TRUE(floats.ok()) << floats.status();
+  auto rounded = RandomRound(floats.value(), RandomRoundingMode::kHalf, &rng);
+  ASSERT_TRUE(rounded.ok()) << rounded.status();
+  const std::vector<int64_t>& data = rounded.value();
+  PrefixStats stats(data);
+  BucketCosts costs(stats);
+  const BucketCostFn sap2 = [&](int64_t l, int64_t r) {
+    return costs.Sap2Cost(l, r);
+  };
+  const BucketCostFn a0 = [&](int64_t l, int64_t r) {
+    return costs.A0Cost(l, r);
+  };
+  for (const int64_t b : {1, 2, 3, 8, 9, 21, 32, 33}) {
+    for (const auto& [name, fn] : ties) ExpectMatchesTextbook(300, b, fn, name);
+    ExpectMatchesTextbook(300, b, sap2, "sap2");
+  }
+  for (const auto& [name, fn] : ties) ExpectMatchesTextbook(300, 300, fn, name);
+  ExpectMatchesTextbook(300, 300, a0, "a0");
+}
+
+// Infeasible buckets: the fill carries no feasibility test, so +inf (and
+// NaN) bucket costs must leave the same table as the textbook fill's
+// skip. Singletons and buckets ending at n stay finite, so every exact
+// bucket count is feasible while many intermediate cells are not.
+TEST(IntervalDpTest, MatchesTextbookFillWithInfeasibleBuckets) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const BucketCostFn some_inf = [](int64_t l, int64_t r) {
+    if (l < r && r < 64 && (l + 2 * r) % 3 == 0) return kInf;
+    return static_cast<double>((l * 7 + r * 13) % 11);
+  };
+  const BucketCostFn some_nan = [](int64_t l, int64_t r) {
+    if (l < r && r < 64 && (l + r) % 4 == 0) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    if (l < r && r < 64 && (l + r) % 4 == 1) return kInf;
+    return static_cast<double>((l * 5 + r * 3) % 7);
+  };
+  for (const int64_t b : {1, 2, 3, 8, 9, 21, 33}) {
+    ExpectMatchesTextbook(64, b, some_inf, "some-inf");
+    ExpectMatchesTextbook(64, b, some_nan, "some-nan");
+  }
+  ExpectMatchesTextbook(64, 64, some_inf, "some-inf");
+}
+
+// histogram.dp.cells and histogram.dp.transitions keep the textbook
+// fill's counts: cells (k, i) with k <= i, and candidates (k, i, j) whose
+// predecessor is finite.
+TEST(IntervalDpTest, StatsCountersMatchTextbookCounts) {
+#if RANGESYN_OBS_ENABLED
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const BucketCostFn some_inf = [](int64_t l, int64_t r) {
+    if (l < r && r < 50 && (l + 2 * r) % 3 == 0) return kInf;
+    return static_cast<double>((l + r) % 4);
+  };
+  const BucketCostFn width = [](int64_t l, int64_t r) {
+    return static_cast<double>(r - l + 1);
+  };
+  obs::Counter* cells = obs::Registry::Get().GetCounter("histogram.dp.cells");
+  obs::Counter* transitions =
+      obs::Registry::Get().GetCounter("histogram.dp.transitions");
+  for (const auto& fn : {some_inf, width}) {
+    for (const auto& [n, b] : std::vector<std::pair<int64_t, int64_t>>{
+             {1, 1}, {7, 3}, {50, 1}, {50, 9}, {50, 50}, {120, 21}}) {
+      TextbookCounts want;
+      TextbookAllK(n, b, fn, &want);
+      const uint64_t cells_before = cells->Value();
+      const uint64_t transitions_before = transitions->Value();
+      ASSERT_TRUE(SolveIntervalDp(n, b, fn).ok());
+      EXPECT_EQ(cells->Value() - cells_before, want.cells)
+          << "n=" << n << " B=" << b;
+      EXPECT_EQ(transitions->Value() - transitions_before, want.transitions)
+          << "n=" << n << " B=" << b;
+    }
+  }
+#else
+  GTEST_SKIP() << "built without RANGESYN_STATS";
+#endif
+}
+
+// Split points are stored as int32, so n >= 2^31 - 1 is rejected up
+// front. The DP allocation failpoint is armed: a check that ran after it
+// would surface as the failpoint's Internal error instead, and one that
+// ran never would allocate the table.
+TEST(IntervalDpTest, RejectsDomainsBeyondInt32BeforeAllocating) {
+  int calls = 0;
+  const BucketCostFn counted = [&calls](int64_t, int64_t) {
+    ++calls;
+    return 0.0;
+  };
+  if (failpoint::kCompiledIn) {
+    ASSERT_TRUE(failpoint::Configure("alloc.interval_dp=always").ok());
+  }
+  for (const int64_t n : {int64_t{std::numeric_limits<int32_t>::max()},
+                          std::numeric_limits<int64_t>::max()}) {
+    const auto single = SolveIntervalDp(n, 1, counted);
+    ASSERT_FALSE(single.ok());
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument)
+        << single.status();
+    const auto all = SolveIntervalDpAllK(n, 1, counted);
+    ASSERT_FALSE(all.ok());
+    EXPECT_EQ(all.status().code(), StatusCode::kInvalidArgument)
+        << all.status();
+  }
+  failpoint::Clear();
+  EXPECT_EQ(calls, 0);
+  // The largest accepted domain is still solved.
+  EXPECT_TRUE(SolveIntervalDp(2, 1, counted).ok());
 }
 
 // ------------------------------------------------------------ Builders

@@ -11,7 +11,9 @@ injecting a failpoint slowdown and asserting it trips.
 
 Input formats (sniffed per file):
   * google-benchmark native JSON — {"context": ..., "benchmarks": [...]}
-    as written by run_bench.sh. Each benchmark row compares cpu_time AND
+    as written by run_bench.sh. Rows are keyed by run_name; a run with
+    repetitions gates on its median aggregate and ignores its
+    per-repetition rows. Each benchmark row compares cpu_time AND
     real_time (cpu alone is blind to sleeping regressions — lock
     contention, I/O stalls — while wall time alone is noisier; gating on
     both catches each class) plus items_per_second / bytes_per_second
@@ -75,6 +77,11 @@ def load_json(path: pathlib.Path) -> dict:
         raise SystemExit(f"bench_compare: cannot read {path}: {err}")
 
 
+def run_key(row: dict) -> str:
+    """The run a google-benchmark row belongs to (older JSON: its name)."""
+    return row.get("run_name", row["name"])
+
+
 def extract_metrics(doc: dict, path: pathlib.Path) -> Dict[str, dict]:
     """Flattens one benchmark document into {metric_name: {...}}.
 
@@ -86,14 +93,23 @@ def extract_metrics(doc: dict, path: pathlib.Path) -> Dict[str, dict]:
     """
     metrics: Dict[str, dict] = {}
     if "benchmarks" in doc:  # google-benchmark native JSON
-        for row in doc["benchmarks"]:
+        rows = doc["benchmarks"]
+        # Rows are keyed by run_name, which a run's repetitions and its
+        # aggregates share. A run repeated with --benchmark_repetitions
+        # gates on its median aggregate alone (the noise-robust one); its
+        # per-repetition rows and other aggregates (mean, stddev, cv,
+        # BigO, ...) are ignored. A repeated run thus still matches an
+        # unrepeated baseline row of the same name.
+        with_median = {run_key(row) for row in rows
+                       if row.get("run_type") == "aggregate"
+                       and row.get("aggregate_name") == "median"}
+        for row in rows:
+            name = run_key(row)
             if row.get("run_type") == "aggregate":
-                # Aggregates (mean/median/stddev of --benchmark_repetitions
-                # runs) duplicate the underlying iterations; gate on the
-                # median only, which is the noise-robust one.
                 if row.get("aggregate_name") != "median":
                     continue
-            name = row["name"]
+            elif name in with_median:
+                continue
             unit = row.get("time_unit", "ns")
             scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit)
             if scale is None:

@@ -8,6 +8,10 @@
 #   OUT_DIR    where the JSON artifacts land        (default: .)
 #   MIN_TIME   --benchmark_min_time per benchmark, in seconds (default:
 #              unset; pass e.g. MIN_TIME=0.01 for a CI smoke run)
+#   REPETITIONS  --benchmark_repetitions per benchmark (default: unset,
+#              one run). With repetitions the JSON also carries
+#              mean/median/stddev aggregates; tools/bench_compare.py
+#              gates a repeated run on its median.
 set -euo pipefail
 
 BUILD_DIR="${BUILD_DIR:-build}"
@@ -22,6 +26,9 @@ fi
 extra_args=()
 if [[ -n "${MIN_TIME:-}" ]]; then
   extra_args+=("--benchmark_min_time=${MIN_TIME}")
+fi
+if [[ -n "${REPETITIONS:-}" ]]; then
+  extra_args+=("--benchmark_repetitions=${REPETITIONS}")
 fi
 
 mkdir -p "${OUT_DIR}"
