@@ -23,10 +23,10 @@ Status Client::EnsureConnected() {
   return OkStatus();
 }
 
-Result<Frame> Client::ReadFrame() {
+Result<Frame> Client::ReadFrame(const Deadline& deadline) {
   char header[kFrameHeaderBytes];
-  RANGESYN_RETURN_IF_ERROR(ReadFull(fd_.get(), header, kFrameHeaderBytes,
-                                    sites_, /*stop=*/nullptr));
+  RANGESYN_RETURN_IF_ERROR(
+      ReadFull(fd_.get(), header, kFrameHeaderBytes, sites_, deadline));
   RANGESYN_ASSIGN_OR_RETURN(
       FrameHeader decoded,
       DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes)));
@@ -35,7 +35,7 @@ Result<Frame> Client::ReadFrame() {
   frame_bytes.resize(kFrameHeaderBytes + rest);
   RANGESYN_RETURN_IF_ERROR(ReadFull(fd_.get(),
                                     frame_bytes.data() + kFrameHeaderBytes,
-                                    rest, sites_, /*stop=*/nullptr));
+                                    rest, sites_, deadline));
   Frame frame;
   frame.type = decoded.type;
   RANGESYN_ASSIGN_OR_RETURN(frame.payload,
@@ -47,8 +47,15 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
                                 uint32_t deadline_ms,
                                 std::string_view what) {
   ++stats_.requests;
+  // Socket waits get a grace past the budget: the server answers its own
+  // typed DEADLINE_EXCEEDED at its next check, after the budget ran out.
+  constexpr double kWireGraceS = 1.0;
   Deadline budget;
-  if (deadline_ms > 0) budget = Deadline::After(deadline_ms / 1000.0);
+  Deadline wire;
+  if (deadline_ms > 0) {
+    budget = Deadline::After(deadline_ms / 1000.0);
+    wire = Deadline::After(deadline_ms / 1000.0 + kWireGraceS);
+  }
   Status last = InternalError(StrCat(what, ": no attempt made"));
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -76,7 +83,7 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
       last = std::move(connected);
       continue;
     }
-    Status sent = WriteFull(fd_.get(), frame_bytes, sites_);
+    Status sent = WriteFull(fd_.get(), frame_bytes, sites_, wire);
     if (!sent.ok()) {
       // An ambiguous failure: the request may or may not have been
       // applied. Safe to redrive only because every request is an
@@ -86,7 +93,7 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
       last = std::move(sent);
       continue;
     }
-    Result<Frame> frame = ReadFrame();
+    Result<Frame> frame = ReadFrame(wire);
     if (!frame.ok()) {
       Disconnect();
       ++stats_.reconnects;
@@ -114,6 +121,9 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
   }
   if (last.code() == StatusCode::kResourceExhausted) {
     return last;  // typed OVERLOADED survived every retry: keep the type
+  }
+  if (last.code() == StatusCode::kDeadlineExceeded) {
+    return DeadlineExceededError(StrCat(what, ": ", last.message()));
   }
   // Transport-level failures (resets, EOFs, desyncs) surface as Internal
   // once the attempts are spent, per the class contract — the raw code of

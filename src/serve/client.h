@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/deadline.h"
 #include "core/random.h"
 #include "core/result.h"
 #include "serve/protocol.h"
@@ -36,6 +37,10 @@ namespace rangesyn::serve {
 /// evaluation deadline and the client-side *retry budget*: once it
 /// expires locally, the client stops retrying and surfaces
 /// DeadlineExceeded instead of sleeping past the caller's patience.
+/// Socket reads and writes wait at most the budget plus a one-second
+/// grace (room for the server's own typed DEADLINE_EXCEEDED answer), so
+/// a server that accepts and then goes silent, or stops reading, cannot
+/// hold the client past it.
 struct ClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -90,8 +95,9 @@ class Client {
   Result<Frame> RoundTrip(const std::string& frame_bytes,
                           uint32_t deadline_ms, std::string_view what);
   Status EnsureConnected();
-  /// Reads one complete frame (header, payload, CRC) off the wire.
-  Result<Frame> ReadFrame();
+  /// Reads one complete frame (header, payload, CRC) off the wire,
+  /// giving up with DeadlineExceeded once `deadline` expires.
+  Result<Frame> ReadFrame(const Deadline& deadline);
 
   const ClientOptions options_;
   Fd fd_;

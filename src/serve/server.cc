@@ -5,11 +5,11 @@
 #include <span>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "core/failpoint.h"
 #include "core/status.h"
 #include "core/strings.h"
-#include "core/threadpool.h"
 #include "obs/obs.h"
 
 namespace rangesyn::serve {
@@ -40,6 +40,7 @@ const ServingMetrics& GetServingMetrics() {
     m.shed = reg.GetCounter("serve.shed.count");
     m.conns_accepted = reg.GetCounter("serve.conn.accepted");
     m.conns_closed = reg.GetCounter("serve.conn.closed");
+    m.conns_rejected = reg.GetCounter("serve.conn.rejected");
     m.transport_errors = reg.GetCounter("serve.conn.write_error");
     m.drains = reg.GetCounter("serve.drain.count");
     m.queue_depth = reg.GetGauge("serve.queue.depth");
@@ -68,25 +69,21 @@ obs::Counter* ServingMetrics::ForError(WireError code) const {
   return internal;
 }
 
-/// One live connection. The fd is owned here and shared (via the
-/// enclosing shared_ptr) between the connection thread and any worker
-/// tasks still carrying replies, so the descriptor outlives every writer.
+/// One live connection, owned by conns_. Its thread is the only one that
+/// reads or writes the socket: every reply is written by the thread that
+/// read the request, so replies leave in request order and need no lock.
 struct Server::Conn {
   explicit Conn(Fd fd_in) : fd(std::move(fd_in)) {}
 
   Fd fd;
   // lint: waive(LINT-004) blocking-read thread, joined at reap/drain
   std::thread thread;
-  /// Serializes reply frames: worker tasks for pipelined requests finish
-  /// in any order, and interleaved partial frames would corrupt the
-  /// stream.
-  Mutex write_mu;
-  /// Transport failed (reset / injected fault); stop writing, reader is
-  /// woken via shutdown. Guarded by write_mu for the check-then-write.
-  std::atomic<bool> dead{false};
+  /// A reply write failed (reset / injected fault): the loop stops after
+  /// the current frame.
+  bool dead = false;
   /// Frames currently being handled on the connection thread (read
-  /// complete, dispatch not yet done); the drain settle-wait uses it so a
-  /// synchronous typed reply is not cut off by the fd shutdown.
+  /// complete, reply not yet written); the drain settle-wait uses it so a
+  /// reply in progress is not cut off by the fd shutdown.
   std::atomic<int32_t> busy{0};
   /// ConnLoop returned; the thread is joinable and the conn reapable.
   std::atomic<bool> finished{false};
@@ -123,8 +120,6 @@ Status Server::Start() {
   RANGESYN_ASSIGN_OR_RETURN(listen_fd_,
                             ListenTcp(options_.host, options_.port));
   RANGESYN_ASSIGN_OR_RETURN(port_, BoundPort(listen_fd_.get()));
-  // The listener blocks in accept/poll; parking a pool worker on socket
-  // readiness would starve ParallelFor users.
   // lint: waive(LINT-004) dedicated blocking listener thread
   listener_ = std::thread([this] { ListenerLoop(); });
   RANGESYN_LOG_EVENT(Info, "serve.start")
@@ -155,8 +150,9 @@ void Server::ListenerLoop() {
     if (OpenConnCount() >= options_.max_connections) {
       // Over the connection cap: a typed refusal, then close — the peer
       // learns why instead of seeing a silent RST or an unbounded queue.
+      // Not a request, so no serve.request.* outcome either.
       counters_.conns_rejected.fetch_add(1, std::memory_order_relaxed);
-      GetServingMetrics().overloaded->Increment();
+      GetServingMetrics().conns_rejected->Increment();
       NoteOverloadIncident();
       WireSites sites("serve.conn");
       (void)WriteFull(accepted->get(),
@@ -165,96 +161,83 @@ void Server::ListenerLoop() {
                       sites);
       continue;  // accepted's destructor closes the fd
     }
-    auto conn = std::make_shared<Conn>(std::move(*accepted));
+    auto owned = std::make_unique<Conn>(std::move(*accepted));
+    Conn& conn = *owned;
     {
       MutexLock lock(conns_mu_);
-      conns_.push_back(conn);
+      conns_.push_back(std::move(owned));
     }
     GetServingMetrics().open_conns->Set(OpenConnCount());
-    // One blocking-read thread per connection; pool workers must never
-    // block on a socket (they run eval tasks).
+    // One blocking thread per connection reads, evaluates and replies.
+    // Only this (listener) thread and drain, after joining it, reap
+    // connections, so `conn` outlives the thread started here.
     // lint: waive(LINT-004) dedicated blocking per-connection thread
-    conn->thread = std::thread([this, conn] { ConnLoop(conn); });
+    conn.thread = std::thread([this, &conn] { ConnLoop(conn); });
   }
 }
 
-void Server::ConnLoop(const std::shared_ptr<Conn>& conn) {
+void Server::ConnLoop(Conn& conn) {
   std::string frame_bytes;
   for (;;) {
     char header[kFrameHeaderBytes];
-    Status read_status = ReadFull(conn->fd.get(), header, kFrameHeaderBytes,
-                                  conn->sites, /*stop=*/nullptr);
+    Status read_status =
+        ReadFull(conn.fd.get(), header, kFrameHeaderBytes, conn.sites);
     if (!read_status.ok()) {
       // Clean EOF between frames, drain shutdown, or a transport fault:
       // either way this connection is over. Faults were already surfaced
       // as a typed client-side error (reset) — nothing is silent.
       break;
     }
-    conn->busy.fetch_add(1, std::memory_order_acq_rel);
+    conn.busy.fetch_add(1, std::memory_order_acq_rel);
     bool keep = false;
     Result<FrameHeader> decoded =
         DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes));
     if (!decoded.ok()) {
       // Bad magic/version/size: the stream position is unknowable, so
       // answer typed MALFORMED and close rather than resynchronize.
-      counters_.requests.fetch_add(1, std::memory_order_relaxed);
-      GetServingMetrics().requests->Increment();
-      CountOutcome(WireError::kMalformed, 0);
-      ReplyError(conn, 0, WireError::kMalformed,
-                 std::string(decoded.status().message()));
+      Refuse(conn, {0, WireError::kMalformed,
+                    std::string(decoded.status().message())});
     } else {
       const size_t rest = decoded->payload_size + kFrameTrailerBytes;
       frame_bytes.assign(header, kFrameHeaderBytes);
       frame_bytes.resize(kFrameHeaderBytes + rest);
-      read_status = ReadFull(conn->fd.get(), frame_bytes.data() + kFrameHeaderBytes,
-                             rest, conn->sites, /*stop=*/nullptr);
+      read_status = ReadFull(conn.fd.get(),
+                             frame_bytes.data() + kFrameHeaderBytes, rest,
+                             conn.sites);
       if (read_status.ok()) {
         Result<std::string> payload = CheckFrameCrc(frame_bytes, *decoded);
         if (!payload.ok()) {
           // Checksum mismatch: the transport corrupted bytes in flight;
           // typed MALFORMED, then close (framing can no longer be
           // trusted).
-          counters_.requests.fetch_add(1, std::memory_order_relaxed);
-          GetServingMetrics().requests->Increment();
-          CountOutcome(WireError::kMalformed, 0);
-          ReplyError(conn, 0, WireError::kMalformed,
-                     std::string(payload.status().message()));
+          Refuse(conn, {0, WireError::kMalformed,
+                        std::string(payload.status().message())});
         } else {
-          Frame frame;
-          frame.type = decoded->type;
-          frame.payload = *std::move(payload);
-          keep = DispatchFrame(conn, frame);
+          keep = DispatchFrame(conn, {decoded->type, *std::move(payload)});
         }
       }
     }
-    conn->busy.fetch_sub(1, std::memory_order_acq_rel);
-    if (!keep || !read_status.ok() ||
-        conn->dead.load(std::memory_order_acquire)) {
-      break;
-    }
+    conn.busy.fetch_sub(1, std::memory_order_acq_rel);
+    if (!keep || !read_status.ok() || conn.dead) break;
   }
   // Send FIN now: the fd object itself is reclaimed later (ReapConnections
   // or drain), but the peer must observe the close immediately — a client
   // waiting for the next frame after a protocol-violation reply would
   // otherwise hang until its own timeout.
-  conn->fd.ShutdownBoth();
+  conn.fd.ShutdownBoth();
   counters_.conns_closed.fetch_add(1, std::memory_order_relaxed);
   GetServingMetrics().conns_closed->Increment();
-  conn->finished.store(true, std::memory_order_release);
+  conn.finished.store(true, std::memory_order_release);
   GetServingMetrics().open_conns->Set(OpenConnCount());
 }
 
-bool Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
-                           const Frame& frame) {
+bool Server::DispatchFrame(Conn& conn, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kPing: {
       Result<PingMessage> ping = ParsePing(frame.payload);
       if (!ping.ok()) {
-        counters_.requests.fetch_add(1, std::memory_order_relaxed);
-        GetServingMetrics().requests->Increment();
-        CountOutcome(WireError::kMalformed, 0);
-        ReplyError(conn, 0, WireError::kMalformed,
-                   std::string(ping.status().message()));
+        Refuse(conn, {0, WireError::kMalformed,
+                      std::string(ping.status().message())});
         return true;
       }
       // Pings answer even during drain: they are the liveness probe the
@@ -263,106 +246,89 @@ bool Server::DispatchFrame(const std::shared_ptr<Conn>& conn,
       WriteReply(conn, EncodePong(ping->request_id));
       return true;
     }
-    case MsgType::kQuery: {
-      counters_.requests.fetch_add(1, std::memory_order_relaxed);
-      GetServingMetrics().requests->Increment();
-      Result<QueryRequest> parsed = ParseQuery(frame.payload);
-      if (!parsed.ok()) {
-        CountOutcome(WireError::kMalformed, 0);
-        ReplyError(conn, 0, WireError::kMalformed,
-                   std::string(parsed.status().message()));
-        return true;  // framing is intact; keep serving this connection
-      }
-      const uint64_t id = parsed->request_id;
-      if (draining()) {
-        CountOutcome(WireError::kShuttingDown, 0);
-        ReplyError(conn, id, WireError::kShuttingDown, "server draining");
-        return true;
-      }
-      // Admission control: reserve a slot before queueing; over the cap,
-      // shed with a typed error instead of growing an unbounded queue.
-      const int64_t depth =
-          inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (depth > options_.queue_limit) {
-        ReleaseInflight();
-        counters_.shed.fetch_add(1, std::memory_order_relaxed);
-        GetServingMetrics().shed->Increment();
-        CountOutcome(WireError::kOverloaded, 0);
-        ReplyError(conn, id, WireError::kOverloaded,
-                   StrCat("queue limit ", options_.queue_limit, " reached"));
-        return true;
-      }
-      GetServingMetrics().queue_depth->Set(depth);
-      // The deadline clock starts at admission: time spent queued counts
-      // against the request, exactly like time spent evaluating.
-      Deadline deadline;
-      if (parsed->deadline_ms > 0) {
-        deadline = Deadline::After(parsed->deadline_ms / 1000.0);
-      }
-      const uint64_t admitted_ns = static_cast<uint64_t>(MonoNs());
-      GlobalThreadPool().Submit(
-          [this, conn, request = *std::move(parsed), deadline,
-           admitted_ns]() mutable {
-            HandleQuery(conn, std::move(request), deadline, admitted_ns);
-          });
-      return true;
-    }
+    case MsgType::kQuery:
+      HandleQuery(conn, frame.payload);
+      return true;  // framing is intact; keep serving this connection
     case MsgType::kPong:
     case MsgType::kQueryOk:
-    case MsgType::kError: {
+    case MsgType::kError:
       // Response frames flowing client->server are a protocol violation.
-      counters_.requests.fetch_add(1, std::memory_order_relaxed);
-      GetServingMetrics().requests->Increment();
-      CountOutcome(WireError::kMalformed, 0);
-      ReplyError(conn, 0, WireError::kMalformed,
-                 StrCat("unexpected frame type ",
-                        static_cast<int>(frame.type), " from client"));
+      Refuse(conn, {0, WireError::kMalformed,
+                    StrCat("unexpected frame type ",
+                           static_cast<int>(frame.type), " from client")});
       return false;
-    }
   }
   return false;
 }
 
-void Server::HandleQuery(const std::shared_ptr<Conn>& conn,
-                         QueryRequest request, Deadline deadline,
-                         uint64_t admitted_ns) {
+void Server::HandleQuery(Conn& conn, std::string_view payload) {
+  Result<QueryRequest> parsed = ParseQuery(payload);
+  if (!parsed.ok()) {
+    Refuse(conn, {0, WireError::kMalformed,
+                  std::string(parsed.status().message())});
+    return;
+  }
+  const uint64_t id = parsed->request_id;
+  if (draining()) {
+    Refuse(conn, {id, WireError::kShuttingDown, "server draining"});
+    return;
+  }
+  // Admission control: reserve an evaluation slot; over the cap, shed
+  // with a typed error instead of evaluating.
+  const int64_t depth = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (depth > options_.queue_limit) {
+    ReleaseInflight();
+    Refuse(conn, {id, WireError::kOverloaded,
+                  StrCat("queue limit ", options_.queue_limit, " reached")});
+    return;
+  }
+  CountRequest();
+  GetServingMetrics().queue_depth->Set(depth);
+  // The deadline clock starts at admission, on this connection thread.
+  Deadline deadline;
+  if (parsed->deadline_ms > 0) {
+    deadline = Deadline::After(parsed->deadline_ms / 1000.0);
+  }
+  const uint64_t admitted_ns = static_cast<uint64_t>(MonoNs());
+  const auto outcome = Evaluate(*parsed, deadline);
+  if (const auto* error = std::get_if<ErrorResponse>(&outcome)) {
+    CountOutcome(error->code, admitted_ns);
+    WriteReply(conn, EncodeError(*error));
+  } else {
+    CountOk(admitted_ns);
+    WriteReply(conn, EncodeQueryOk(std::get<QueryResponse>(outcome)));
+  }
+  ReleaseInflight();
+}
+
+std::variant<QueryResponse, ErrorResponse> Server::Evaluate(
+    const QueryRequest& request, const Deadline& deadline) const {
+  const uint64_t id = request.request_id;
   // Evaluation-stage fault/latency injection (the drain test parks
   // requests here with sleep:MS; the soak injects hard failures).
   if (failpoint::ShouldFail("serve.eval")) {
-    CountOutcome(WireError::kInternal, admitted_ns);
-    ReplyError(conn, request.request_id, WireError::kInternal,
-               "failpoint 'serve.eval' fired");
-    ReleaseInflight();
-    return;
+    return ErrorResponse{id, WireError::kInternal,
+                         "failpoint 'serve.eval' fired"};
   }
   if (deadline.Expired()) {
-    CountOutcome(WireError::kDeadlineExceeded, admitted_ns);
-    ReplyError(conn, request.request_id, WireError::kDeadlineExceeded,
-               "deadline expired before evaluation");
-    ReleaseInflight();
-    return;
+    return ErrorResponse{id, WireError::kDeadlineExceeded,
+                         "deadline expired before evaluation"};
   }
   const auto it = views_.find(request.key);
   if (it == views_.end()) {
-    CountOutcome(WireError::kNotFound, admitted_ns);
-    ReplyError(conn, request.request_id, WireError::kNotFound,
-               StrCat("unknown synopsis key '", request.key, "'"));
-    ReleaseInflight();
-    return;
+    return ErrorResponse{id, WireError::kNotFound,
+                         StrCat("unknown synopsis key '", request.key, "'")};
   }
   const FlatSynopsis& view = *it->second;
   for (const FlatQuery& q : request.ranges) {
     if (q.a < 1 || q.a > q.b || q.b > view.n()) {
-      CountOutcome(WireError::kMalformed, admitted_ns);
-      ReplyError(conn, request.request_id, WireError::kMalformed,
-                 StrCat("range [", q.a, ", ", q.b,
-                        "] outside domain [1, ", view.n(), "]"));
-      ReleaseInflight();
-      return;
+      return ErrorResponse{id, WireError::kMalformed,
+                           StrCat("range [", q.a, ", ", q.b,
+                                  "] outside domain [1, ", view.n(), "]")};
     }
   }
   QueryResponse response;
-  response.request_id = request.request_id;
+  response.request_id = id;
   response.estimates.resize(request.ranges.size());
   FlatSynopsis::BatchScratch scratch;
   const size_t chunk = static_cast<size_t>(options_.eval_chunk);
@@ -370,12 +336,9 @@ void Server::HandleQuery(const std::shared_ptr<Conn>& conn,
   const std::span<double> out(response.estimates);
   for (size_t off = 0; off < queries.size(); off += chunk) {
     if (deadline.Expired()) {
-      CountOutcome(WireError::kDeadlineExceeded, admitted_ns);
-      ReplyError(conn, request.request_id, WireError::kDeadlineExceeded,
-                 StrCat("deadline expired after ", off, " of ",
-                        queries.size(), " ranges"));
-      ReleaseInflight();
-      return;
+      return ErrorResponse{id, WireError::kDeadlineExceeded,
+                           StrCat("deadline expired after ", off, " of ",
+                                  queries.size(), " ranges")};
     }
     const size_t len = std::min(chunk, queries.size() - off);
     // Chunked batches answer bit-identically to one big batch: every
@@ -383,43 +346,34 @@ void Server::HandleQuery(const std::shared_ptr<Conn>& conn,
     Status eval = view.EstimateMany(queries.subspan(off, len),
                                     out.subspan(off, len), &scratch);
     if (!eval.ok()) {
-      CountOutcome(WireError::kInternal, admitted_ns);
-      ReplyError(conn, request.request_id, WireError::kInternal,
-                 std::string(eval.message()));
-      ReleaseInflight();
-      return;
+      return ErrorResponse{id, WireError::kInternal,
+                           std::string(eval.message())};
     }
   }
-  CountOk(admitted_ns);
-  WriteReply(conn, EncodeQueryOk(response));
-  ReleaseInflight();
+  return response;
 }
 
-void Server::WriteReply(const std::shared_ptr<Conn>& conn,
-                        const std::string& frame_bytes) {
-  MutexLock lock(conn->write_mu);
-  if (conn->dead.load(std::memory_order_acquire)) {
-    // The transport already failed; the peer observes a connection error
-    // (typed client-side). Account for the undeliverable answer.
-    counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
-    GetServingMetrics().transport_errors->Increment();
-    return;
-  }
-  Status written = WriteFull(conn->fd.get(), frame_bytes, conn->sites);
-  if (!written.ok()) {
-    conn->dead.store(true, std::memory_order_release);
-    counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
-    GetServingMetrics().transport_errors->Increment();
-    RANGESYN_LOG_EVENT(Warning, "serve.conn.write_error")
-        .Arg("error", written.message());
-    conn->fd.ShutdownBoth();  // wake the reader so the thread exits
-  }
+void Server::WriteReply(Conn& conn, const std::string& frame_bytes) {
+  const Status written = WriteFull(conn.fd.get(), frame_bytes, conn.sites);
+  if (written.ok()) return;
+  // The peer observes a connection error (typed client-side); account for
+  // the undeliverable answer and end the connection after this frame.
+  conn.dead = true;
+  counters_.transport_errors.fetch_add(1, std::memory_order_relaxed);
+  GetServingMetrics().transport_errors->Increment();
+  RANGESYN_LOG_EVENT(Warning, "serve.conn.write_error")
+      .Arg("error", written.message());
 }
 
-void Server::ReplyError(const std::shared_ptr<Conn>& conn,
-                        uint64_t request_id, WireError code,
-                        const std::string& message) {
-  WriteReply(conn, EncodeError({request_id, code, message}));
+void Server::Refuse(Conn& conn, const ErrorResponse& error) {
+  CountRequest();
+  CountOutcome(error.code, 0);
+  WriteReply(conn, EncodeError(error));
+}
+
+void Server::CountRequest() {
+  counters_.requests.fetch_add(1, std::memory_order_relaxed);
+  GetServingMetrics().requests->Increment();
 }
 
 void Server::CountOutcome(WireError code, uint64_t admitted_ns) {
@@ -427,8 +381,10 @@ void Server::CountOutcome(WireError code, uint64_t admitted_ns) {
     case WireError::kMalformed:
       counters_.malformed.fetch_add(1, std::memory_order_relaxed);
       break;
-    case WireError::kOverloaded:
-      break;  // the shed counter is the per-server tally (caller bumps it)
+    case WireError::kOverloaded:  // only admission control sheds
+      counters_.shed.fetch_add(1, std::memory_order_relaxed);
+      GetServingMetrics().shed->Increment();
+      break;
     case WireError::kDeadlineExceeded:
       counters_.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
       break;
@@ -499,7 +455,7 @@ void Server::ReleaseInflight() {
 
 bool Server::AnyConnBusy() const {
   MutexLock lock(conns_mu_);
-  for (const std::shared_ptr<Conn>& conn : conns_) {
+  for (const std::unique_ptr<Conn>& conn : conns_) {
     if (conn->busy.load(std::memory_order_acquire) > 0) return true;
   }
   return false;
@@ -508,14 +464,14 @@ bool Server::AnyConnBusy() const {
 int64_t Server::OpenConnCount() const {
   MutexLock lock(conns_mu_);
   int64_t open = 0;
-  for (const std::shared_ptr<Conn>& conn : conns_) {
+  for (const std::unique_ptr<Conn>& conn : conns_) {
     if (!conn->finished.load(std::memory_order_acquire)) ++open;
   }
   return open;
 }
 
 void Server::ReapConnections(bool all) {
-  std::vector<std::shared_ptr<Conn>> reaped;
+  std::vector<std::unique_ptr<Conn>> reaped;
   {
     MutexLock lock(conns_mu_);
     auto keep = conns_.begin();
@@ -531,7 +487,7 @@ void Server::ReapConnections(bool all) {
   // Join outside the lock: a connection thread being joined must never
   // need conns_mu_ (and does not), but keeping joins lock-free makes the
   // settle-wait's OpenConnCount calls unblockable.
-  for (const std::shared_ptr<Conn>& conn : reaped) {
+  for (const std::unique_ptr<Conn>& conn : reaped) {
     if (conn->thread.joinable()) conn->thread.join();
   }
 }
@@ -562,7 +518,7 @@ Status Server::DrainAndWait(double grace_s) {
   // Wake blocked readers (their read returns 0) and collect the threads.
   {
     MutexLock lock(conns_mu_);
-    for (const std::shared_ptr<Conn>& conn : conns_) {
+    for (const std::unique_ptr<Conn>& conn : conns_) {
       conn->fd.ShutdownBoth();
     }
   }

@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/deadline.h"
@@ -21,21 +23,19 @@
 
 namespace rangesyn::serve {
 
-/// The `rangesyn serve` daemon core (DESIGN.md §12): a listener/worker
-/// TCP server speaking RSP1 that answers range-aggregate queries
-/// lock-free from pre-resolved catalog FlatViews.
+/// The `rangesyn serve` daemon core (DESIGN.md §12): a thread-per-
+/// connection TCP server speaking RSP1 that answers range-aggregate
+/// queries lock-free from pre-resolved catalog FlatViews.
 ///
 /// Robustness model, in order of the request lifecycle:
-///   * admission control — at most `queue_limit` requests are admitted
-///     (queued + evaluating) at once; excess requests receive a typed
-///     OVERLOADED error immediately instead of queueing unboundedly, and
-///     connections beyond `max_connections` receive OVERLOADED and are
-///     closed. Nothing is ever dropped silently.
+///   * admission control — at most `queue_limit` requests evaluate at
+///     once; excess requests receive a typed OVERLOADED error
+///     immediately, and connections beyond `max_connections` receive
+///     OVERLOADED and are closed. Nothing is ever dropped silently.
 ///   * per-request deadlines — a request's deadline_ms starts counting at
 ///     admission and is propagated as a core Deadline into the evaluation
 ///     loop (polled every `eval_chunk` queries); expiry produces a typed
-///     DEADLINE_EXCEEDED error whether it happens while queued or mid-
-///     batch.
+///     DEADLINE_EXCEEDED error.
 ///   * graceful drain — RequestDrain()/DrainAndWait() stop the listener,
 ///     answer every already-admitted request, reject newly arriving
 ///     requests with typed SHUTTING_DOWN, then close connections, flush a
@@ -45,10 +45,10 @@ namespace rangesyn::serve {
 ///     soak harness can replay thousands of deterministic fault schedules
 ///     over the full connection lifecycle.
 ///
-/// Evaluation runs on the process-global work-stealing ThreadPool
-/// (core/threadpool.h) via Submit; connection threads only parse frames
-/// and write replies, so slow evaluations never stall unrelated
-/// connections' framing.
+/// Each connection's thread reads a request, evaluates it inline and
+/// writes the reply before reading the next, so a connection's replies
+/// leave in request order and a slow evaluation stalls only its own
+/// connection. Requests a client pipelines wait in the socket.
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read the bound port back with port().
@@ -56,8 +56,10 @@ struct ServerOptions {
   /// Connections beyond this receive a typed OVERLOADED error and are
   /// closed without being served.
   int max_connections = 64;
-  /// Admission cap: maximum requests admitted (queued + evaluating) at
-  /// once; excess requests are shed with a typed OVERLOADED error.
+  /// Admission cap: maximum requests evaluating at once; excess requests
+  /// are shed with a typed OVERLOADED error. Each connection thread
+  /// evaluates one request at a time, so at most `max_connections`
+  /// evaluate at once and this cap sheds only when set below that.
   int queue_limit = 256;
   /// Queries evaluated between deadline polls inside one batch.
   int eval_chunk = 256;
@@ -106,6 +108,7 @@ struct ServingMetrics {
   obs::Counter* shed;               // serve.shed.count
   obs::Counter* conns_accepted;     // serve.conn.accepted
   obs::Counter* conns_closed;       // serve.conn.closed
+  obs::Counter* conns_rejected;     // serve.conn.rejected
   obs::Counter* transport_errors;   // serve.conn.write_error
   obs::Counter* drains;             // serve.drain.count
   obs::Gauge* queue_depth;          // serve.queue.depth
@@ -174,20 +177,23 @@ class Server {
   explicit Server(const ServerOptions& options);
 
   void ListenerLoop();
-  void ConnLoop(const std::shared_ptr<Conn>& conn);
+  void ConnLoop(Conn& conn);
   /// Parses and dispatches one already-CRC-checked frame. Returns false
   /// when the connection must close (protocol violation).
-  bool DispatchFrame(const std::shared_ptr<Conn>& conn,
-                     const Frame& frame);
-  void HandleQuery(const std::shared_ptr<Conn>& conn, QueryRequest request,
-                   Deadline deadline, uint64_t admitted_ns);
-  /// Serializes and writes one reply frame under the connection's write
-  /// lock; on transport failure shuts the connection down (typed
-  /// accounting, never a hang).
-  void WriteReply(const std::shared_ptr<Conn>& conn,
-                  const std::string& frame_bytes);
-  void ReplyError(const std::shared_ptr<Conn>& conn, uint64_t request_id,
-                  WireError code, const std::string& message);
+  bool DispatchFrame(Conn& conn, const Frame& frame);
+  /// Parses, admits and evaluates one query payload, then counts, writes
+  /// and releases its one outcome.
+  void HandleQuery(Conn& conn, std::string_view payload);
+  /// The admitted request's response, or the typed error that ends it.
+  std::variant<QueryResponse, ErrorResponse> Evaluate(
+      const QueryRequest& request, const Deadline& deadline) const;
+  /// Writes one reply frame; on transport failure marks the connection
+  /// dead (typed accounting, never a hang).
+  void WriteReply(Conn& conn, const std::string& frame_bytes);
+  /// Counts one request refused before evaluation (malformed, draining,
+  /// shed) with its typed outcome, and writes the error frame.
+  void Refuse(Conn& conn, const ErrorResponse& error);
+  void CountRequest();
   /// Records one typed outcome: per-server counter, global metric,
   /// latency histogram (when admitted_ns != 0), overload-burst tracking.
   void CountOutcome(WireError code, uint64_t admitted_ns);
@@ -217,11 +223,11 @@ class Server {
   std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};
 
-  /// Admitted (queued + evaluating) requests; bounded by queue_limit.
+  /// Admitted (evaluating) requests; bounded by queue_limit.
   std::atomic<int64_t> inflight_{0};
 
   mutable Mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_ RANGESYN_GUARDED_BY(conns_mu_);
+  std::vector<std::unique_ptr<Conn>> conns_ RANGESYN_GUARDED_BY(conns_mu_);
 
   /// Per-server counters (see ServerSummary).
   struct Counters {

@@ -24,11 +24,16 @@ constexpr int kMaxEintrRetries = 64;
 
 std::string ErrnoText() { return std::strerror(errno); }
 
-/// Waits up to timeout_ms for `events` on `fd`. Returns true when the fd
-/// is ready (or hung up — the caller's syscall then reports which), false
-/// on a timeout slice. The distinction matters because the sockets are
-/// blocking: issuing accept/read after a bare timeout would block
-/// indefinitely and never re-check the caller's stop flag.
+/// Poll slice while a deadline is set: bounds how late an expired
+/// deadline is noticed.
+constexpr int kDeadlineSliceMs = 10;
+
+/// Waits up to timeout_ms (-1: no limit) for `events` on `fd`. Returns
+/// true when the fd is ready (or hung up — the caller's syscall then
+/// reports which), false on a timeout slice. The distinction matters
+/// because the sockets are blocking: issuing accept/read after a bare
+/// timeout would block indefinitely and never re-check the caller's stop
+/// flag or deadline.
 Result<bool> PollFor(int fd, short events, int timeout_ms,
                      std::string_view what) {
   struct pollfd pfd;
@@ -42,6 +47,20 @@ Result<bool> PollFor(int fd, short events, int timeout_ms,
     if (rc == 0) return false;
     if (errno == EINTR && ++eintr <= kMaxEintrRetries) continue;
     return InternalError(StrCat(what, ": poll failed: ", ErrnoText()));
+  }
+}
+
+/// Waits until `fd` is ready for `events`. Without a deadline this is one
+/// untimed poll (shutdown(2) on the socket ends it); with one, it polls in
+/// kDeadlineSliceMs slices and returns DeadlineExceeded once it expires.
+Status WaitReady(int fd, short events, const Deadline& deadline,
+                 std::string_view what) {
+  const int slice_ms = deadline.unlimited() ? -1 : kDeadlineSliceMs;
+  for (;;) {
+    RANGESYN_RETURN_IF_ERROR(deadline.Check(what));
+    RANGESYN_ASSIGN_OR_RETURN(const bool ready,
+                              PollFor(fd, events, slice_ms, what));
+    if (ready) return OkStatus();
   }
 }
 
@@ -189,19 +208,11 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
 }
 
 Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
-                const std::atomic<bool>* stop, int poll_ms) {
+                const Deadline& deadline) {
   size_t done = 0;
   int eintr = 0;
   while (done < size) {
-    // Between frames (nothing read yet) the stop flag wins; mid-buffer
-    // the frame is finished so a request in flight is never torn.
-    if (done == 0 && stop != nullptr &&
-        stop->load(std::memory_order_acquire)) {
-      return FailedPreconditionError("stopped");
-    }
-    RANGESYN_ASSIGN_OR_RETURN(bool ready,
-                              PollFor(fd, POLLIN, poll_ms, "read"));
-    if (!ready) continue;  // timeout slice: loop (and re-check stop)
+    RANGESYN_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "read"));
     if (failpoint::ShouldFail(sites.read)) {
       return InternalError(StrCat("failpoint '", sites.read, "' fired"));
     }
@@ -223,7 +234,7 @@ Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
       return InternalError(StrCat("connection closed mid-frame after ",
                                   done, " of ", size, " bytes"));
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // poll slice
+    if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // wait again
     if (errno == EINTR) {
       if (++eintr > kMaxEintrRetries) {
         return InternalError("read: EINTR retry budget exhausted");
@@ -238,7 +249,11 @@ Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
   return OkStatus();
 }
 
-Status WriteFull(int fd, std::string_view data, const WireSites& sites) {
+Status WriteFull(int fd, std::string_view data, const WireSites& sites,
+                 const Deadline& deadline) {
+  // With a deadline, send never blocks: a blocking send into a full
+  // socket buffer would outlast any deadline.
+  const int flags = MSG_NOSIGNAL | (deadline.unlimited() ? 0 : MSG_DONTWAIT);
   size_t done = 0;
   int eintr = 0;
   while (done < data.size()) {
@@ -252,18 +267,16 @@ Status WriteFull(int fd, std::string_view data, const WireSites& sites) {
     }
     const size_t want =
         failpoint::ShouldFail(sites.write_short) ? 1 : data.size() - done;
-    const ssize_t rc =
-        ::send(fd, data.data() + done, want, MSG_NOSIGNAL);
+    const ssize_t rc = ::send(fd, data.data() + done, want, flags);
     if (rc > 0) {
       done += static_cast<size_t>(rc);
       eintr = 0;
       continue;
     }
     if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // A timeout slice just re-polls; a full send buffer resolves when
-      // the peer drains it or the connection dies (reported by send).
-      RANGESYN_RETURN_IF_ERROR(
-          PollFor(fd, POLLOUT, 100, "write").status());
+      // Full send buffer: resolves when the peer drains it, the
+      // connection dies (reported by send), or the deadline expires.
+      RANGESYN_RETURN_IF_ERROR(WaitReady(fd, POLLOUT, deadline, "write"));
       continue;
     }
     if (rc < 0 && errno == EINTR) {

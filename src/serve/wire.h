@@ -7,12 +7,13 @@
 #include <string_view>
 #include <utility>
 
+#include "core/deadline.h"
 #include "core/result.h"
 
 namespace rangesyn::serve {
 
 /// Thin POSIX socket layer under the RSP1 framing: owning fds, exact-size
-/// reads/writes with EINTR retries and cooperative stop, and the
+/// reads/writes with EINTR retries and optional deadlines, and the
 /// failpoint sites that make the whole connection lifecycle
 /// deterministically chaos-testable (DESIGN.md §12.5).
 ///
@@ -100,23 +101,26 @@ Result<Fd> AcceptConn(int listen_fd, const std::atomic<bool>* stop,
 Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
                       double timeout_s);
 
-/// Reads exactly `size` bytes into `data`. EINTR retries are bounded;
-/// polls in `poll_ms` slices while idle so `stop` (nullable) is honored
-/// between frames — but once the first byte of this buffer has arrived
-/// the read runs to completion, so a frame in flight is finished rather
-/// than abandoned mid-parse (the drain path relies on this).
+/// Reads exactly `size` bytes into `data`. EINTR retries are bounded.
+/// Without a deadline the read blocks until the bytes arrive or the
+/// socket is shut down (drain's shutdown(2) wakes the server's readers);
+/// with one it gives up once the deadline expires, even mid-buffer.
 ///
 /// Returns OkStatus on success; OutOfRange("eof") on a clean EOF before
-/// the first byte (the peer closed between frames); FailedPrecondition
-/// ("stopped") when `stop` was observed while idle; Internal on resets,
-/// hard errors, injected faults, and mid-buffer EOF.
+/// the first byte (the peer closed between frames); DeadlineExceeded once
+/// `deadline` expired; Internal on resets, hard errors, injected faults,
+/// and mid-buffer EOF.
 Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
-                const std::atomic<bool>* stop, int poll_ms = 100);
+                const Deadline& deadline = Deadline());
 
 /// Writes all of `data` (MSG_NOSIGNAL — a dead peer surfaces as a Status,
-/// never SIGPIPE). EINTR retries are bounded. Internal on resets, hard
-/// errors, and injected faults.
-Status WriteFull(int fd, std::string_view data, const WireSites& sites);
+/// never SIGPIPE). EINTR retries are bounded. With a deadline, a peer
+/// that stops reading (full socket buffer) ends the write with
+/// DeadlineExceeded once the deadline expires; without one the write
+/// blocks until the peer reads or the socket is shut down. Internal on
+/// resets, hard errors, and injected faults.
+Status WriteFull(int fd, std::string_view data, const WireSites& sites,
+                 const Deadline& deadline = Deadline());
 
 }  // namespace rangesyn::serve
 

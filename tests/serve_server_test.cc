@@ -3,12 +3,17 @@
 // unknown keys / bad ranges / malformed frames, per-request deadlines,
 // admission-control shedding, graceful drain semantics (in-flight
 // answered, new traffic refused, pings still served), connection caps,
-// and the flight-recorder dump triggers for drain and overload bursts.
+// and the flight-recorder dump triggers for drain and overload bursts;
+// also reply ordering and isolation across connections, and the
+// client's deadline against a silent server.
 
 #include "serve/server.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -84,6 +89,22 @@ std::vector<FlatQuery> MakeRanges(const FlatSynopsis& view, uint64_t seed,
     ranges.push_back(q);
   }
   return ranges;
+}
+
+/// Reads one whole frame off a raw socket (header, payload, CRC).
+Result<Frame> ReadRawFrame(int fd, const WireSites& sites) {
+  char header[kFrameHeaderBytes];
+  RANGESYN_RETURN_IF_ERROR(ReadFull(fd, header, kFrameHeaderBytes, sites));
+  RANGESYN_ASSIGN_OR_RETURN(
+      FrameHeader decoded,
+      DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes)));
+  std::string bytes(header, kFrameHeaderBytes);
+  bytes.resize(kFrameHeaderBytes + decoded.payload_size + kFrameTrailerBytes);
+  RANGESYN_RETURN_IF_ERROR(ReadFull(fd, bytes.data() + kFrameHeaderBytes,
+                                    bytes.size() - kFrameHeaderBytes, sites));
+  RANGESYN_ASSIGN_OR_RETURN(std::string payload,
+                            CheckFrameCrc(bytes, decoded));
+  return Frame{decoded.type, std::move(payload)};
 }
 
 /// Clears failpoints around every test: several tests inject faults and
@@ -287,14 +308,14 @@ TEST_F(ServeServerTest, MalformedFrameGetsTypedErrorThenClose) {
 
   char header[kFrameHeaderBytes];
   ASSERT_TRUE(
-      ReadFull(fd->get(), header, kFrameHeaderBytes, sites, nullptr).ok());
+      ReadFull(fd->get(), header, kFrameHeaderBytes, sites).ok());
   auto decoded =
       DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes));
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->type, MsgType::kError);
   std::string rest(decoded->payload_size + kFrameTrailerBytes, '\0');
   ASSERT_TRUE(
-      ReadFull(fd->get(), rest.data(), rest.size(), sites, nullptr).ok());
+      ReadFull(fd->get(), rest.data(), rest.size(), sites).ok());
   auto payload = CheckFrameCrc(
       std::string(header, kFrameHeaderBytes) + rest, *decoded);
   ASSERT_TRUE(payload.ok());
@@ -305,7 +326,7 @@ TEST_F(ServeServerTest, MalformedFrameGetsTypedErrorThenClose) {
   // The server closes after a framing-level violation: the next read is
   // a clean EOF.
   char byte;
-  const Status eof = ReadFull(fd->get(), &byte, 1, sites, nullptr);
+  const Status eof = ReadFull(fd->get(), &byte, 1, sites);
   ASSERT_FALSE(eof.ok());
   EXPECT_EQ(eof.code(), StatusCode::kOutOfRange) << eof.message();
   EXPECT_EQ(f.server->summary().malformed, 1u);
@@ -330,14 +351,14 @@ TEST_F(ServeServerTest, CrcCorruptionGetsTypedErrorThenClose) {
 
   char header[kFrameHeaderBytes];
   ASSERT_TRUE(
-      ReadFull(fd->get(), header, kFrameHeaderBytes, sites, nullptr).ok());
+      ReadFull(fd->get(), header, kFrameHeaderBytes, sites).ok());
   auto decoded =
       DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->type, MsgType::kError);
   std::string rest(decoded->payload_size + kFrameTrailerBytes, '\0');
   ASSERT_TRUE(
-      ReadFull(fd->get(), rest.data(), rest.size(), sites, nullptr).ok());
+      ReadFull(fd->get(), rest.data(), rest.size(), sites).ok());
   auto payload = CheckFrameCrc(
       std::string(header, kFrameHeaderBytes) + rest, *decoded);
   ASSERT_TRUE(payload.ok());
@@ -350,6 +371,16 @@ TEST_F(ServeServerTest, ConnectionCapRejectsWithTypedOverloaded) {
   ServerOptions options;
   options.max_connections = 1;
   Fixture f = Fixture::Make(options);
+  const ServingMetrics& m = GetServingMetrics();
+  const auto outcomes = [&m] {
+    return m.ok->Value() + m.malformed->Value() + m.overloaded->Value() +
+           m.deadline_exceeded->Value() + m.not_found->Value() +
+           m.internal->Value() + m.shutting_down->Value();
+  };
+  const uint64_t rejected_before = m.conns_rejected->Value();
+  const uint64_t overloaded_before = m.overloaded->Value();
+  const uint64_t requests_before = m.requests->Value();
+  const uint64_t outcomes_before = outcomes();
 
   // Occupy the single slot (the ping both registers the connection and
   // proves it serves).
@@ -363,14 +394,14 @@ TEST_F(ServeServerTest, ConnectionCapRejectsWithTypedOverloaded) {
   const WireSites sites("serve.client");
   char header[kFrameHeaderBytes];
   ASSERT_TRUE(
-      ReadFull(fd->get(), header, kFrameHeaderBytes, sites, nullptr).ok());
+      ReadFull(fd->get(), header, kFrameHeaderBytes, sites).ok());
   auto decoded =
       DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->type, MsgType::kError);
   std::string rest(decoded->payload_size + kFrameTrailerBytes, '\0');
   ASSERT_TRUE(
-      ReadFull(fd->get(), rest.data(), rest.size(), sites, nullptr).ok());
+      ReadFull(fd->get(), rest.data(), rest.size(), sites).ok());
   auto payload = CheckFrameCrc(
       std::string(header, kFrameHeaderBytes) + rest, *decoded);
   ASSERT_TRUE(payload.ok());
@@ -378,6 +409,141 @@ TEST_F(ServeServerTest, ConnectionCapRejectsWithTypedOverloaded) {
   ASSERT_TRUE(error.ok());
   EXPECT_EQ(error->code, WireError::kOverloaded);
   EXPECT_EQ(f.server->summary().conns_rejected, 1u);
+
+  // A refused connection is not a request: the scraped serve.request.*
+  // outcomes still sum to serve.request.count.
+  EXPECT_EQ(m.conns_rejected->Value() - rejected_before, 1u);
+  EXPECT_EQ(m.overloaded->Value() - overloaded_before, 0u);
+  EXPECT_EQ(m.requests->Value() - requests_before,
+            outcomes() - outcomes_before);
+}
+
+TEST_F(ServeServerTest, PipelinedQueriesAnswerInRequestOrder) {
+  Fixture f = Fixture::Make({});
+  auto fd = ConnectTcp("127.0.0.1", f.server->port(), 5.0);
+  ASSERT_TRUE(fd.ok());
+  const WireSites sites("serve.client");
+
+  // Three query frames back to back, before reading any reply; batch
+  // sizes differ so a reply out of order could not pass for another.
+  std::vector<std::vector<FlatQuery>> batches;
+  std::string frames;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    QueryRequest q;
+    q.request_id = id;
+    q.key = "t.v";
+    q.ranges = MakeRanges(*f.oracle, 40 + id, static_cast<int>(id * 7));
+    batches.push_back(q.ranges);
+    frames += EncodeQuery(q);
+  }
+  ASSERT_TRUE(WriteFull(fd->get(), frames, sites).ok());
+
+  FlatSynopsis::BatchScratch scratch;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    SCOPED_TRACE(id);
+    auto frame = ReadRawFrame(fd->get(), sites);
+    ASSERT_TRUE(frame.ok()) << frame.status().message();
+    ASSERT_EQ(frame->type, MsgType::kQueryOk);
+    auto reply = ParseQueryOk(frame->payload);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->request_id, id);
+    const std::vector<FlatQuery>& ranges = batches[id - 1];
+    std::vector<double> expected(ranges.size());
+    ASSERT_TRUE(f.oracle->EstimateMany(ranges, expected, &scratch).ok());
+    EXPECT_EQ(reply->estimates, expected);  // bit-exact
+  }
+  EXPECT_EQ(f.server->summary().ok, 3u);
+}
+
+TEST_F(ServeServerTest, SlowQueryStallsOnlyItsOwnConnection) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "built with RANGESYN_FAILPOINTS=OFF";
+  }
+  Fixture f = Fixture::Make({});
+  ASSERT_TRUE(failpoint::Configure("serve.eval=sleep:300").ok());
+  const std::vector<FlatQuery> ranges = MakeRanges(*f.oracle, 23, 4);
+
+  // Connection A parks a query in evaluation for 300ms.
+  Client parked(f.ClientFor());
+  std::atomic<bool> answered{false};
+  std::thread holder([&] {
+    EXPECT_TRUE(parked.Query("t.v", ranges, 5000).ok());
+    answered.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  // Connection B is served meanwhile, by its own thread.
+  Client other(f.ClientFor());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(other.Ping(1000).ok());
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_FALSE(answered.load()) << "A's query was not parked during B's ping";
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+  holder.join();
+}
+
+/// What a client call against a silent server returned, and whether it
+/// returned within 5 s.
+struct SilentServerOutcome {
+  Status status;
+  bool in_time = false;
+};
+
+/// Runs `call` on another thread against a raw listener that accepts one
+/// connection and then never reads or replies. After 5 s both sockets
+/// are closed, which ends a wait that ignores its deadline, so a
+/// regression fails the test instead of hanging the suite.
+SilentServerOutcome CallSilentServer(
+    const std::function<Status(const ClientOptions&)>& call) {
+  auto listener = ListenTcp("127.0.0.1", 0);
+  auto port = listener.ok() ? BoundPort(listener->get())
+                            : Result<uint16_t>(listener.status());
+  if (!port.ok()) return {port.status(), true};
+  ClientOptions options;
+  options.port = *port;
+  options.initial_backoff_s = 0.001;
+  std::atomic<bool> returned{false};
+  auto pending = std::async(std::launch::async, [&] {
+    const Status status = call(options);
+    returned.store(true);
+    return status;
+  });
+  Result<Fd> accepted = AcceptConn(listener->get(), &returned);
+  const bool in_time =
+      pending.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (accepted.ok()) accepted->Close();
+  listener->Close();
+  return {pending.get(), in_time};
+}
+
+TEST_F(ServeServerTest, ClientDeadlineBoundsASilentServer) {
+  const SilentServerOutcome got =
+      CallSilentServer([](const ClientOptions& options) {
+        Client client(options);
+        return client.Ping(/*deadline_ms=*/200);
+      });
+  EXPECT_TRUE(got.in_time) << "Ping(200) was still waiting after 5s";
+  EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded)
+      << got.status.message();
+}
+
+TEST_F(ServeServerTest, ClientDeadlineBoundsAServerThatStopsReading) {
+  // A frame at the payload cap is more than the loopback socket buffers
+  // take from a peer that never reads, so the write itself must give up.
+  FlatQuery range;
+  range.a = 1;
+  range.b = 1;
+  const std::vector<FlatQuery> at_cap(
+      (kMaxPayloadBytes - QueryPayloadBytes("t.v", 0)) / sizeof(FlatQuery),
+      range);
+  const SilentServerOutcome got =
+      CallSilentServer([&](const ClientOptions& options) {
+        Client client(options);
+        return client.Query("t.v", at_cap, /*deadline_ms=*/200).status();
+      });
+  EXPECT_TRUE(got.in_time) << "Query(200) was still writing after 5s";
+  EXPECT_EQ(got.status.code(), StatusCode::kDeadlineExceeded)
+      << got.status.message();
 }
 
 TEST_F(ServeServerTest, TransportFaultOnReadIsRetriedTransparently) {
