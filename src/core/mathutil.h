@@ -1,6 +1,7 @@
 #ifndef RANGESYN_CORE_MATHUTIL_H_
 #define RANGESYN_CORE_MATHUTIL_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -34,12 +35,11 @@ inline uint64_t NextPowerOfTwo(uint64_t x) {
 
 /// Floor of log2(x) for x >= 1 (DCHECK'd). FloorLog2(0) has no
 /// mathematical value; release builds return 0 so the result is at least
-/// defined, debug/audit builds abort.
+/// defined (`x | 1` has the bit width of x for every x >= 1, and 1 for
+/// x = 0), debug/audit builds abort.
 inline int FloorLog2(uint64_t x) {
   RANGESYN_DCHECK_GE(x, uint64_t{1});
-  int l = 0;
-  while (x >>= 1) ++l;
-  return l;
+  return static_cast<int>(std::bit_width(x | 1)) - 1;
 }
 
 /// Sum of 1..m as a double (avoids intermediate overflow for large m).

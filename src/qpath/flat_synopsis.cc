@@ -246,8 +246,8 @@ Status FlatSynopsis::InitAndValidate() {
         (!data_domain && n_ + 1 > padded_size_)) {
       return InvalidArgumentError("FlatSynopsis: n exceeds padded_size");
     }
-    const int64_t levels = FloorLog2(static_cast<uint64_t>(padded_size_));
-    if (static_cast<int64_t>(f64_.size()) != levels + 1 + padded_size_) {
+    levels_ = FloorLog2(static_cast<uint64_t>(padded_size_));
+    if (static_cast<int64_t>(f64_.size()) != levels_ + 1 + padded_size_) {
       return InvalidArgumentError("FlatSynopsis: bad f64 section size");
     }
     // The per-level heights are a pure function of padded_size; recompute
@@ -259,7 +259,7 @@ Status FlatSynopsis::InitAndValidate() {
           "FlatSynopsis: height table disagrees with padded_size");
     }
     heights_ = f64_.data();
-    table_ = f64_.data() + levels + 1;
+    table_ = f64_.data() + levels_ + 1;
     return OkStatus();
   }
 
@@ -434,17 +434,21 @@ double FlatSynopsis::WaveReconstructAt(int64_t t) const {
   // level_size is a power of two at every level, so the legacy walk's
   // divisions and multiplications are exact shifts here (identical
   // integer results, no FP involvement).
+  //
+  // The legacy walk weighs each node by +h when t lies in its left half
+  // and by -h otherwise, i.e. by bit (shift - 1) of t. Negation is
+  // exactly a sign-bit flip, so XOR-ing that bit into the sign of h gives
+  // the same operand as the `t < mid ? h : -h` select, without a
+  // data-dependent branch (which mispredicts on half the levels).
   double v = 0.0;
   v += table_[0] * heights_[0];  // DC: BasisValue is the height
-  const int64_t levels = FloorLog2(static_cast<uint64_t>(padded_size_));
-  int64_t j = 0;
-  for (int64_t shift = levels; shift > 0; --shift, ++j) {
-    const int64_t base = padded_size_ >> shift;   // 1, 2, 4, ...
-    const int64_t k = base + (t >> shift);
-    const int64_t start = (k - base) << shift;
-    const int64_t mid = start + (int64_t{1} << (shift - 1));
-    const double h = heights_[j];
-    v += table_[k] * (t < mid ? h : -h);
+  const uint64_t u = static_cast<uint64_t>(t);
+  for (int shift = levels_, j = 0; shift > 0; --shift, ++j) {
+    const int64_t k = (padded_size_ >> shift) + (t >> shift);
+    const uint64_t sign = ((u >> (shift - 1)) & 1) << 63;
+    const double h = std::bit_cast<double>(
+        std::bit_cast<uint64_t>(heights_[j]) ^ sign);
+    v += table_[k] * h;
   }
   return v;
 }
@@ -453,42 +457,48 @@ double FlatSynopsis::WaveReconstructRangeSum(int64_t lo, int64_t hi) const {
   RANGESYN_DCHECK(lo >= 0 && lo <= hi && hi < padded_size_);
   // Mirrors WaveletSynopsis::ReconstructRangeSum (the ForEachAncestorPair
   // walk) with BasisRangeSum inlined; visit order and every arithmetic
-  // step match the legacy path exactly.
-  // As in WaveReconstructAt, every division/multiplication by level_size
-  // is an exact shift.
+  // step match the legacy path exactly. As in WaveReconstructAt, every
+  // division/multiplication by level_size is an exact shift.
+  //
+  // lo and hi share their ancestor at every level coarser than the
+  // highest bit where they differ, and have distinct ancestors at every
+  // finer one, so the walk splits there instead of testing a_hi != a_lo
+  // per level. Below the split the lo node's overlap with [lo, hi] runs
+  // from lo to the node's end and the hi node's from the node's start to
+  // hi, which drops the legacy walk's span clamps. The counts are exact
+  // integers either way, so every term and its order are unchanged.
   double v = 0.0;
   v += table_[0] *
        (static_cast<double>(hi - lo + 1) * heights_[0]);  // DC term
-  const int64_t levels = FloorLog2(static_cast<uint64_t>(padded_size_));
-  int64_t j = 0;
-  for (int64_t shift = levels; shift > 0; --shift, ++j) {
+  const int split =
+      static_cast<int>(std::bit_width(static_cast<uint64_t>(lo ^ hi)));
+  int shift = levels_;
+  int j = 0;
+  // Coarse levels: one node holds both ends.
+  for (; shift >= std::max(split, 1); --shift, ++j) {
+    const int64_t start = (lo >> shift) << shift;
+    const int64_t mid = start + (int64_t{1} << (shift - 1));
+    const int64_t plus = std::max<int64_t>(0, std::min(hi, mid - 1) - lo + 1);
+    const int64_t minus = std::max<int64_t>(0, hi - std::max(lo, mid) + 1);
+    v += table_[(padded_size_ >> shift) + (lo >> shift)] *
+         (static_cast<double>(plus - minus) * heights_[j]);
+  }
+  // Finer levels: the lo-node term, then the hi-node term.
+  for (; shift > 0; --shift, ++j) {
     const int64_t base = padded_size_ >> shift;
-    const int64_t level_size = int64_t{1} << shift;
-    const int64_t a_lo = base + (lo >> shift);
-    const int64_t a_hi = base + (hi >> shift);
+    const int64_t half = int64_t{1} << (shift - 1);
     const double h = heights_[j];
-    {
-      const int64_t start = (a_lo - base) << shift;
-      const int64_t s_lo = std::max(lo, start);
-      const int64_t s_hi = std::min(hi, start + level_size - 1);
-      const int64_t mid = start + (level_size >> 1);
-      const int64_t plus =
-          std::max<int64_t>(0, std::min(s_hi, mid - 1) - s_lo + 1);
-      const int64_t minus =
-          std::max<int64_t>(0, s_hi - std::max(s_lo, mid) + 1);
-      v += table_[a_lo] * (static_cast<double>(plus - minus) * h);
-    }
-    if (a_hi != a_lo) {
-      const int64_t start = (a_hi - base) << shift;
-      const int64_t s_lo = std::max(lo, start);
-      const int64_t s_hi = std::min(hi, start + level_size - 1);
-      const int64_t mid = start + (level_size >> 1);
-      const int64_t plus =
-          std::max<int64_t>(0, std::min(s_hi, mid - 1) - s_lo + 1);
-      const int64_t minus =
-          std::max<int64_t>(0, s_hi - std::max(s_lo, mid) + 1);
-      v += table_[a_hi] * (static_cast<double>(plus - minus) * h);
-    }
+    const int64_t lo_mid = ((lo >> shift) << shift) + half;
+    const int64_t lo_plus = std::max<int64_t>(0, lo_mid - lo);
+    const int64_t lo_minus = lo_mid + half - std::max(lo, lo_mid);
+    v += table_[base + (lo >> shift)] *
+         (static_cast<double>(lo_plus - lo_minus) * h);
+    const int64_t hi_start = (hi >> shift) << shift;
+    const int64_t hi_mid = hi_start + half;
+    const int64_t hi_plus = std::min(hi, hi_mid - 1) - hi_start + 1;
+    const int64_t hi_minus = std::max<int64_t>(0, hi - hi_mid + 1);
+    v += table_[base + (hi >> shift)] *
+         (static_cast<double>(hi_plus - hi_minus) * h);
   }
   return v;
 }

@@ -173,6 +173,7 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   const double* avg_ = nullptr;  // bucket averages (or the naive average)
   const double* heights_ = nullptr;  // wavelet per-level basis heights
   const double* table_ = nullptr;    // dense Haar coefficient table
+  int levels_ = 0;                   // wavelet levels: log2(padded_size_)
 
   // Bucket-search accelerator, derived at construction (not part of the
   // on-disk format): hint_[i >> hint_shift_] is the bucket of the first

@@ -498,6 +498,9 @@ Status Server::DrainAndWait(double grace_s) {
   }
   if (drained_.exchange(true)) return OkStatus();  // first caller drains
   RequestDrain();
+  // Wake the listener's poll at once rather than at its next stop-flag
+  // slice; its accept then fails and AcceptConn reports "stopped".
+  listen_fd_.ShutdownBoth();
   if (listener_.joinable()) listener_.join();
   // Settle: every admitted request answered, every connection thread
   // between frames. Polling (1ms) keeps the wait simple and the bound

@@ -160,6 +160,10 @@ Result<Fd> AcceptConn(int listen_fd, const std::atomic<bool>* stop,
         errno == ECONNABORTED) {
       continue;  // poll timeout slice, interrupted, or peer gave up
     }
+    if (stop != nullptr && stop->load(std::memory_order_acquire)) {
+      // The stopper shut the listening socket down to wake this poll.
+      return FailedPreconditionError("stopped");
+    }
     return InternalError(StrCat("accept failed: ", ErrnoText()));
   }
 }

@@ -90,7 +90,10 @@ Result<uint16_t> BoundPort(int listen_fd);
 
 /// Accepts one connection. Polls in `poll_ms` slices and returns
 /// FailedPrecondition("stopped") once `stop` is set, so the listener
-/// thread can exit promptly on drain. Carries the "serve.accept"
+/// thread can exit promptly on drain. A stopper that also shuts the
+/// listening socket down (Fd::ShutdownBoth) wakes the poll at once: the
+/// accept that follows fails, and with `stop` set that failure reads as
+/// "stopped", not as an accept error. Carries the "serve.accept"
 /// failpoint. TCP_NODELAY is set on the accepted socket (request/response
 /// traffic, no batching wanted from the kernel).
 Result<Fd> AcceptConn(int listen_fd, const std::atomic<bool>* stop,

@@ -280,6 +280,17 @@ TEST(MathTest, NumRangesAvoidsIntermediateOverflow) {
   EXPECT_EQ(NumRanges(int64_t{4000000001}), int64_t{8000000006000000001});
 }
 
+TEST(MathTest, FloorLog2AtEveryPowerOfTwoEdge) {
+  EXPECT_EQ(FloorLog2(1), 0);
+  for (int k = 1; k <= 63; ++k) {
+    const uint64_t p = uint64_t{1} << k;
+    EXPECT_EQ(FloorLog2(p - 1), k - 1) << "2^" << k << " - 1";
+    EXPECT_EQ(FloorLog2(p), k) << "2^" << k;
+    EXPECT_EQ(FloorLog2(p + 1), k) << "2^" << k << " + 1";
+  }
+  EXPECT_EQ(FloorLog2(UINT64_MAX), 63);
+}
+
 TEST(MathTest, FloorLog2OfZeroIsGuarded) {
   if (kDCheckIsOn) {
     EXPECT_DEATH((void)FloorLog2(0), "Check failed");

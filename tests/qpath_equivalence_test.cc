@@ -133,6 +133,30 @@ TEST(QpathEquivalenceTest, FlatMatchesLegacyBitForBitOnSeededGrid) {
   EXPECT_GT(ranges_compared, 200'000);
 }
 
+// The wavelet kernels at the serving benchmark's catalog shape (a Zipf
+// column over n = 1000 values, 64-word synopses), where the Haar walks
+// run ten levels deep instead of the grid's six at most. Every range,
+// one at a time and batched.
+TEST(QpathEquivalenceTest, ServingShapeWaveletsMatchLegacyOnEveryRange) {
+  const int64_t n = 1000;
+  int64_t ranges_compared = 0;
+  int case_id = 300;  // case_id % 3 == 0 picks the zipf family
+  for (const char* method : {"wave-range-opt", "wave-point", "topbb"}) {
+    const std::vector<int64_t> data = SeededDataset(case_id, n, 100000.0);
+    SynopsisSpec spec;
+    spec.method = method;
+    spec.budget_words = 64;
+    auto legacy = BuildSynopsis(spec, data);
+    ASSERT_TRUE(legacy.ok()) << method << ": " << legacy.status();
+    auto flat = FlatSynopsis::Compile(*legacy.value());
+    ASSERT_TRUE(flat.ok()) << method << ": " << flat.status();
+    ExpectAllRangesBitIdentical(*legacy.value(), *flat.value(), case_id,
+                                &ranges_compared);
+    case_id += 3;
+  }
+  EXPECT_EQ(ranges_compared, 3 * n * (n + 1) / 2);
+}
+
 // --- Oracle leg -------------------------------------------------------
 
 // A wavelet synopsis that keeps *all* coefficients reconstructs the

@@ -2,13 +2,19 @@
 // (empty batches, size mismatches, duplicates, unsorted input), the
 // factory and catalog entry points, eviction lifetime of outstanding
 // flat views (ASan-covered), and the CLI --flat / --flat-file /
-// compile-flat surface.
+// compile-flat surface; and the flat Haar walks, bit for bit against
+// reference copies of their branchy predecessors on every range.
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +25,7 @@
 #include "cli/commands.h"
 #include "core/crc32c.h"
 #include "core/fs.h"
+#include "core/mathutil.h"
 #include "core/random.h"
 #include "data/distribution.h"
 #include "data/rounding.h"
@@ -122,6 +129,261 @@ TEST(FlatBatchTest, BatchEqualsSinglesAcrossScratchReuse) {
       EXPECT_EQ(Bits(flat->EstimateOne(queries[i].a, queries[i].b)),
                 Bits(out[i]))
           << "round " << round << " slot " << i;
+    }
+  }
+}
+
+// --- Wavelet kernel bit identity ---------------------------------------
+
+// Reference copies of the flat Haar walks as they stood before the
+// branch-free rewrite: a `t < mid ? h : -h` select per level in the
+// prefix domain, and per-level max/min span clamps plus an
+// `a_hi != a_lo` test in the data domain. The flat kernels must agree
+// with them as 64-bit patterns, whatever the table holds. The copies
+// keep the old statements verbatim: when two NaNs meet, which one an
+// add or multiply returns depends on the operand order the compiler
+// emits, and at -O0 GCC emits `v += x` differently when `v` is reached
+// through a lambda capture, so a reshaped copy disagrees on NaN bits.
+double ReferenceReconstructAt(std::span<const double> heights,
+                              std::span<const double> table, int64_t padded,
+                              int64_t t) {
+  double v = 0.0;
+  v += table[0] * heights[0];
+  const int64_t levels = FloorLog2(static_cast<uint64_t>(padded));
+  int64_t j = 0;
+  for (int64_t shift = levels; shift > 0; --shift, ++j) {
+    const int64_t base = padded >> shift;
+    const int64_t k = base + (t >> shift);
+    const int64_t start = (k - base) << shift;
+    const int64_t mid = start + (int64_t{1} << (shift - 1));
+    const double h = heights[j];
+    v += table[k] * (t < mid ? h : -h);
+  }
+  return v;
+}
+
+double ReferenceRangeSum(std::span<const double> heights,
+                         std::span<const double> table, int64_t padded,
+                         int64_t lo, int64_t hi) {
+  double v = 0.0;
+  v += table[0] * (static_cast<double>(hi - lo + 1) * heights[0]);
+  const int64_t levels = FloorLog2(static_cast<uint64_t>(padded));
+  int64_t j = 0;
+  for (int64_t shift = levels; shift > 0; --shift, ++j) {
+    const int64_t base = padded >> shift;
+    const int64_t level_size = int64_t{1} << shift;
+    const int64_t a_lo = base + (lo >> shift);
+    const int64_t a_hi = base + (hi >> shift);
+    const double h = heights[j];
+    {
+      const int64_t start = (a_lo - base) << shift;
+      const int64_t s_lo = std::max(lo, start);
+      const int64_t s_hi = std::min(hi, start + level_size - 1);
+      const int64_t mid = start + (level_size >> 1);
+      const int64_t plus =
+          std::max<int64_t>(0, std::min(s_hi, mid - 1) - s_lo + 1);
+      const int64_t minus =
+          std::max<int64_t>(0, s_hi - std::max(s_lo, mid) + 1);
+      v += table[a_lo] * (static_cast<double>(plus - minus) * h);
+    }
+    if (a_hi != a_lo) {
+      const int64_t start = (a_hi - base) << shift;
+      const int64_t s_lo = std::max(lo, start);
+      const int64_t s_hi = std::min(hi, start + level_size - 1);
+      const int64_t mid = start + (level_size >> 1);
+      const int64_t plus =
+          std::max<int64_t>(0, std::min(s_hi, mid - 1) - s_lo + 1);
+      const int64_t minus =
+          std::max<int64_t>(0, s_hi - std::max(s_lo, mid) + 1);
+      v += table[a_hi] * (static_cast<double>(plus - minus) * h);
+    }
+  }
+  return v;
+}
+
+/// A wavelet view over `table` (dense Haar layout, padded entries),
+/// assembled through FromBuffers as an mmap'd RSF1 file would be.
+struct WaveletView {
+  std::shared_ptr<const FlatSynopsis> flat;
+  std::span<const double> heights;
+  std::span<const double> table;
+};
+
+WaveletView MakeWaveletView(const std::vector<double>& table,
+                            bool prefix_domain) {
+  const int64_t padded = static_cast<int64_t>(table.size());
+  const int levels = FloorLog2(static_cast<uint64_t>(padded));
+  auto f64s = std::make_shared<std::vector<double>>();
+  for (int j = 0; j <= levels; ++j) {
+    f64s->push_back(1.0 / std::sqrt(static_cast<double>(padded >> j)));
+  }
+  f64s->insert(f64s->end(), table.begin(), table.end());
+  auto flat = FlatSynopsis::FromBuffers(
+      FlatKind::kWavelet, prefix_domain ? 1 : 0,
+      prefix_domain ? padded - 1 : padded, 0, padded, {}, *f64s, f64s);
+  EXPECT_TRUE(flat.ok()) << flat.status();
+  const std::span<const double> all = flat.value()->f64s();
+  return {flat.value(), all.first(static_cast<size_t>(levels) + 1),
+          all.subspan(static_cast<size_t>(levels) + 1)};
+}
+
+/// Doubles the walks must carry through bit for bit: signed zeros,
+/// subnormals, values whose products or sums overflow, infinities and
+/// NaNs of both signs with distinct payloads.
+const double kSpecials[] = {
+    0.0,
+    -0.0,
+    std::numeric_limits<double>::denorm_min(),
+    -3.0 * std::numeric_limits<double>::denorm_min(),
+    std::numeric_limits<double>::min() / 4.0,
+    std::numeric_limits<double>::max(),
+    -std::numeric_limits<double>::max(),
+    std::nextafter(std::numeric_limits<double>::max(), 0.0),
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN(),
+    -std::numeric_limits<double>::quiet_NaN(),
+    std::bit_cast<double>(uint64_t{0x7FF800000000BEEF}),
+};
+
+enum class TableShape { kDense, kSparse, kDenseSpecial, kSparseSpecial };
+
+/// A random coefficient table of `padded` entries. Sparse tables keep
+/// about one entry in eight nonzero; special tables draw about one
+/// entry in six from kSpecials.
+std::vector<double> MakeTable(int64_t padded, TableShape shape,
+                              uint64_t seed) {
+  Rng rng(seed);
+  const bool sparse =
+      shape == TableShape::kSparse || shape == TableShape::kSparseSpecial;
+  const bool special = shape == TableShape::kDenseSpecial ||
+                       shape == TableShape::kSparseSpecial;
+  std::vector<double> table(static_cast<size_t>(padded), 0.0);
+  for (double& c : table) {
+    if (sparse && rng.NextBounded(8) != 0) continue;
+    if (special && rng.NextBounded(6) == 0) {
+      c = kSpecials[rng.NextBounded(std::size(kSpecials))];
+    } else {
+      c = std::ldexp(rng.NextDouble(-1.0, 1.0),
+                     static_cast<int>(rng.NextInt(-30, 30)));
+    }
+  }
+  return table;
+}
+
+constexpr TableShape kShapes[] = {TableShape::kDense, TableShape::kSparse,
+                                  TableShape::kDenseSpecial,
+                                  TableShape::kSparseSpecial};
+
+/// Every range of the data-domain view of `table` against the reference
+/// range-sum walk. Returns the number of ranges compared.
+int64_t ExpectDataDomainBitIdentical(const std::vector<double>& table) {
+  const WaveletView view = MakeWaveletView(table, /*prefix_domain=*/false);
+  const int64_t padded = static_cast<int64_t>(table.size());
+  int64_t compared = 0;
+  for (int64_t lo = 0; lo < padded; ++lo) {
+    for (int64_t hi = lo; hi < padded; ++hi, ++compared) {
+      const double want =
+          ReferenceRangeSum(view.heights, view.table, padded, lo, hi);
+      const double got = view.flat->EstimateOne(lo + 1, hi + 1);
+      if (Bits(want) != Bits(got)) {
+        ADD_FAILURE() << "padded " << padded << " [" << lo << "," << hi
+                      << "]: reference " << want << " flat " << got;
+        return compared;
+      }
+    }
+  }
+  return compared;
+}
+
+/// Every range of the prefix-domain view of `table` against the
+/// reference point walk: s[a,b] = P[b] - P[a-1]. Returns the number of
+/// ranges compared.
+int64_t ExpectPrefixDomainBitIdentical(const std::vector<double>& table) {
+  const WaveletView view = MakeWaveletView(table, /*prefix_domain=*/true);
+  const int64_t padded = static_cast<int64_t>(table.size());
+  std::vector<double> prefix(static_cast<size_t>(padded));
+  for (int64_t t = 0; t < padded; ++t) {
+    prefix[t] = ReferenceReconstructAt(view.heights, view.table, padded, t);
+  }
+  int64_t compared = 0;
+  for (int64_t a = 1; a < padded; ++a) {
+    for (int64_t b = a; b < padded; ++b, ++compared) {
+      const double want = prefix[b] - prefix[a - 1];
+      const double got = view.flat->EstimateOne(a, b);
+      if (Bits(want) != Bits(got)) {
+        ADD_FAILURE() << "padded " << padded << " [" << a << "," << b
+                      << "]: reference " << want << " flat " << got;
+        return compared;
+      }
+    }
+  }
+  return compared;
+}
+
+TEST(FlatWaveletKernelTest, SmallTablesMatchReferenceOnEveryRange) {
+  uint64_t seed = 1;
+  int64_t compared = 0;
+  for (const int64_t padded : {1, 2, 4, 1024}) {
+    for (const TableShape shape : kShapes) {
+      const std::vector<double> table = MakeTable(padded, shape, seed++);
+      compared += ExpectDataDomainBitIdentical(table);
+      if (padded >= 2) compared += ExpectPrefixDomainBitIdentical(table);
+    }
+  }
+  EXPECT_EQ(compared, 4 * (1 + 3 + 10 + 524800) + 4 * (1 + 6 + 523776));
+}
+
+// At 8192 slots every range is 33.5M comparisons per domain, so one
+// dense and one special table stand for the four shapes.
+TEST(FlatWaveletKernelTest, Padded8192MatchesReferenceOnEveryRange) {
+  const int64_t padded = 8192;
+  const std::vector<double> dense =
+      MakeTable(padded, TableShape::kDense, 81);
+  const std::vector<double> special =
+      MakeTable(padded, TableShape::kSparseSpecial, 82);
+  EXPECT_EQ(ExpectDataDomainBitIdentical(dense), padded * (padded + 1) / 2);
+  EXPECT_EQ(ExpectPrefixDomainBitIdentical(special),
+            (padded - 1) * padded / 2);
+}
+
+// The data-domain walk splits at bit_width(lo ^ hi). At a padded size
+// too large to sweep, probe the ranges on either side of every split:
+// lo == hi, lo = 0, hi = padded - 1, and lo ^ hi a power of two.
+TEST(FlatWaveletKernelTest, SplitEdgesMatchReferenceAtLargePaddedSize) {
+  const int64_t padded = int64_t{1} << 16;
+  for (const TableShape shape : kShapes) {
+    const std::vector<double> table =
+        MakeTable(padded, shape, 160 + static_cast<uint64_t>(shape));
+    const WaveletView data = MakeWaveletView(table, false);
+    const WaveletView prefix = MakeWaveletView(table, true);
+    Rng rng(static_cast<uint64_t>(shape) + 7);
+    std::vector<std::pair<int64_t, int64_t>> ranges;  // 0-based [lo, hi]
+    for (int i = 0; i < 64; ++i) {
+      const int64_t x = rng.NextInt(0, padded - 1);
+      ranges.push_back({x, x});
+      ranges.push_back({0, x});
+      ranges.push_back({x, padded - 1});
+      for (int k = 0; k < 16; ++k) {
+        const int64_t y = x ^ (int64_t{1} << k);
+        ranges.push_back({std::min(x, y), std::max(x, y)});
+      }
+    }
+    ranges.push_back({0, padded - 1});
+    for (const auto& [lo, hi] : ranges) {
+      EXPECT_EQ(Bits(ReferenceRangeSum(data.heights, data.table, padded, lo,
+                                       hi)),
+                Bits(data.flat->EstimateOne(lo + 1, hi + 1)))
+          << "data domain [" << lo << "," << hi << "]";
+      // Prefix slots run 0..padded-1, so [lo, hi] names P[hi] - P[lo].
+      if (lo == hi) continue;
+      EXPECT_EQ(
+          Bits(ReferenceReconstructAt(prefix.heights, prefix.table, padded,
+                                      hi) -
+               ReferenceReconstructAt(prefix.heights, prefix.table, padded,
+                                      lo)),
+          Bits(prefix.flat->EstimateOne(lo + 1, hi)))
+          << "prefix domain P[" << hi << "] - P[" << lo << "]";
     }
   }
 }

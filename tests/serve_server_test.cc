@@ -15,6 +15,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "engine/catalog.h"
 #include "engine/table.h"
 #include "obs/flight.h"
+#include "obs/log.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/wire.h"
@@ -613,6 +615,33 @@ TEST_F(ServeServerTest, CreateValidatesOptions) {
   ServerOptions bad;
   bad.queue_limit = 0;
   EXPECT_FALSE(Server::Create(std::move(catalog), bad).ok());
+}
+
+TEST_F(ServeServerTest, DrainWakesAnIdleListenerAtOnce) {
+  // The listener polls in 100 ms slices between stop-flag checks; drain
+  // shuts the listening socket down so the join does not wait out the
+  // slice, and the accept that wake-up fails is no accept error.
+  std::ostringstream log;
+  obs::LogSink::Get().SetStream(&log);
+  Fixture f = Fixture::Make({});
+  {
+    // One answered ping proves the listener has passed its first stop
+    // check; the pause parks it in a poll slice before the drain.
+    Client client(f.ClientFor());
+    EXPECT_TRUE(client.Ping(1000).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const auto start = std::chrono::steady_clock::now();
+  const Status drained = f.server->DrainAndWait(/*grace_s=*/5.0);
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  obs::LogSink::Get().SetStream(nullptr);
+  EXPECT_TRUE(drained.ok()) << drained.message();
+  EXPECT_LT(elapsed_ms, 50.0);
+  EXPECT_EQ(log.str().find("serve.accept.error"), std::string::npos)
+      << log.str();
 }
 
 TEST_F(ServeServerTest, DestructorDrainsStartedServer) {
