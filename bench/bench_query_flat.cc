@@ -5,12 +5,14 @@
 //   Legacy     — virtual EstimateRange, one call per query
 //   Flat       — FlatSynopsis::EstimateOne, one call per query
 //   FlatBatch  — one FlatSynopsis::EstimateMany over the whole batch
-//                (sorts the batch, then answers in range order)
 // so per-iteration times are directly comparable: the committed
 // baseline records FlatBatch vs Legacy as the per-family speedup the
 // PR 7 regression gate watches. The answers are bit-identical across
 // all three rows (tests/qpath_equivalence_test.cc), so the comparison
 // is purely about serving cost.
+//
+// The Large rows answer the same-size batch over an n = 65536 equi-depth
+// histogram of 8192 buckets, so the bucket arrays outgrow L1.
 
 #include <memory>
 #include <string>
@@ -35,6 +37,8 @@ namespace {
 
 constexpr int64_t kPaperN = 4096;
 constexpr int64_t kBatch = 4096;
+constexpr int64_t kLargeN = 65536;
+constexpr int64_t kLargeBuckets = 8192;
 
 std::vector<int64_t> Dataset(int64_t n) {
   Rng rng(7);
@@ -132,27 +136,23 @@ void BM_Legacy(benchmark::State& state, const std::string& method) {
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
-void BM_Flat(benchmark::State& state, const std::string& method) {
-  const std::vector<int64_t> data = Dataset(kPaperN);
-  const RangeEstimatorPtr est = BuildFamily(method, data);
-  auto flat = FlatSynopsis::Compile(*est);
+void RunFlat(benchmark::State& state, const RangeEstimator& est,
+             const std::vector<FlatQuery>& queries) {
+  auto flat = FlatSynopsis::Compile(est);
   RANGESYN_CHECK_OK(flat.status());
-  const std::vector<FlatQuery> queries = QueryBatch(kPaperN);
   for (auto _ : state) {
     benchmark::DoNotOptimize(AnswerBatchFlat(*flat.value(), queries));
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
-void BM_FlatBatch(benchmark::State& state, const std::string& method) {
-  const std::vector<int64_t> data = Dataset(kPaperN);
-  const RangeEstimatorPtr est = BuildFamily(method, data);
-  auto flat = FlatSynopsis::Compile(*est);
+void RunFlatBatch(benchmark::State& state, const RangeEstimator& est,
+                  const std::vector<FlatQuery>& queries) {
+  auto flat = FlatSynopsis::Compile(est);
   RANGESYN_CHECK_OK(flat.status());
-  const std::vector<FlatQuery> queries = QueryBatch(kPaperN);
   std::vector<double> out(queries.size());
   FlatSynopsis::BatchScratch scratch;
-  // Warm the scratch so the timed loop never allocates.
+  // One untimed pass warms the caches.
   RANGESYN_CHECK_OK(flat.value()->EstimateMany(queries, out, &scratch));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -160,6 +160,31 @@ void BM_FlatBatch(benchmark::State& state, const std::string& method) {
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
+}
+
+void BM_Flat(benchmark::State& state, const std::string& method) {
+  RunFlat(state, *BuildFamily(method, Dataset(kPaperN)),
+          QueryBatch(kPaperN));
+}
+
+void BM_FlatBatch(benchmark::State& state, const std::string& method) {
+  RunFlatBatch(state, *BuildFamily(method, Dataset(kPaperN)),
+               QueryBatch(kPaperN));
+}
+
+AvgHistogram LargeEquiDepth() {
+  auto hist = BuildEquiDepth(Dataset(kLargeN), kLargeBuckets);
+  RANGESYN_CHECK_OK(hist.status());
+  RANGESYN_CHECK_EQ(hist->partition().num_buckets(), kLargeBuckets);
+  return std::move(hist).value();
+}
+
+void BM_Flat_EquiDepthLarge(benchmark::State& state) {
+  RunFlat(state, LargeEquiDepth(), QueryBatch(kLargeN));
+}
+
+void BM_FlatBatch_EquiDepthLarge(benchmark::State& state) {
+  RunFlatBatch(state, LargeEquiDepth(), QueryBatch(kLargeN));
 }
 
 #define RANGESYN_QUERY_FLAT_ROWS(Name, method)                      \
@@ -180,6 +205,8 @@ RANGESYN_QUERY_FLAT_ROWS(Sap2, "sap2");
 RANGESYN_QUERY_FLAT_ROWS(Naive, "naive");
 RANGESYN_QUERY_FLAT_ROWS(WavePoint, "wave-point");
 RANGESYN_QUERY_FLAT_ROWS(WaveRangeOpt, "wave-range-opt");
+BENCHMARK(BM_Flat_EquiDepthLarge);
+BENCHMARK(BM_FlatBatch_EquiDepthLarge);
 
 }  // namespace
 }  // namespace rangesyn

@@ -1,6 +1,7 @@
 #include "audit/verifier.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -11,10 +12,11 @@
 #include "core/logging.h"
 #include "core/mathutil.h"
 #include "core/strings.h"
-#include "engine/serialize.h"
 #include "histogram/bucket_cost.h"
 #include "histogram/builders.h"
 #include "histogram/prefix_stats.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 #include "wavelet/haar.h"
 #include "wavelet/selection.h"
 #include "wavelet/synopsis.h"
@@ -212,35 +214,38 @@ Status Verifier::VerifyWaveRangeOpt(const std::vector<int64_t>& data,
 
 Status Verifier::VerifySerializeRoundTrip(
     const RangeEstimator& estimator) const {
-  RANGESYN_ASSIGN_OR_RETURN(std::string bytes,
-                            SerializeSynopsis(estimator));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr restored,
-                            DeserializeSynopsis(bytes));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            FlatSynopsis::Compile(estimator));
+  RANGESYN_ASSIGN_OR_RETURN(const std::string bytes,
+                            EncodeFlatSynopsis(*flat));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> restored,
+                            DecodeFlatSynopsis(bytes));
   if (restored->Name() != estimator.Name() ||
-      restored->domain_size() != estimator.domain_size() ||
+      restored->n() != estimator.domain_size() ||
       restored->StorageWords() != estimator.StorageWords()) {
     return InternalError(
         StrCat("audit mismatch [round-trip metadata]: ", estimator.Name(),
-               " n=", estimator.domain_size(), " came back as ",
-               restored->Name(), " n=", restored->domain_size()));
+               " n=", estimator.domain_size(), " words=",
+               estimator.StorageWords(), " came back as ", restored->Name(),
+               " n=", restored->n(), " words=", restored->StorageWords()));
   }
-  // Re-serializing the restored synopsis must reproduce the exact bytes:
-  // every *stored* word round-trips bitwise (only derived quantities are
-  // recomputed).
-  RANGESYN_ASSIGN_OR_RETURN(std::string bytes2,
-                            SerializeSynopsis(*restored));
+  // Re-encoding the decoded synopsis must reproduce the exact bytes: every
+  // stored word and the name round-trip bitwise.
+  RANGESYN_ASSIGN_OR_RETURN(const std::string bytes2,
+                            EncodeFlatSynopsis(*restored));
   if (bytes2 != bytes) {
     return InternalError(
-        StrCat("audit mismatch [round-trip bytes]: re-serializing a restored ",
+        StrCat("audit mismatch [round-trip bytes]: re-encoding a decoded ",
                estimator.Name(), " produced different bytes"));
   }
+  // The decoded synopsis answers bit for bit what its source does.
   const int64_t n = estimator.domain_size();
-  const int64_t step = std::max<int64_t>(1, n / 16);
-  for (int64_t a = 1; a <= n; a += (n <= 64 ? 1 : step)) {
-    for (int64_t b = a; b <= n; b += (n <= 64 ? 1 : step)) {
+  const int64_t step = n <= 64 ? 1 : std::max<int64_t>(1, n / 16);
+  for (int64_t a = 1; a <= n; a += step) {
+    for (int64_t b = a; b <= n; b += step) {
       const double orig = estimator.EstimateRange(a, b);
-      const double back = restored->EstimateRange(a, b);
-      if (!AlmostEqual(back, orig, 1e-12, 1e-9)) {
+      const double back = restored->EstimateOne(a, b);
+      if (std::bit_cast<uint64_t>(back) != std::bit_cast<uint64_t>(orig)) {
         return InternalError(StrCat("audit mismatch [round-trip estimate]: ",
                                     estimator.Name(), " range [", a, ",", b,
                                     "] ", orig, " -> ", back));

@@ -71,7 +71,9 @@ class Verifier {
   Status VerifyWaveRangeOpt(const std::vector<int64_t>& data,
                             int64_t budget) const;
 
-  /// serialize → deserialize → identical metadata and range answers.
+  /// The full RSF1 round trip: compile → encode → decode gives back the
+  /// name, n and paper storage words, re-encodes to identical bytes, and
+  /// answers every range bit-identically to `estimator`.
   Status VerifySerializeRoundTrip(const RangeEstimator& estimator) const;
 
   /// Runs every applicable check for one dataset/budget combination,

@@ -17,7 +17,6 @@
 #include "data/rounding.h"
 #include "engine/catalog.h"
 #include "engine/factory.h"
-#include "engine/serialize.h"
 #include "qpath/flat_file.h"
 #include "qpath/flat_synopsis.h"
 #include "eval/experiment.h"
@@ -95,8 +94,9 @@ Result<std::string> CmdBuild(const std::vector<std::string>& args) {
                             BuildSynopsisWithOptions(spec, data,
                                                      build_options));
   const RangeEstimatorPtr& est = outcome.estimator;
-  RANGESYN_RETURN_IF_ERROR(
-      SaveSynopsisToFile(*est, flags.GetString("out")));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            FlatSynopsis::Compile(*est));
+  RANGESYN_RETURN_IF_ERROR(SaveFlatSynopsis(*flat, flags.GetString("out")));
   // Total-mass self-check: one real query through the freshly built
   // synopsis, so even a bare `build` run exercises the query path.
   const double total = est->EstimateRange(1, est->domain_size());
@@ -114,46 +114,23 @@ Result<std::string> CmdBuild(const std::vector<std::string>& args) {
                 FormatG(total, 10), "\n");
 }
 
-Result<std::string> CmdInspect(const std::vector<std::string>& args) {
-  FlagSet flags("rangesyn inspect", "describe a persisted synopsis");
-  flags.DefineString("synopsis", "synopsis.rsn", "synopsis path");
-  RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est,
-                            LoadSynopsisFromFile(flags.GetString("synopsis")));
-  return StrCat("name:    ", est->Name(), "\nstorage: ",
-                est->StorageWords(), " words\ndomain:  1..",
-                est->domain_size(), "\n");
-}
-
-/// Resolves the estimator a query command should serve from: the mmap'd
-/// flat file when --flat-file is set, the flat compilation of the loaded
-/// synopsis under --flat, or the legacy estimator otherwise. The flat
-/// paths answer bit-identically to the legacy one, so the choice is purely
-/// about serving cost.
-Result<RangeEstimatorPtr> LoadQueryEstimator(const FlagSet& flags) {
-  const std::string flat_file = flags.GetString("flat-file");
-  if (!flat_file.empty()) {
-    RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                              OpenFlatMapped(flat_file));
-    return RangeEstimatorPtr(
-      std::make_unique<FlatRangeEstimator>(std::move(flat)));
-  }
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est,
-                            LoadSynopsisFromFile(flags.GetString("synopsis")));
-  if (!flags.GetBool("flat")) return est;
+/// Opens the --synopsis RSF1 file: mmap'd, checked once, and served
+/// straight from the mapping.
+Result<RangeEstimatorPtr> OpenSynopsis(const FlagSet& flags) {
   RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(*est));
+                            OpenFlatMapped(flags.GetString("synopsis")));
   return RangeEstimatorPtr(
       std::make_unique<FlatRangeEstimator>(std::move(flat)));
 }
 
-void DefineFlatFlags(FlagSet* flags) {
-  flags->DefineBool("flat", false,
-                    "serve through the flat (structure-of-arrays) query "
-                    "path; answers are bit-identical to the legacy path");
-  flags->DefineString("flat-file", "",
-                      "RSF1 flat synopsis (see compile-flat); mmap'd and "
-                      "served zero-copy, overrides --synopsis");
+Result<std::string> CmdInspect(const std::vector<std::string>& args) {
+  FlagSet flags("rangesyn inspect", "describe a persisted synopsis");
+  flags.DefineString("synopsis", "synopsis.rsn", "synopsis path");
+  RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
+  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, OpenSynopsis(flags));
+  return StrCat("name:    ", est->Name(), "\nstorage: ",
+                est->StorageWords(), " words\ndomain:  1..",
+                est->domain_size(), "\n");
 }
 
 Result<std::string> CmdEstimate(const std::vector<std::string>& args) {
@@ -161,10 +138,8 @@ Result<std::string> CmdEstimate(const std::vector<std::string>& args) {
   flags.DefineString("synopsis", "synopsis.rsn", "synopsis path");
   flags.DefineInt64("a", 1, "range start (1-based, inclusive)");
   flags.DefineInt64("b", 1, "range end (inclusive)");
-  DefineFlatFlags(&flags);
   RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est,
-                            LoadQueryEstimator(flags));
+  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, OpenSynopsis(flags));
   const int64_t a = flags.GetInt64("a");
   const int64_t b = flags.GetInt64("b");
   if (a < 1 || a > b || b > est->domain_size()) {
@@ -176,23 +151,6 @@ Result<std::string> CmdEstimate(const std::vector<std::string>& args) {
                 FormatG(est->EstimateRange(a, b), 10), "\n");
 }
 
-Result<std::string> CmdCompileFlat(const std::vector<std::string>& args) {
-  FlagSet flags("rangesyn compile-flat",
-                "compile a synopsis into an mmap-able RSF1 flat file");
-  flags.DefineString("synopsis", "synopsis.rsn", "input synopsis path");
-  flags.DefineString("out", "synopsis.rsf", "output flat file path");
-  RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est,
-                            LoadSynopsisFromFile(flags.GetString("synopsis")));
-  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(*est));
-  RANGESYN_RETURN_IF_ERROR(
-      SaveFlatSynopsis(*flat, flags.GetString("out")));
-  return StrCat("compiled ", est->Name(), " -> ", flat->Name(), " (",
-                flat->i64s().size(), " i64 + ", flat->f64s().size(),
-                " f64 words) -> ", flags.GetString("out"), "\n");
-}
-
 Result<std::string> CmdEvaluate(const std::vector<std::string>& args) {
   FlagSet flags("rangesyn evaluate",
                 "score a synopsis against exact answers");
@@ -200,10 +158,8 @@ Result<std::string> CmdEvaluate(const std::vector<std::string>& args) {
   flags.DefineString("data", "data.csv", "ground-truth distribution CSV");
   flags.DefineString("workload", "",
                      "optional query-log CSV (default: all ranges)");
-  DefineFlatFlags(&flags);
   RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est,
-                            LoadQueryEstimator(flags));
+  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, OpenSynopsis(flags));
   RANGESYN_ASSIGN_OR_RETURN(std::vector<int64_t> data,
                             LoadDistributionCsv(flags.GetString("data")));
   ErrorStats stats;
@@ -284,11 +240,13 @@ Result<std::string> CmdStats(const std::vector<std::string>& args) {
   SynopsisSpec spec;
   spec.method = flags.GetString("method");
   spec.budget_words = flags.GetInt64("budget");
-  // Build -> evaluate -> serialize, so the dump below covers every
+  // Build -> evaluate -> encode, so the dump below covers every
   // instrumented phase of the pipeline.
   RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, BuildSynopsis(spec, data));
   RANGESYN_ASSIGN_OR_RETURN(ErrorStats err, AllRangesStats(data, *est));
-  RANGESYN_ASSIGN_OR_RETURN(const std::string bytes, SerializeSynopsis(*est));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            FlatSynopsis::Compile(*est));
+  RANGESYN_ASSIGN_OR_RETURN(const std::string bytes, EncodeFlatSynopsis(*flat));
   // Eagerly register the serving metrics (serve.request.*, serve.queue.*,
   // ...) so scrapers see the full serving series — at zero — even from a
   // process that never handled a request.
@@ -521,7 +479,6 @@ std::string CliUsage() {
       "  inspect    describe a persisted synopsis\n"
       "  estimate   answer one range query from a synopsis\n"
       "  evaluate   score a synopsis against exact answers\n"
-      "  compile-flat  compile a synopsis into an mmap-able flat file\n"
       "  sweep      run a Figure-1 style storage sweep\n"
       "  stats      run an instrumented pipeline and report obs metrics\n"
       "  serve      serve synopsis estimates over RSP1 until SIGTERM\n"
@@ -611,7 +568,6 @@ Result<std::string> RunCliCommand(const std::vector<std::string>& args) {
     if (command == "inspect") return CmdInspect(rest);
     if (command == "estimate") return CmdEstimate(rest);
     if (command == "evaluate") return CmdEvaluate(rest);
-    if (command == "compile-flat") return CmdCompileFlat(rest);
     if (command == "sweep") return CmdSweep(rest);
     if (command == "stats") return CmdStats(rest);
     if (command == "serve") return CmdServe(rest);

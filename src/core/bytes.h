@@ -10,7 +10,8 @@
 
 namespace rangesyn {
 
-/// Little-endian binary writer backing the synopsis/catalog serializers.
+/// Little-endian binary writer backing the catalog snapshot format and
+/// the RSP1 wire codec.
 /// All writes append to an internal buffer retrievable with Release().
 class ByteWriter {
  public:

@@ -1,6 +1,7 @@
 #include "engine/catalog.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "core/bytes.h"
@@ -8,8 +9,8 @@
 #include "core/failpoint.h"
 #include "core/fs.h"
 #include "core/strings.h"
-#include "engine/serialize.h"
 #include "obs/obs.h"
+#include "qpath/flat_file.h"
 
 namespace rangesyn {
 
@@ -51,19 +52,16 @@ Status SynopsisCatalog::RegisterDistribution(const std::string& key,
       return AlreadyExistsError(StrCat("catalog entry '", key, "' exists"));
     }
   }
-  // The synopsis build is the expensive part; run it outside the lock so
-  // concurrent registrations of different keys build in parallel.
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr estimator,
-                            BuildSynopsis(spec, dist.counts));
-  Entry entry;
-  entry.domain_lo = dist.domain_lo;
-  entry.domain_size = dist.domain_size();
-  entry.method = spec.method;
-  entry.estimator = std::move(estimator);
-  // The raw counts are not retained — the synopsis is the point.
-  entry.distribution.domain_lo = dist.domain_lo;
+  // The synopsis build and its flat compile are the expensive part; run
+  // them outside the lock so concurrent registrations of different keys
+  // build in parallel. The raw counts are not retained — the synopsis is
+  // the point.
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            BuildFlatSynopsis(spec, dist.counts));
   MutexLock lock(mu_);
-  if (!entries_.emplace(key, std::move(entry)).second) {
+  if (!entries_.emplace(key, Entry{dist.domain_lo, spec.method,
+                                   std::move(flat)})
+           .second) {
     return AlreadyExistsError(StrCat("catalog entry '", key, "' exists"));
   }
   return OkStatus();
@@ -79,18 +77,10 @@ Result<const SynopsisCatalog::Entry*> SynopsisCatalog::FindLocked(
 }
 
 Result<std::shared_ptr<const FlatSynopsis>> SynopsisCatalog::FlatView(
-    const std::string& key) {
+    const std::string& key) const {
   MutexLock lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    return NotFoundError(StrCat("no catalog entry '", key, "'"));
-  }
-  Entry& entry = it->second;
-  if (entry.flat == nullptr) {
-    RANGESYN_ASSIGN_OR_RETURN(entry.flat,
-                              FlatSynopsis::Compile(*entry.estimator));
-  }
-  return entry.flat;
+  RANGESYN_ASSIGN_OR_RETURN(const Entry* entry, FindLocked(key));
+  return entry->flat;
 }
 
 Status SynopsisCatalog::Evict(const std::string& key) {
@@ -109,13 +99,13 @@ Result<double> SynopsisCatalog::EstimateCountBetweenLocked(
   RANGESYN_ASSIGN_OR_RETURN(const Entry* entry, FindLocked(key));
   // Clip the value range to the registered domain.
   const int64_t d_lo = entry->domain_lo;
-  const int64_t d_hi = entry->domain_lo + entry->domain_size - 1;
+  const int64_t d_hi = entry->domain_lo + entry->flat->n() - 1;
   const int64_t c_lo = std::max(lo, d_lo);
   const int64_t c_hi = std::min(hi, d_hi);
   if (c_lo > c_hi) return 0.0;
   const int64_t a = c_lo - d_lo + 1;
   const int64_t b = c_hi - d_lo + 1;
-  return entry->estimator->EstimateRange(a, b);
+  return entry->flat->EstimateOne(a, b);
 }
 
 Result<double> SynopsisCatalog::EstimateCountBetween(const std::string& key,
@@ -134,7 +124,7 @@ Result<double> SynopsisCatalog::EstimateSelectivityLocked(
     const std::string& key, int64_t lo, int64_t hi) const {
   RANGESYN_ASSIGN_OR_RETURN(const Entry* entry, FindLocked(key));
   const int64_t d_lo = entry->domain_lo;
-  const int64_t d_hi = entry->domain_lo + entry->domain_size - 1;
+  const int64_t d_hi = entry->domain_lo + entry->flat->n() - 1;
   RANGESYN_ASSIGN_OR_RETURN(double total,
                             EstimateCountBetweenLocked(key, d_lo, d_hi));
   if (total <= 0.0) return 0.0;
@@ -169,14 +159,14 @@ Result<double> SynopsisCatalog::EstimateConjunctionSelectivity(
 Result<int64_t> SynopsisCatalog::StorageWords(const std::string& key) const {
   MutexLock lock(mu_);
   RANGESYN_ASSIGN_OR_RETURN(const Entry* entry, FindLocked(key));
-  return entry->estimator->StorageWords();
+  return entry->flat->StorageWords();
 }
 
 int64_t SynopsisCatalog::TotalStorageWords() const {
   MutexLock lock(mu_);
   int64_t total = 0;
   for (const auto& [key, entry] : entries_) {
-    total += entry.estimator->StorageWords();
+    total += entry.flat->StorageWords();
   }
   return total;
 }
@@ -184,13 +174,24 @@ int64_t SynopsisCatalog::TotalStorageWords() const {
 namespace {
 
 constexpr uint32_t kCatalogMagic = 0x52534343;  // "RSCC"
-// v1: magic, version, count, then inline entries (no checksums).
-// v2: magic, version, count, then per entry a length-prefixed blob
+// v3: magic, version, count, then per entry a length-prefixed blob
 //     followed by its own CRC32C, and finally a CRC32C trailer over the
-//     whole preceding buffer. The per-entry checksums are what make
-//     quarantine possible: damage stays localized to one blob.
-constexpr uint8_t kCatalogVersion = 2;
+//     whole preceding buffer. A blob is the key, domain_lo and method,
+//     then the synopsis' RSF1 bytes to the blob's end. The per-entry
+//     checksums are what make quarantine possible: damage stays localized
+//     to one blob. v1 (inline entries) and v2 (stream-format synopses)
+//     are refused.
+constexpr uint8_t kCatalogVersion = 3;
+constexpr size_t kCatalogHeaderSize = 9;  // magic + version + count
 constexpr size_t kCatalogTrailerSize = 4;
+
+/// Best-effort key of a blob that failed its CRC, for the quarantine
+/// report; garbage keys are acceptable.
+std::string BlobKeyOrEmpty(std::string_view blob) {
+  ByteReader r(blob);
+  Result<std::string> key = r.ReadString();
+  return key.ok() ? std::move(key.value()) : std::string();
+}
 
 }  // namespace
 
@@ -204,12 +205,11 @@ Result<std::string> SynopsisCatalog::Serialize() const {
     ByteWriter ew;
     ew.WriteString(key);
     ew.WriteI64(entry.domain_lo);
-    ew.WriteI64(entry.domain_size);
     ew.WriteString(entry.method);
-    RANGESYN_ASSIGN_OR_RETURN(std::string synopsis,
-                              SerializeSynopsis(*entry.estimator));
-    ew.WriteString(synopsis);
-    const std::string blob = ew.Release();
+    RANGESYN_ASSIGN_OR_RETURN(const std::string synopsis,
+                              EncodeFlatSynopsis(*entry.flat));
+    std::string blob = ew.Release();
+    blob += synopsis;
     w.WriteString(blob);
     w.WriteU32(Crc32c(blob));
   }
@@ -219,18 +219,6 @@ Result<std::string> SynopsisCatalog::Serialize() const {
   body += trailer.Release();
   return body;
 }
-
-namespace {
-
-/// Parses one v2 entry blob (already CRC-verified in strict mode).
-Result<std::pair<std::string, std::string>> ReadEntryBlobKey(
-    std::string_view blob) {
-  ByteReader er(blob);
-  RANGESYN_ASSIGN_OR_RETURN(std::string key, er.ReadString());
-  return std::make_pair(std::move(key), std::string());
-}
-
-}  // namespace
 
 Result<SynopsisCatalog> SynopsisCatalog::Deserialize(
     std::string_view bytes) {
@@ -242,33 +230,30 @@ Result<SynopsisCatalog> SynopsisCatalog::DeserializeWithReport(
   // Null report <=> strict mode: the first entry-level failure rejects the
   // whole buffer instead of quarantining it.
   const bool strict = report == nullptr;
-  std::string_view body = bytes;
-  bool v2 = false;
-  if (bytes.size() >= 9 && static_cast<uint8_t>(bytes[4]) >= 2) {
-    v2 = true;
-    if (bytes.size() < 9 + kCatalogTrailerSize) {
-      return InvalidArgumentError("catalog deserialize: truncated trailer");
-    }
-    body = bytes.substr(0, bytes.size() - kCatalogTrailerSize);
-    ByteReader tr(bytes.substr(bytes.size() - kCatalogTrailerSize));
-    RANGESYN_ASSIGN_OR_RETURN(const uint32_t stored, tr.ReadU32());
-    if (Crc32c(body) != stored && strict) {
-      return InvalidArgumentError(
-          "catalog deserialize: CRC32C mismatch (corrupt catalog)");
-    }
-    // Lenient mode proceeds on a trailer mismatch: the per-entry checksums
-    // below localize the damage to individual blobs.
+  if (bytes.size() < kCatalogHeaderSize + kCatalogTrailerSize) {
+    return InvalidArgumentError("catalog deserialize: truncated");
   }
+  const std::string_view body =
+      bytes.substr(0, bytes.size() - kCatalogTrailerSize);
   ByteReader r(body);
-  RANGESYN_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
+  RANGESYN_ASSIGN_OR_RETURN(const uint32_t magic, r.ReadU32());
   if (magic != kCatalogMagic) {
     return InvalidArgumentError("catalog deserialize: bad magic");
   }
-  RANGESYN_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  if (version != 1 && version != kCatalogVersion) {
-    return InvalidArgumentError("catalog deserialize: bad version");
+  RANGESYN_ASSIGN_OR_RETURN(const uint8_t version, r.ReadU8());
+  if (version != kCatalogVersion) {
+    return InvalidArgumentError(
+        StrCat("catalog deserialize: unsupported version ", version));
   }
-  RANGESYN_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
+  ByteReader tr(bytes.substr(body.size()));
+  RANGESYN_ASSIGN_OR_RETURN(const uint32_t stored, tr.ReadU32());
+  if (Crc32c(body) != stored && strict) {
+    return InvalidArgumentError(
+        "catalog deserialize: CRC32C mismatch (corrupt catalog)");
+  }
+  // Lenient mode proceeds on a trailer mismatch: the per-entry checksums
+  // below localize the damage to individual blobs.
+  RANGESYN_ASSIGN_OR_RETURN(const uint32_t count, r.ReadU32());
   if (report != nullptr) {
     report->entries_total = static_cast<int64_t>(count);
     report->entries_loaded = 0;
@@ -277,71 +262,44 @@ Result<SynopsisCatalog> SynopsisCatalog::DeserializeWithReport(
   SynopsisCatalog catalog;
   uint64_t quarantined = 0;
   for (uint32_t i = 0; i < count; ++i) {
+    // The framing (length prefix + CRC word) must parse even when the
+    // blob inside is garbage; a framing failure is unrecoverable because
+    // the stream position is lost.
+    RANGESYN_ASSIGN_OR_RETURN(const std::string blob, r.ReadString());
+    RANGESYN_ASSIGN_OR_RETURN(const uint32_t blob_crc, r.ReadU32());
     std::string key;
-    std::string blob_storage;  // v2 only; keeps the view below alive
-    // v1 entries are inline: parse them from the unread suffix and hand
-    // the advanced reader back to `r` on success.
-    std::string_view entry_bytes = body.substr(body.size() - r.remaining());
-    Status entry_status = OkStatus();
-    if (v2) {
-      // The framing (length prefix + CRC word) must parse even when the
-      // blob inside is garbage; a framing failure is unrecoverable
-      // because the stream position is lost.
-      RANGESYN_ASSIGN_OR_RETURN(blob_storage, r.ReadString());
-      RANGESYN_ASSIGN_OR_RETURN(const uint32_t stored, r.ReadU32());
-      entry_bytes = blob_storage;
-      if (Crc32c(blob_storage) != stored) {
-        entry_status = InvalidArgumentError(
-            "catalog entry: CRC32C mismatch (corrupt entry)");
-        // Best-effort name for the report; garbage keys are acceptable.
-        if (Result<std::pair<std::string, std::string>> k =
-                ReadEntryBlobKey(blob_storage);
-            k.ok()) {
-          key = std::move(k.value().first);
-        }
-      }
-    }
     Entry entry;
-    if (entry_status.ok()) {
-      ByteReader er(entry_bytes);
-      const auto parse = [&]() -> Status {
-        RANGESYN_ASSIGN_OR_RETURN(key, er.ReadString());
-        RANGESYN_ASSIGN_OR_RETURN(entry.domain_lo, er.ReadI64());
-        RANGESYN_ASSIGN_OR_RETURN(entry.domain_size, er.ReadI64());
-        RANGESYN_ASSIGN_OR_RETURN(entry.method, er.ReadString());
-        RANGESYN_ASSIGN_OR_RETURN(std::string synopsis, er.ReadString());
-        RANGESYN_ASSIGN_OR_RETURN(entry.estimator,
-                                  DeserializeSynopsis(synopsis));
-        if (entry.domain_size != entry.estimator->domain_size()) {
-          return InvalidArgumentError(StrCat(
-              "catalog deserialize: domain mismatch for '", key, "'"));
-        }
-        if (v2 && !er.AtEnd()) {
-          return InvalidArgumentError(
-              "catalog entry: trailing bytes in entry blob");
-        }
-        return OkStatus();
-      };
-      entry_status = parse();
-      if (!v2 && entry_status.ok()) {
-        // v1 entries are inline: re-sync the shared reader past what the
-        // entry consumed. (On failure the v1 stream position is lost, so
-        // v1 is always strict.)
-        r = std::move(er);
+    const auto parse = [&]() -> Status {
+      if (Crc32c(blob) != blob_crc) {
+        key = BlobKeyOrEmpty(blob);
+        return InvalidArgumentError(
+            "catalog entry: CRC32C mismatch (corrupt entry)");
       }
-    }
-    if (entry_status.ok()) {
-      entry.distribution.domain_lo = entry.domain_lo;
+      ByteReader er(blob);
+      RANGESYN_ASSIGN_OR_RETURN(key, er.ReadString());
+      RANGESYN_ASSIGN_OR_RETURN(entry.domain_lo, er.ReadI64());
+      RANGESYN_ASSIGN_OR_RETURN(entry.method, er.ReadString());
+      RANGESYN_ASSIGN_OR_RETURN(
+          entry.flat,
+          DecodeFlatSynopsis(std::string_view(blob).substr(
+              blob.size() - er.remaining())));
+      if (entry.domain_lo >
+          std::numeric_limits<int64_t>::max() - (entry.flat->n() - 1)) {
+        return InvalidArgumentError(StrCat(
+            "catalog deserialize: domain overflows for '", key, "'"));
+      }
       // `catalog` is function-local, but its map is guarded: take its
       // lock for the insert so the capability contract holds everywhere.
       MutexLock lock(catalog.mu_);
       if (!catalog.entries_.emplace(key, std::move(entry)).second) {
-        entry_status =
-            InvalidArgumentError(StrCat("duplicate catalog key '", key, "'"));
+        return InvalidArgumentError(
+            StrCat("duplicate catalog key '", key, "'"));
       }
-    }
+      return OkStatus();
+    };
+    const Status entry_status = parse();
     if (!entry_status.ok()) {
-      if (strict || !v2) return entry_status;
+      if (strict) return entry_status;
       ++quarantined;
       RANGESYN_LOG_EVENT(Warning, "engine.catalog.entry_quarantined")
           .Arg("index", static_cast<int64_t>(i))
@@ -395,9 +353,8 @@ std::vector<SynopsisCatalog::EntryInfo> SynopsisCatalog::ListEntries() const {
   std::vector<EntryInfo> out;
   out.reserve(entries_.size());
   for (const auto& [key, entry] : entries_) {
-    out.push_back({key, entry.method, entry.estimator->StorageWords(),
-                   entry.domain_lo,
-                   entry.domain_lo + entry.domain_size - 1});
+    out.push_back({key, entry.method, entry.flat->StorageWords(),
+                   entry.domain_lo, entry.domain_lo + entry.flat->n() - 1});
   }
   return out;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/analysis_annotations.h"
-#include "core/estimator.h"
 #include "core/mutex.h"
 #include "core/result.h"
 #include "engine/factory.h"
@@ -21,16 +20,20 @@ namespace rangesyn {
 /// accounting. This is the component a query optimizer or approximate
 /// query processor would consult instead of scanning the table.
 ///
+/// Each entry holds its synopsis in the flat form (src/qpath), compiled
+/// once at registration: estimates, storage accounting and persistence
+/// all read that one view, and the persisted form of an entry is its
+/// RSF1 bytes (qpath/flat_file.h).
+///
 /// Thread safety: all operations are safe to call concurrently on one
-/// catalog — `mu_` serializes every access to the entry map, including
-/// FlatView's lazy compile against a concurrent Evict. Moving a catalog
-/// concurrently with any other use of either operand is not supported
-/// (the standard C++ move contract).
+/// catalog — `mu_` serializes every access to the entry map. Moving a
+/// catalog concurrently with any other use of either operand is not
+/// supported (the standard C++ move contract).
 class SynopsisCatalog {
  public:
   SynopsisCatalog() = default;
 
-  // Move-only (owns estimators). Hand-written because Mutex is neither
+  // Move-only (owns its entries). Hand-written because Mutex is neither
   // movable nor copyable: a move transfers the entries under both locks
   // and leaves each catalog with its own mutex.
   SynopsisCatalog(SynopsisCatalog&& other) noexcept;
@@ -44,7 +47,8 @@ class SynopsisCatalog {
   Status RegisterColumn(const std::string& key, const Column& column,
                         const SynopsisSpec& spec);
 
-  /// Registers a synopsis over an explicit, pre-built distribution.
+  /// Registers a synopsis over an explicit, pre-built distribution. The
+  /// build and the flat compile run outside the lock.
   Status RegisterDistribution(const std::string& key,
                               AttributeDistribution distribution,
                               const SynopsisSpec& spec);
@@ -92,10 +96,11 @@ class SynopsisCatalog {
   /// a database would persist across restarts instead of rebuilding
   /// statistics from table scans.
   ///
-  /// Format v2 (current writer) length-prefixes each entry and protects it
-  /// with its own CRC32C, plus a whole-buffer CRC32C trailer; v1 buffers
-  /// (inline entries, no checksums) are still read. Deserialize is strict:
-  /// any checksum or parse failure rejects the whole buffer.
+  /// Format v3 length-prefixes each entry (key, domain_lo, method, then
+  /// the synopsis' RSF1 bytes) and protects it with its own CRC32C, plus a
+  /// whole-buffer CRC32C trailer. Versions 1 and 2 are refused.
+  /// Deserialize is strict: any checksum or parse failure rejects the
+  /// whole buffer.
   Result<std::string> Serialize() const;
   static Result<SynopsisCatalog> Deserialize(std::string_view bytes);
 
@@ -111,12 +116,11 @@ class SynopsisCatalog {
     std::vector<Quarantined> quarantined;
   };
 
-  /// Lenient variant for v2 buffers: an entry whose CRC or parse fails is
-  /// *quarantined* — skipped and recorded in `report` — while the
-  /// remaining entries load normally (the per-entry checksums localize the
-  /// damage). Fails outright only when the header or entry framing is
-  /// unusable (and always behaves strictly on v1 buffers, which have no
-  /// per-entry checksums to localize with). `report` may be null.
+  /// Lenient variant: an entry whose CRC or parse fails is *quarantined* —
+  /// skipped and recorded in `report` — while the remaining entries load
+  /// normally (the per-entry checksums localize the damage). Fails
+  /// outright only when the header or entry framing is unusable.
+  /// `report` may be null.
   static Result<SynopsisCatalog> DeserializeWithReport(
       std::string_view bytes, LoadReport* report);
 
@@ -129,14 +133,13 @@ class SynopsisCatalog {
       const std::string& path, LoadReport* report);
 
   /// Flat (structure-of-arrays) view of `key`'s synopsis for the serving
-  /// hot path. Compiled lazily on first request and cached; later calls
-  /// return the same shared view. The view answers queries bit-identically
-  /// to the entry's estimator (tests/qpath_equivalence_test.cc). Lends a
-  /// view: the returned shared_ptr is the keep-alive handle for the flat
-  /// storage; the lazy compile-and-cache runs under `mu_`, so racing
-  /// FlatView calls agree on one view and never observe a half-built one.
+  /// hot path: the entry's own view, compiled at registration, so every
+  /// call returns the same object. It answers queries bit-identically to
+  /// the estimator it was compiled from (tests/qpath_equivalence_test.cc).
+  /// Lends a view: the returned shared_ptr is the keep-alive handle for
+  /// the flat storage.
   RANGESYN_LENDS_VIEW Result<std::shared_ptr<const FlatSynopsis>> FlatView(
-      const std::string& key);
+      const std::string& key) const;
 
   /// Removes `key` from the catalog. Lifetime contract: flat views handed
   /// out earlier stay valid — they share ownership of their storage — so
@@ -156,13 +159,10 @@ class SynopsisCatalog {
 
  private:
   struct Entry {
-    AttributeDistribution distribution;  // counts cleared after build
     int64_t domain_lo = 0;
-    int64_t domain_size = 0;
     std::string method;
-    RangeEstimatorPtr estimator;
-    /// Lazily compiled flat view (FlatView); shared with callers so
-    /// eviction cannot invalidate an outstanding reader.
+    /// The synopsis; its n() is the domain size. Shared with FlatView
+    /// callers so eviction cannot invalidate an outstanding reader.
     std::shared_ptr<const FlatSynopsis> flat;
   };
 
@@ -179,9 +179,7 @@ class SynopsisCatalog {
                                            int64_t lo, int64_t hi) const
       RANGESYN_REQUIRES(mu_);
 
-  /// Serializes every access to `entries_`, including FlatView's lazy
-  /// compile-and-cache of `Entry::flat` against concurrent Evict — the
-  /// map erase would otherwise race the in-place entry mutation.
+  /// Serializes every access to `entries_`.
   mutable Mutex mu_;
   std::map<std::string, Entry> entries_ RANGESYN_GUARDED_BY(mu_);
 };

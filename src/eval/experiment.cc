@@ -1,9 +1,10 @@
 #include "eval/experiment.h"
 
 #include "core/threadpool.h"
-#include "engine/serialize.h"
 #include "eval/report.h"
 #include "obs/obs.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace {
@@ -41,8 +42,10 @@ Status RunSweepCell(const std::vector<int64_t>& data,
   watch.Reset();
   {
     RANGESYN_OBS_SPAN("eval.sweep.serialize");
+    RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                              FlatSynopsis::Compile(*est));
     RANGESYN_ASSIGN_OR_RETURN(const std::string bytes,
-                              SerializeSynopsis(*est));
+                              EncodeFlatSynopsis(*flat));
     row.serialized_bytes = static_cast<int64_t>(bytes.size());
   }
   row.serialize_seconds = watch.Seconds();

@@ -22,8 +22,8 @@ struct ExperimentRow {
   ErrorStats all_ranges;      // error statistics over all ranges
   double build_seconds = 0.0;
   double query_seconds = 0.0;      // all-ranges evaluation wall time
-  double serialize_seconds = 0.0;  // SerializeSynopsis wall time
-  int64_t serialized_bytes = 0;    // wire size of the synopsis
+  double serialize_seconds = 0.0;  // flat compile + RSF1 encode wall time
+  int64_t serialized_bytes = 0;    // RSF1 size of the synopsis
   bool failed = false;        // construction failed (row carries no stats)
   std::string failure;        // status message when failed
 };

@@ -94,7 +94,7 @@ class Sap0Histogram : public RangeEstimator {
   /// Reconstructs a SAP0 histogram from its 3B stored words (boundaries,
   /// suffix values, prefix values); the bucket averages are recovered as
   /// (pref + suff) / (width + 1), which is exact when the summaries are
-  /// the Lemma-5 optimal values. Used by the serializer.
+  /// the Lemma-5 optimal values.
   static Result<Sap0Histogram> FromSummaries(Partition partition,
                                              std::vector<double> suffixes,
                                              std::vector<double> prefixes);

@@ -49,7 +49,7 @@ class WeightedSap0Histogram : public RangeEstimator {
       const std::vector<int64_t>& data, Partition partition,
       const RangeWorkloadWeights& weights);
 
-  /// Reconstructs from the 4B stored words (used by the serializer).
+  /// Reconstructs from the 4B stored words.
   static Result<WeightedSap0Histogram> FromSummaries(
       Partition partition, std::vector<double> suffixes,
       std::vector<double> prefixes, std::vector<double> averages);

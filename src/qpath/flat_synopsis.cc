@@ -45,18 +45,6 @@ std::vector<double> LevelHeights(int64_t padded) {
   return heights;
 }
 
-/// Grows the batch sort-key buffer. Cold: runs once per batch size
-/// increase, never per query.
-RANGESYN_COLD_PATH void EnsureScratch(FlatSynopsis::BatchScratch* scratch,
-                                      size_t count) {
-  if (scratch->keys.size() < count) scratch->keys.resize(count);
-}
-
-/// The sorted batch walk only pays once the per-bucket arrays stop being
-/// cache-resident; below this many buckets every search already hits L1/
-/// L2 and the O(n log n) sort is pure overhead.
-constexpr int64_t kSortedWalkMinBuckets = 4096;
-
 /// Quadratic model evaluation, matching Sap2Histogram::Model::At.
 RANGESYN_HOT_PATH inline double ModelAt(const double* m, double x) {
   return m[0] + m[1] * x + m[2] * x * x;
@@ -73,29 +61,31 @@ struct FlatBuffers {
   std::vector<double> f64s;
 };
 
-/// Validates `buffers` into a view that owns them.
+/// Validates `buffers` into a view that owns them and carries `source`'s
+/// name and storage accounting.
 Result<std::shared_ptr<const FlatSynopsis>> FromHeap(
-    FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
-    int64_t padded_size, FlatBuffers buffers) {
+    const RangeEstimator& source, FlatKind kind, uint8_t aux, int64_t n,
+    int64_t num_buckets, int64_t padded_size, FlatBuffers buffers) {
   auto owned = std::make_shared<const FlatBuffers>(std::move(buffers));
   return FlatSynopsis::FromBuffers(kind, aux, n, num_buckets, padded_size,
-                                   owned->i64s, owned->f64s, owned);
+                                   owned->i64s, owned->f64s, owned,
+                                   source.Name(), source.StorageWords());
 }
 
 /// The shared histogram compilation: the i64 section is the bucket ends,
 /// the f64 section is the cumulative mass of `mass_values` followed by
 /// the per-kind `tail` sections in order.
 Result<std::shared_ptr<const FlatSynopsis>> CompileHistogram(
-    FlatKind kind, uint8_t aux, const Partition& partition,
-    const std::vector<double>& mass_values,
+    const RangeEstimator& source, FlatKind kind, uint8_t aux,
+    const Partition& partition, const std::vector<double>& mass_values,
     std::initializer_list<std::span<const double>> tail) {
   FlatBuffers buffers{partition.ends(),
                       CumulativeMassFlat(partition.ends(), mass_values)};
   for (std::span<const double> section : tail) {
     buffers.f64s.insert(buffers.f64s.end(), section.begin(), section.end());
   }
-  return FromHeap(kind, aux, partition.n(), partition.num_buckets(), 0,
-                  std::move(buffers));
+  return FromHeap(source, kind, aux, partition.n(), partition.num_buckets(),
+                  0, std::move(buffers));
 }
 
 /// Flattens SAP2 quadratic models to c0, c1, c2 per bucket.
@@ -114,7 +104,8 @@ std::vector<double> ModelCoefficients(
 Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromBuffers(
     FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
     int64_t padded_size, std::span<const int64_t> i64s,
-    std::span<const double> f64s, std::shared_ptr<const void> backing) {
+    std::span<const double> f64s, std::shared_ptr<const void> backing,
+    std::string name, int64_t storage_words) {
   // make_shared cannot reach the private constructor; the raw new is
   // immediately owned.
   std::shared_ptr<FlatSynopsis> s(new FlatSynopsis());  // lint: waive(LINT-004)
@@ -123,6 +114,8 @@ Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromBuffers(
   s->n_ = n;
   s->num_buckets_ = num_buckets;
   s->padded_size_ = padded_size;
+  s->name_ = std::move(name);
+  s->storage_words_ = storage_words;
   s->backing_ = std::move(backing);
   s->i64_ = i64s;
   s->f64_ = f64s;
@@ -137,6 +130,9 @@ Status FlatSynopsis::InitAndValidate() {
       kind_ == FlatKind::kSap1 || kind_ == FlatKind::kSap2 ||
       kind_ == FlatKind::kWeightedSap0;
   if (n_ < 1) return InvalidArgumentError("FlatSynopsis: n must be >= 1");
+  if (storage_words_ < 0) {
+    return InvalidArgumentError("FlatSynopsis: negative storage words");
+  }
 
   if (histogram_kind) {
     if (padded_size_ != 0) {
@@ -269,36 +265,36 @@ Status FlatSynopsis::InitAndValidate() {
 Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::Compile(
     const RangeEstimator& estimator) {
   if (const auto* h = dynamic_cast<const AvgHistogram*>(&estimator)) {
-    return CompileHistogram(FlatKind::kAvgHistogram,
+    return CompileHistogram(estimator, FlatKind::kAvgHistogram,
                             static_cast<uint8_t>(h->rounding()),
                             h->partition(), h->values(), {h->values()});
   }
   if (const auto* h = dynamic_cast<const Sap0Histogram*>(&estimator)) {
     return CompileHistogram(
-        FlatKind::kSap0, 0, h->partition(), h->averages(),
+        estimator, FlatKind::kSap0, 0, h->partition(), h->averages(),
         {h->suffix_values(), h->prefix_values(), h->averages()});
   }
   if (const auto* h =
           dynamic_cast<const WeightedSap0Histogram*>(&estimator)) {
     return CompileHistogram(
-        FlatKind::kWeightedSap0, 0, h->partition(), h->averages(),
+        estimator, FlatKind::kWeightedSap0, 0, h->partition(), h->averages(),
         {h->suffix_values(), h->prefix_values(), h->averages()});
   }
   if (const auto* h = dynamic_cast<const Sap1Histogram*>(&estimator)) {
     return CompileHistogram(
-        FlatKind::kSap1, 0, h->partition(), h->averages(),
+        estimator, FlatKind::kSap1, 0, h->partition(), h->averages(),
         {h->suffix_slopes(), h->suffix_intercepts(), h->prefix_slopes(),
          h->prefix_intercepts(), h->averages()});
   }
   if (const auto* h = dynamic_cast<const Sap2Histogram*>(&estimator)) {
-    return CompileHistogram(FlatKind::kSap2, 0, h->partition(),
+    return CompileHistogram(estimator, FlatKind::kSap2, 0, h->partition(),
                             h->averages(),
                             {ModelCoefficients(h->suffix_models()),
                              ModelCoefficients(h->prefix_models()),
                              h->averages()});
   }
   if (const auto* e = dynamic_cast<const NaiveEstimator*>(&estimator)) {
-    return FromHeap(FlatKind::kNaive, 0, e->domain_size(), 0, 0,
+    return FromHeap(estimator, FlatKind::kNaive, 0, e->domain_size(), 0, 0,
                     FlatBuffers{{}, {e->average()}});
   }
   if (const auto* w = dynamic_cast<const WaveletSynopsis*>(&estimator)) {
@@ -311,32 +307,12 @@ Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::Compile(
       f64s[table_off + static_cast<size_t>(c.index)] = c.value;
     }
     const uint8_t aux = w->domain() == WaveletDomain::kData ? 0 : 1;
-    return FromHeap(FlatKind::kWavelet, aux, w->domain_size(), 0, padded,
-                    FlatBuffers{{}, std::move(f64s)});
+    return FromHeap(estimator, FlatKind::kWavelet, aux, w->domain_size(), 0,
+                    padded, FlatBuffers{{}, std::move(f64s)});
   }
   return UnimplementedError(
       StrCat("FlatSynopsis: no flat compilation for estimator '",
              estimator.Name(), "'"));
-}
-
-std::string FlatSynopsis::Name() const {
-  switch (kind_) {
-    case FlatKind::kAvgHistogram:
-      return "FLAT-AVG";
-    case FlatKind::kSap0:
-      return "FLAT-SAP0";
-    case FlatKind::kSap1:
-      return "FLAT-SAP1";
-    case FlatKind::kSap2:
-      return "FLAT-SAP2";
-    case FlatKind::kWeightedSap0:
-      return "FLAT-W-SAP0";
-    case FlatKind::kNaive:
-      return "FLAT-NAIVE";
-    case FlatKind::kWavelet:
-      return "FLAT-WAVELET";
-  }
-  return "FLAT-?";
 }
 
 void FlatSynopsis::BuildBucketHint() {
@@ -534,54 +510,20 @@ double FlatSynopsis::EstimateOne(int64_t a, int64_t b) const {
 
 Status FlatSynopsis::EstimateMany(std::span<const FlatQuery> queries,
                                   std::span<double> out,
-                                  BatchScratch* scratch) const {
+                                  BatchScratch* /*scratch*/) const {
   if (out.size() != queries.size()) {
     return InvalidArgumentError(
         "FlatSynopsis::EstimateMany: out.size() != queries.size()");
   }
-  if (queries.size() >
-      static_cast<size_t>(std::numeric_limits<uint32_t>::max())) {
-    return InvalidArgumentError(
-        "FlatSynopsis::EstimateMany: batch exceeds 2^32 queries");
-  }
-  if (queries.empty()) return OkStatus();
-  const uint32_t count = static_cast<uint32_t>(queries.size());
-  // The naive/wavelet kinds serve from one dense table that reordering
-  // cannot make more resident, and small bucket synopses search L1/L2
-  // lines already; only large histograms buy locality with a sort. The
-  // packed-key fast path needs a to fit 31 bits, which every histogram
-  // this size satisfies long before n approaches 2^31.
-  const bool sorted_walk = ends_ != nullptr &&
-                           num_buckets_ >= kSortedWalkMinBuckets &&
-                           n_ < (int64_t{1} << 31);
-  if (!sorted_walk) {
-    for (uint32_t i = 0; i < count; ++i) {
-      out[i] = EstimateOne(queries[i].a, queries[i].b);
-    }
-    return OkStatus();
-  }
-  EnsureScratch(scratch, queries.size());
-  uint64_t* keys = scratch->keys.data();
-  for (uint32_t i = 0; i < count; ++i) {
-    keys[i] = (static_cast<uint64_t>(queries[i].a) << 32) | i;
-  }
-  // Walk queries in ascending-a order: consecutive queries revisit the
-  // same buckets / search paths, so the boundary lines stay cache- and
-  // branch-predictor-resident. Each answer is written back at its
-  // original slot; the per-query arithmetic is order-independent, so the
-  // batch is bit-identical to single calls.
-  std::sort(keys, keys + count);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t idx = static_cast<uint32_t>(keys[i]);
-    out[idx] = EstimateOne(queries[idx].a, queries[idx].b);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i] = EstimateOne(queries[i].a, queries[i].b);
   }
   return OkStatus();
 }
 
 Status FlatSynopsis::EstimateMany(std::span<const FlatQuery> queries,
                                   std::span<double> out) const {
-  BatchScratch scratch;
-  return EstimateMany(queries, out, &scratch);
+  return EstimateMany(queries, out, nullptr);
 }
 
 }  // namespace rangesyn

@@ -14,9 +14,8 @@
 
 namespace rangesyn {
 
-/// Kind tag of a flat-compiled synopsis. Values match the serializer's
-/// kind tags (engine/serialize.cc) so the two on-disk formats agree on
-/// what each number means.
+/// Kind tag of a flat-compiled synopsis, stored in the RSF1 header
+/// (qpath/flat_file.h). The values are part of the on-disk format.
 enum class FlatKind : uint8_t {
   kAvgHistogram = 1,
   kSap0 = 2,
@@ -36,8 +35,13 @@ struct FlatQuery {
 /// Immutable structure-of-arrays compilation of a RangeEstimator for the
 /// serving hot path (DESIGN.md §11). All state lives in exactly two
 /// contiguous buffers — one of int64 words, one of doubles — held alive
-/// by one `backing` handle: the heap vectors Compile filled, or an mmap'd
-/// RSF1 file. Queries behave identically over either.
+/// by one `backing` handle: the heap vectors Compile filled, an mmap'd
+/// RSF1 file, or a decoded copy of RSF1 bytes. Queries behave identically
+/// over each.
+///
+/// Beside the two buffers a synopsis carries the source estimator's
+/// Name() and paper StorageWords(), recorded by Compile and stored in the
+/// RSF1 header, so a reopened synopsis reports what its builder did.
 ///
 /// Layouts (B = num_buckets, P = padded_size, L = log2(P)):
 ///
@@ -72,47 +76,45 @@ struct FlatQuery {
 /// hold it for as long as any span obtained from the synopsis.
 class RANGESYN_OWNER_TYPE FlatSynopsis {
  public:
-  /// Compiles a built estimator into its flat form. Supported concrete
-  /// types: AvgHistogram, Sap0Histogram, Sap1Histogram, Sap2Histogram,
-  /// WeightedSap0Histogram, NaiveEstimator, WaveletSynopsis.
+  /// Compiles a built estimator into its flat form, recording its Name()
+  /// and StorageWords(). Supported concrete types: AvgHistogram,
+  /// Sap0Histogram, Sap1Histogram, Sap2Histogram, WeightedSap0Histogram,
+  /// NaiveEstimator, WaveletSynopsis.
   RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
   Compile(const RangeEstimator& estimator);
 
   /// Assembles a view over buffers that `backing` keeps alive for the
-  /// synopsis' lifetime (Compile's heap vectors or an mmap'd file). The
-  /// buffers are structurally validated (counts, strictly increasing ends
-  /// reaching n, the wavelet height table) so a malformed file can never
-  /// cause an out-of-bounds query-time access.
+  /// synopsis' lifetime (Compile's heap vectors, an mmap'd file, or a
+  /// copy of RSF1 bytes). The buffers are structurally validated (counts,
+  /// strictly increasing ends reaching n, the wavelet height table) so a
+  /// malformed file can never cause an out-of-bounds query-time access.
+  /// `name` and `storage_words` are the source estimator's, as Compile
+  /// records them.
   RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
   FromBuffers(
       FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
       int64_t padded_size, std::span<const int64_t> i64s,
-      std::span<const double> f64s, std::shared_ptr<const void> backing);
+      std::span<const double> f64s, std::shared_ptr<const void> backing,
+      std::string name = {}, int64_t storage_words = 0);
 
   /// Answer for one range query; bit-identical to the source estimator's
   /// EstimateRange. Requires 1 <= a <= b <= n.
   RANGESYN_HOT_PATH double EstimateOne(int64_t a, int64_t b) const;
 
-  /// Reusable batch scratch; EstimateMany grows it on demand (outside the
-  /// hot path) and reuses it allocation-free afterwards.
-  struct BatchScratch {
-    /// Packed (a << 32 | slot) sort keys for the sorted walk.
-    std::vector<uint64_t> keys;
-  };
+  /// Per-caller batch state. EstimateMany keeps none today; batch callers
+  /// hold one per thread so a future batch strategy needs no signature
+  /// change.
+  struct BatchScratch {};
 
-  /// Batched queries: answers queries[i] into out[i]. When the synopsis'
-  /// bucket arrays outgrow cache, queries are walked in ascending-a order
-  /// internally so consecutive searches revisit resident lines; smaller
-  /// synopses (and the single-table naive/wavelet kinds) are answered in
-  /// input order, where a sort costs more than the locality it buys.
-  /// Either way each answer is the same double EstimateOne returns, so a
-  /// batch is bit-identical to the matching single-query calls in any
-  /// order. `out.size()` must equal `queries.size()`.
+  /// Batched queries: answers queries[i] into out[i], in input order.
+  /// Each answer is the same double EstimateOne returns, so a batch is
+  /// bit-identical to the matching single-query calls. `out.size()` must
+  /// equal `queries.size()`.
   RANGESYN_HOT_PATH Status EstimateMany(std::span<const FlatQuery> queries,
                                         std::span<double> out,
                                         BatchScratch* scratch) const;
 
-  /// Convenience overload with a throwaway scratch.
+  /// Convenience overload without a scratch.
   Status EstimateMany(std::span<const FlatQuery> queries,
                       std::span<double> out) const;
 
@@ -126,8 +128,10 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   RANGESYN_LENDS_VIEW std::span<const int64_t> i64s() const { return i64_; }
   RANGESYN_LENDS_VIEW std::span<const double> f64s() const { return f64_; }
 
-  /// "FLAT-<kind>", for reports.
-  std::string Name() const;
+  /// The source estimator's Name() and paper storage accounting (not the
+  /// size of the flat buffers).
+  const std::string& Name() const { return name_; }
+  int64_t StorageWords() const { return storage_words_; }
 
  private:
   FlatSynopsis() = default;
@@ -162,6 +166,8 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   int64_t n_ = 0;
   int64_t num_buckets_ = 0;
   int64_t padded_size_ = 0;
+  std::string name_;
+  int64_t storage_words_ = 0;
 
   // Derived section pointers (into i64_/f64_), set by InitAndValidate.
   const int64_t* ends_ = nullptr;
@@ -197,9 +203,7 @@ class FlatRangeEstimator : public RangeEstimator {
       const override {
     return flat_->EstimateOne(a, b);
   }
-  int64_t StorageWords() const override {
-    return static_cast<int64_t>(flat_->i64s().size() + flat_->f64s().size());
-  }
+  int64_t StorageWords() const override { return flat_->StorageWords(); }
   int64_t domain_size() const override { return flat_->n(); }
   std::string Name() const override { return flat_->Name(); }
 

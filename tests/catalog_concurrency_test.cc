@@ -49,8 +49,8 @@ TEST(CatalogConcurrency, FlatViewRacesEvictAndReregister) {
   std::atomic<int64_t> views_served{0};
   std::vector<std::thread> threads;
 
-  // Readers: demand flat views (lazily compiled under the catalog lock)
-  // and query whatever they get. A NotFound during an eviction window is
+  // Readers: look up flat views (compiled at registration) and query
+  // whatever they get. A NotFound during an eviction window is
   // expected; a torn entry or dangling storage is not, and TSan plus the
   // view's own CRC-checked storage would catch it.
   for (int r = 0; r < kReaders; ++r) {

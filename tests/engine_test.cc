@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bytes.h"
+#include "core/crc32c.h"
 #include "core/random.h"
 #include "engine/catalog.h"
 #include "engine/factory.h"
@@ -381,47 +382,61 @@ TEST(CatalogTest, CorruptEntryQuarantinedWhileOthersLoad) {
   std::remove(path.c_str());
 }
 
-TEST(CatalogTest, V1BuffersStillDeserialize) {
-  // v1 = same header with version 1, entries inline (each v2 blob is
-  // byte-identical to a v1 inline entry), no checksums anywhere.
-  SynopsisCatalog catalog;
-  std::string bytes;
-  ASSERT_NO_FATAL_FAILURE(BuildThreeEntryCatalog(&catalog, &bytes));
-
-  ByteReader r(bytes);
-  ASSERT_TRUE(r.ReadU32().ok());
-  ASSERT_TRUE(r.ReadU8().ok());
-  auto count = r.ReadU32();
-  ASSERT_TRUE(count.ok());
-  ByteWriter header;
-  header.WriteU32(0x52534343);  // "RSCC"
-  header.WriteU8(1);
-  header.WriteU32(count.value());
-  std::string v1 = header.Release();
-  for (uint32_t i = 0; i < count.value(); ++i) {
-    auto blob = r.ReadString();
-    ASSERT_TRUE(blob.ok());
-    ASSERT_TRUE(r.ReadU32().ok());  // drop the per-entry CRC
-    v1 += blob.value();
+/// A one-entry catalog as the version 1 and 2 writers laid it out: a
+/// naive synopsis over 1..8 in the stream format ("RSN1", version, kind 4,
+/// n, average), entries inline at v1, length-prefixed with per-entry and
+/// whole-buffer CRC32Cs at v2.
+std::string OlderCatalogBuffer(uint8_t version) {
+  ByteWriter synopsis;
+  synopsis.WriteU32(0x52534e31);  // "RSN1"
+  synopsis.WriteU8(version);
+  synopsis.WriteU8(4);  // naive
+  synopsis.WriteI64(8);
+  synopsis.WriteDouble(2.5);
+  std::string synopsis_bytes = synopsis.Release();
+  if (version == 2) {
+    ByteWriter crc;
+    crc.WriteU32(Crc32c(synopsis_bytes));
+    synopsis_bytes += crc.Release();
   }
+  ByteWriter entry;
+  entry.WriteString("t.a");
+  entry.WriteI64(1);  // domain_lo
+  entry.WriteI64(8);  // domain_size
+  entry.WriteString("naive");
+  entry.WriteString(synopsis_bytes);
+  const std::string blob = entry.Release();
+  ByteWriter w;
+  w.WriteU32(0x52534343);  // "RSCC"
+  w.WriteU8(version);
+  w.WriteU32(1);
+  if (version == 1) {
+    std::string v1 = w.Release();
+    return v1 + blob;
+  }
+  w.WriteString(blob);
+  w.WriteU32(Crc32c(blob));
+  std::string v2 = w.Release();
+  ByteWriter trailer;
+  trailer.WriteU32(Crc32c(v2));
+  return v2 + trailer.Release();
+}
 
-  auto restored = SynopsisCatalog::Deserialize(v1);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->ListEntries().size(), 3u);
-  auto want = catalog.EstimateCountBetween("t.b", 5, 30);
-  auto got = restored->EstimateCountBetween("t.b", 5, 30);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok());
-  EXPECT_NEAR(want.value(), got.value(), 1e-9);
-
-  // v1 has no per-entry checksums to localize damage, so even the lenient
-  // loader treats a corrupt v1 buffer as fatal.
-  std::string corrupt_v1 = v1;
-  corrupt_v1[v1.size() - 1] =
-      static_cast<char>(corrupt_v1[v1.size() - 1] ^ 0xff);
-  SynopsisCatalog::LoadReport report;
-  EXPECT_FALSE(
-      SynopsisCatalog::DeserializeWithReport(corrupt_v1, &report).ok());
+TEST(CatalogTest, OlderVersionsAreRefused) {
+  for (const uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    const std::string bytes = OlderCatalogBuffer(version);
+    auto strict = SynopsisCatalog::Deserialize(bytes);
+    ASSERT_FALSE(strict.ok()) << "v" << int{version};
+    EXPECT_NE(strict.status().message().find("unsupported version"),
+              std::string::npos)
+        << strict.status();
+    SynopsisCatalog::LoadReport report;
+    auto lenient = SynopsisCatalog::DeserializeWithReport(bytes, &report);
+    ASSERT_FALSE(lenient.ok()) << "v" << int{version};
+    EXPECT_NE(lenient.status().message().find("unsupported version"),
+              std::string::npos)
+        << lenient.status();
+  }
 }
 
 }  // namespace

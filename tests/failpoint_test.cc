@@ -15,7 +15,8 @@
 #include "core/fs.h"
 #include "core/result.h"
 #include "engine/factory.h"
-#include "engine/serialize.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace {
@@ -272,12 +273,17 @@ TEST_F(FailpointTest, SaveSynopsisFaultReportsStatus) {
   spec.budget_words = 12;
   auto est = BuildSynopsis(spec, data);
   ASSERT_TRUE(est.ok());
+  auto flat = FlatSynopsis::Compile(*est.value());
+  ASSERT_TRUE(flat.ok());
   const std::string path = ::testing::TempDir() + "/fp_syn.rsn";
   ASSERT_TRUE(failpoint::Configure("engine.serialize.save=always").ok());
-  EXPECT_FALSE(SaveSynopsisToFile(*est.value(), path).ok());
+  EXPECT_FALSE(SaveFlatSynopsis(*flat.value(), path).ok());
   failpoint::Clear();
-  ASSERT_TRUE(SaveSynopsisToFile(*est.value(), path).ok());
-  EXPECT_TRUE(LoadSynopsisFromFile(path).ok());
+  ASSERT_TRUE(SaveFlatSynopsis(*flat.value(), path).ok());
+  ASSERT_TRUE(failpoint::Configure("engine.serialize.load=always").ok());
+  EXPECT_FALSE(OpenFlatMapped(path).ok());
+  failpoint::Clear();
+  EXPECT_TRUE(OpenFlatMapped(path).ok());
   std::remove(path.c_str());
 }
 

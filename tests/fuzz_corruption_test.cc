@@ -2,12 +2,13 @@
 //
 //  1. Seeded failpoint soak: >= 1000 deterministic fault schedules
 //     (RANGESYN_FUZZ_SCHEDULES overrides the count) driven through the
-//     full build -> save -> load -> catalog pipeline on tiny inputs.
+//     full build -> RSF1 save -> mmap open -> catalog pipeline on tiny
+//     inputs.
 //     Every step must either succeed with a valid, queryable synopsis or
 //     fail with a clean Status — never crash, hang, or corrupt state
 //     observed by later schedules.
 //
-//  2. Mutation fuzz: serialized synopsis and catalog buffers mutated by
+//  2. Mutation fuzz: RSF1 synopsis and catalog buffers mutated by
 //     seeded byte flips, truncations, extensions and splices must always
 //     produce a Status or a parseable object — never undefined behavior
 //     (the CI fuzz-faults job runs this binary under ASan).
@@ -17,7 +18,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,8 +29,9 @@
 #include "core/random.h"
 #include "engine/catalog.h"
 #include "engine/factory.h"
-#include "engine/serialize.h"
 #include "engine/table.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace {
@@ -58,6 +62,23 @@ void ExpectQueryable(const RangeEstimator& est) {
   (void)est.EstimatePoint(1);
   (void)est.StorageWords();
   (void)est.Name();
+}
+
+Status SaveRsf1(const RangeEstimator& est, const std::string& path) {
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            FlatSynopsis::Compile(est));
+  return SaveFlatSynopsis(*flat, path);
+}
+
+Result<RangeEstimatorPtr> AsEstimator(
+    Result<std::shared_ptr<const FlatSynopsis>> flat) {
+  RANGESYN_RETURN_IF_ERROR(flat.status());
+  return RangeEstimatorPtr(
+      std::make_unique<FlatRangeEstimator>(std::move(flat).value()));
+}
+
+Result<RangeEstimatorPtr> OpenRsf1(const std::string& path) {
+  return AsEstimator(OpenFlatMapped(path));
 }
 
 class FuzzCorruptionTest : public ::testing::Test {
@@ -98,13 +119,13 @@ TEST_F(FuzzCorruptionTest, SeededFailpointSchedulesNeverCrash) {
     } else {
       ++ok_builds;
       ExpectQueryable(*built.value());
-      const Status saved = SaveSynopsisToFile(*built.value(), syn_path);
+      const Status saved = SaveRsf1(*built.value(), syn_path);
       if (!saved.ok()) ++failed_steps;
     }
 
     // The file only ever holds a complete save from this or an earlier
     // schedule (atomic replace), so a fault-free read must parse.
-    const Result<RangeEstimatorPtr> loaded = LoadSynopsisFromFile(syn_path);
+    const Result<RangeEstimatorPtr> loaded = OpenRsf1(syn_path);
     if (loaded.ok()) {
       ExpectQueryable(*loaded.value());
     }
@@ -142,8 +163,8 @@ TEST_F(FuzzCorruptionTest, SeededFailpointSchedulesNeverCrash) {
   spec.budget_words = 12;
   const auto clean = BuildSynopsis(spec, data);
   ASSERT_TRUE(clean.ok()) << clean.status().message();
-  ASSERT_TRUE(SaveSynopsisToFile(*clean.value(), syn_path).ok());
-  const auto reload = LoadSynopsisFromFile(syn_path);
+  ASSERT_TRUE(SaveRsf1(*clean.value(), syn_path).ok());
+  const auto reload = OpenRsf1(syn_path);
   ASSERT_TRUE(reload.ok()) << reload.status().message();
   ExpectQueryable(*reload.value());
   std::remove(syn_path.c_str());
@@ -201,7 +222,9 @@ TEST_F(FuzzCorruptionTest, MutatedSynopsisBuffersNeverCrash) {
     spec.budget_words = 21;
     auto est = BuildSynopsis(spec, data);
     ASSERT_TRUE(est.ok()) << method << ": " << est.status().message();
-    auto bytes = SerializeSynopsis(*est.value());
+    auto flat = FlatSynopsis::Compile(*est.value());
+    ASSERT_TRUE(flat.ok()) << method;
+    auto bytes = EncodeFlatSynopsis(*flat.value());
     ASSERT_TRUE(bytes.ok()) << method;
     buffers.push_back(std::move(bytes.value()));
   }
@@ -212,7 +235,7 @@ TEST_F(FuzzCorruptionTest, MutatedSynopsisBuffersNeverCrash) {
     const std::string& base = buffers[static_cast<size_t>(iter) %
                                       buffers.size()];
     const std::string mutated = Mutate(&rng, base);
-    const auto r = DeserializeSynopsis(mutated);
+    const auto r = AsEstimator(DecodeFlatSynopsis(mutated));
     if (r.ok()) {
       ++parsed;
       ExpectQueryable(*r.value());

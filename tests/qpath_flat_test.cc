@@ -1,9 +1,11 @@
 // Unit tests for the flat query path itself: EstimateMany edge cases
 // (empty batches, size mismatches, duplicates, unsorted input), the
 // factory and catalog entry points, eviction lifetime of outstanding
-// flat views (ASan-covered), and the CLI --flat / --flat-file /
-// compile-flat surface; and the flat Haar walks, bit for bit against
-// reference copies of their branchy predecessors on every range.
+// flat views (ASan-covered), RSF1 version refusal, and the CLI's RSF1
+// round trip (build, then inspect/estimate/evaluate on the file, against
+// answers pinned from the legacy estimator path); and the flat Haar
+// walks, bit for bit against reference copies of their branchy
+// predecessors on every range.
 
 #include <algorithm>
 #include <bit>
@@ -27,6 +29,7 @@
 #include "core/fs.h"
 #include "core/mathutil.h"
 #include "core/random.h"
+#include "core/strings.h"
 #include "data/distribution.h"
 #include "data/rounding.h"
 #include "engine/catalog.h"
@@ -403,27 +406,49 @@ TEST(FlatFileTest, OpenMissingFileFails) {
   EXPECT_FALSE(OpenFlatMapped(TempPath("nope.rsf")).ok());
 }
 
-// RSF1 version 1 also stored an Eytzinger copy of the bucket ends. A
-// version-1 file must be refused by its version byte, never misread. A
-// naive synopsis has no i64 words, so its version-1 and version-2 bodies
-// are the same bytes: only the version byte and the CRC differ.
-TEST(FlatFileTest, VersionOneFileIsRefused) {
+/// A naive synopsis' RSF1 file as an older writer laid it out: version 1
+/// and 2 had no name and no storage words (those header words were zero)
+/// and, with no i64 words, a naive synopsis' two older bodies are the same
+/// bytes: header and f64 section, then the CRC.
+std::string NaiveFileAtVersion(uint8_t version) {
   auto encoded = EncodeFlatSynopsis(*BuildFlat("naive", 4, 32));
-  ASSERT_TRUE(encoded.ok()) << encoded.status();
-  std::string bytes = encoded.value();
-  ASSERT_EQ(bytes[4], 2);
-  bytes[4] = 1;
-  const size_t body = bytes.size() - sizeof(uint32_t);
-  const uint32_t crc = Crc32c(std::string_view(bytes.data(), body));
-  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
-  const std::string path = TempPath("v1.rsf");
+  EXPECT_TRUE(encoded.ok()) << encoded.status();
+  const std::string& v3 = encoded.value();
+  EXPECT_EQ(v3[4], 3);
+  std::string bytes = v3.substr(0, 64 + 8);  // header + avg[1]
+  bytes[4] = static_cast<char>(version);
+  std::fill(bytes.begin() + 48, bytes.begin() + 64, '\0');
+  const uint32_t crc = Crc32c(bytes);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return bytes;
+}
+
+void ExpectFileRefusedAsUnsupported(const std::string& bytes,
+                                    const std::string& path) {
   ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
   auto opened = OpenFlatMapped(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_NE(opened.status().message().find("unsupported version"),
             std::string::npos)
       << opened.status();
+  auto decoded = DecodeFlatSynopsis(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("unsupported version"),
+            std::string::npos)
+      << decoded.status();
   std::remove(path.c_str());
+}
+
+// RSF1 version 1 also stored an Eytzinger copy of the bucket ends. A
+// version-1 file must be refused by its version byte, never misread.
+TEST(FlatFileTest, VersionOneFileIsRefused) {
+  ExpectFileRefusedAsUnsupported(NaiveFileAtVersion(1), TempPath("v1.rsf"));
+}
+
+// Version 2 carried no name or storage words, so a reopened synopsis
+// could not report what its builder did; such files are refused too.
+TEST(FlatFileTest, VersionTwoFileIsRefused) {
+  ExpectFileRefusedAsUnsupported(NaiveFileAtVersion(2), TempPath("v2.rsf"));
 }
 
 // --- Catalog flat views and eviction lifetime -------------------------
@@ -481,74 +506,109 @@ class CliFlatTest : public ::testing::Test {
   void SetUp() override {
     data_path_ = TempPath("data.csv");
     synopsis_path_ = TempPath("syn.rsn");
-    flat_path_ = TempPath("syn.rsf");
     auto gen = RunCliCommand({"generate", "--dist=spike", "--n=96",
                               "--volume=2500", "--seed=13",
                               "--out=" + data_path_});
     ASSERT_TRUE(gen.ok()) << gen.status();
-    auto build = RunCliCommand({"build", "--data=" + data_path_,
-                                "--method=sap2", "--budget=28",
-                                "--out=" + synopsis_path_});
-    ASSERT_TRUE(build.ok()) << build.status();
   }
   void TearDown() override {
     std::remove(data_path_.c_str());
     std::remove(synopsis_path_.c_str());
-    std::remove(flat_path_.c_str());
   }
   std::string data_path_;
   std::string synopsis_path_;
-  std::string flat_path_;
 };
 
-// estimate and evaluate must print byte-identical output whether served
-// by the legacy path, --flat, or an mmap'd --flat-file: same doubles in,
-// same formatting out.
-TEST_F(CliFlatTest, FlatFlagsAreOutputInvisible) {
-  auto compile = RunCliCommand({"compile-flat",
-                                "--synopsis=" + synopsis_path_,
-                                "--out=" + flat_path_});
-  ASSERT_TRUE(compile.ok()) << compile.status();
-  EXPECT_NE(compile->find("FLAT-SAP2"), std::string::npos);
+/// What `estimate --a=7 --b=61` and `evaluate` printed for each method
+/// (budget 28, the fixture's data) when both commands answered through
+/// the legacy estimator read back from the v2 stream format.
+struct LegacyCliOutput {
+  const char* method;
+  const char* estimate;
+  const char* sse;
+  const char* rmse;
+  const char* max_abs;
+};
 
-  const std::vector<std::string> base = {"estimate",
-                                         "--synopsis=" + synopsis_path_,
-                                         "--a=7", "--b=61"};
-  auto legacy = RunCliCommand(base);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  auto with_flat = base;
-  with_flat.push_back("--flat");
-  auto flat = RunCliCommand(with_flat);
-  ASSERT_TRUE(flat.ok()) << flat.status();
-  EXPECT_EQ(legacy.value(), flat.value());
-  auto mapped = RunCliCommand({"estimate", "--flat-file=" + flat_path_,
-                               "--a=7", "--b=61"});
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_EQ(legacy.value(), mapped.value());
+constexpr LegacyCliOutput kLegacyOutputs[] = {
+    {"naive", "556.3020833", "64706840.96", "117.888", "303.51"},
+    {"equiwidth", "706", "6939540", "38.6064", "229"},
+    {"equidepth", "706", "7652884", "40.5421", "156"},
+    {"maxdiff", "707", "12138", "1.61461", "5"},
+    {"vopt", "706", "1949", "0.646993", "2"},
+    {"pointopt", "705.0823137", "2765.195525", "0.770649", "2.08139"},
+    {"a0", "706", "1630", "0.591681", "2"},
+    {"sap0", "742.3333333", "5449774.652", "34.2123", "224.1"},
+    {"sap1", "705.6636984", "146236.0125", "5.60429", "56.6667"},
+    {"sap2", "705.6407394", "457003.7037", "9.90726", "135.5"},
+    {"prefixopt", "706", "1630", "0.591681", "2"},
+    {"opta", "706", "1255", "0.519177", "2"},
+    {"opta-rounded", "706", "1356", "0.539664", "2"},
+    {"equidepth-reopt", "707.9120324", "2526180.833", "23.293", "166.565"},
+    {"a0-reopt", "705.664041", "1064.698718", "0.478197", "1.61405"},
+    {"opta-reopt", "705.6543263", "1049.997028", "0.474884", "1.71242"},
+    {"wave-point", "705.90625", "32095.29687", "2.62551", "6.78125"},
+    {"topbb", "706.375", "17661.29688", "1.94762", "11.5"},
+    {"wave-range-opt", "711.625", "3814925.125", "28.6244", "96"},
+};
 
-  auto eval_legacy = RunCliCommand({"evaluate",
-                                    "--synopsis=" + synopsis_path_,
-                                    "--data=" + data_path_});
-  ASSERT_TRUE(eval_legacy.ok()) << eval_legacy.status();
-  auto eval_flat = RunCliCommand({"evaluate",
-                                  "--synopsis=" + synopsis_path_,
-                                  "--data=" + data_path_, "--flat"});
-  ASSERT_TRUE(eval_flat.ok()) << eval_flat.status();
-  EXPECT_EQ(eval_legacy.value(), eval_flat.value());
-  auto eval_mapped = RunCliCommand({"evaluate",
-                                    "--flat-file=" + flat_path_,
-                                    "--data=" + data_path_});
-  ASSERT_TRUE(eval_mapped.ok()) << eval_mapped.status();
-  EXPECT_EQ(eval_legacy.value(), eval_mapped.value());
+/// The text between `prefix` and the next `stop` character in `text`.
+std::string Field(const std::string& text, const std::string& prefix,
+                  char stop) {
+  const size_t at = text.find(prefix);
+  if (at == std::string::npos) return "<missing " + prefix + ">";
+  const size_t from = at + prefix.size();
+  return text.substr(from, text.find(stop, from) - from);
+}
+
+// For every factory method: `build` writes RSF1, `inspect` reads back the
+// name and paper storage words `build` reported, and `estimate` and
+// `evaluate` on the file print exactly the bytes the legacy path did.
+TEST_F(CliFlatTest, EveryMethodRoundTripsThroughTheFile) {
+  const std::vector<std::string> methods = KnownSynopsisMethods();
+  ASSERT_EQ(methods.size(), std::size(kLegacyOutputs));
+  for (const std::string& method : methods) {
+    const auto golden = std::find_if(
+        std::begin(kLegacyOutputs), std::end(kLegacyOutputs),
+        [&](const LegacyCliOutput& g) { return method == g.method; });
+    ASSERT_NE(golden, std::end(kLegacyOutputs)) << method;
+    auto build = RunCliCommand({"build", "--data=" + data_path_,
+                                "--method=" + method, "--budget=28",
+                                "--out=" + synopsis_path_});
+    ASSERT_TRUE(build.ok()) << method << ": " << build.status();
+    auto inspect = RunCliCommand({"inspect", "--synopsis=" + synopsis_path_});
+    ASSERT_TRUE(inspect.ok()) << method << ": " << inspect.status();
+    EXPECT_EQ(Field(*inspect, "name:    ", '\n'),
+              Field(*build, "built ", ' '))
+        << method;
+    EXPECT_EQ(Field(*inspect, "storage: ", ' '), Field(*build, " (", ' '))
+        << method;
+    EXPECT_NE(inspect->find("domain:  1..96\n"), std::string::npos) << method;
+
+    auto estimate = RunCliCommand({"estimate", "--synopsis=" + synopsis_path_,
+                                   "--a=7", "--b=61"});
+    ASSERT_TRUE(estimate.ok()) << method << ": " << estimate.status();
+    EXPECT_EQ(*estimate, StrCat("s[7,61] ~= ", golden->estimate, "\n"))
+        << method;
+    auto evaluate = RunCliCommand({"evaluate",
+                                   "--synopsis=" + synopsis_path_,
+                                   "--data=" + data_path_});
+    ASSERT_TRUE(evaluate.ok()) << method << ": " << evaluate.status();
+    EXPECT_EQ(*evaluate,
+              StrCat("queries:  4656\nSSE:      ", golden->sse,
+                     "\nRMSE:     ", golden->rmse, "\nmax|err|: ",
+                     golden->max_abs, "\n"))
+        << method;
+  }
 }
 
 TEST_F(CliFlatTest, EstimateRejectsBadFlatFile) {
   EXPECT_FALSE(RunCliCommand({"estimate",
-                              "--flat-file=" + TempPath("missing.rsf"),
+                              "--synopsis=" + TempPath("missing.rsn"),
                               "--a=1", "--b=2"})
                    .ok());
-  // An .rsn synopsis is not an RSF1 flat file; open must reject it.
-  EXPECT_FALSE(RunCliCommand({"estimate", "--flat-file=" + synopsis_path_,
+  // A CSV is not an RSF1 synopsis; open must reject it.
+  EXPECT_FALSE(RunCliCommand({"estimate", "--synopsis=" + data_path_,
                               "--a=1", "--b=2"})
                    .ok());
 }

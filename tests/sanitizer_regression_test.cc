@@ -1,4 +1,4 @@
-// Sanitizer workout: drives every builder, estimator, and the serializer
+// Sanitizer workout: drives every builder, estimator, and the RSF1 codec
 // over adversarial input shapes (tiny domains, all-zero counts, power-of-
 // two boundaries, heavy-tailed data) so ASan/UBSan instrumented builds
 // (the debug-asan / debug-ubsan presets) sweep the hot paths for memory
@@ -18,9 +18,10 @@
 #include "data/distribution.h"
 #include "data/rounding.h"
 #include "engine/factory.h"
-#include "engine/serialize.h"
 #include "histogram/builders.h"
 #include "histogram/weighted_sap0.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 #include "wavelet/selection.h"
 
 namespace rangesyn {
@@ -52,10 +53,13 @@ void ExerciseAllMethods(const std::vector<int64_t>& data,
     }
     (void)(*est)->EstimateRange(1, n);
     (void)(*est)->EstimateRange(n, n);
-    auto bytes = SerializeSynopsis(*est.value());
+    auto flat = FlatSynopsis::Compile(*est.value());
+    ASSERT_TRUE(flat.ok()) << method << ": " << flat.status();
+    auto bytes = EncodeFlatSynopsis(*flat.value());
     ASSERT_TRUE(bytes.ok()) << method << ": " << bytes.status();
-    auto restored = DeserializeSynopsis(bytes.value());
+    auto restored = DecodeFlatSynopsis(bytes.value());
     ASSERT_TRUE(restored.ok()) << method << ": " << restored.status();
+    (void)(*restored)->EstimateOne(1, n);
   }
 }
 

@@ -1,11 +1,14 @@
-// Tests for synopsis serialization: byte-level primitives, full
-// round-trips for every factory method, randomly-constructed synopsis
-// fuzzing with bitwise re-serialization equality, corruption handling,
-// file I/O.
+// Tests for synopsis persistence in RSF1 (qpath/flat_file.h): byte-level
+// primitives, full round-trips for every factory method, randomly-
+// constructed synopsis fuzzing with bitwise re-encoding equality,
+// corruption handling, file I/O.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,12 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "core/bytes.h"
+#include "core/crc32c.h"
 #include "core/random.h"
 #include "engine/factory.h"
-#include "engine/serialize.h"
 #include "histogram/histogram.h"
 #include "histogram/partition.h"
 #include "histogram/weighted_sap0.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 #include "wavelet/synopsis.h"
 
 namespace rangesyn {
@@ -66,6 +71,15 @@ TEST(BytesTest, CorruptLengthPrefixRejected) {
   EXPECT_FALSE(r.ReadString().ok());
 }
 
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Compiles `estimator` to its flat form and encodes that as RSF1.
+Result<std::string> EncodeRsf1(const RangeEstimator& estimator) {
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
+                            FlatSynopsis::Compile(estimator));
+  return EncodeFlatSynopsis(*flat);
+}
+
 class SerializeRoundTripTest
     : public ::testing::TestWithParam<std::string> {};
 
@@ -80,18 +94,18 @@ TEST_P(SerializeRoundTripTest, EstimatesSurviveRoundTrip) {
   auto original = BuildSynopsis(spec, data);
   ASSERT_TRUE(original.ok()) << original.status();
 
-  auto bytes = SerializeSynopsis(*original.value());
+  auto bytes = EncodeRsf1(*original.value());
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto restored = DeserializeSynopsis(bytes.value());
+  auto restored = DecodeFlatSynopsis(bytes.value());
   ASSERT_TRUE(restored.ok()) << restored.status();
 
   EXPECT_EQ((*restored)->Name(), (*original)->Name());
   EXPECT_EQ((*restored)->StorageWords(), (*original)->StorageWords());
-  EXPECT_EQ((*restored)->domain_size(), (*original)->domain_size());
+  EXPECT_EQ((*restored)->n(), (*original)->domain_size());
   for (int64_t a = 1; a <= 63; a += 2) {
     for (int64_t b = a; b <= 63; b += 5) {
-      EXPECT_NEAR((*restored)->EstimateRange(a, b),
-                  (*original)->EstimateRange(a, b), 1e-9)
+      EXPECT_EQ(Bits((*restored)->EstimateOne(a, b)),
+                Bits((*original)->EstimateRange(a, b)))
           << "[" << a << "," << b << "]";
     }
   }
@@ -124,25 +138,27 @@ std::vector<double> RandomDoubles(Rng* rng, size_t count) {
 }
 
 /// The round-trip contract on arbitrary (not builder-produced) synopses:
-/// deserializing and re-serializing must reproduce the *exact* bytes —
-/// every stored word survives bitwise — and estimates must be identical,
-/// not merely close.
+/// decoding and re-encoding must reproduce the *exact* bytes — every
+/// stored word survives bitwise — and estimates must be identical, not
+/// merely close.
 void ExpectExactRoundTrip(const RangeEstimator& original) {
-  auto bytes = SerializeSynopsis(original);
+  auto bytes = EncodeRsf1(original);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto restored = DeserializeSynopsis(bytes.value());
+  auto restored = DecodeFlatSynopsis(bytes.value());
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ((*restored)->Name(), original.Name());
-  EXPECT_EQ((*restored)->domain_size(), original.domain_size());
+  EXPECT_EQ((*restored)->n(), original.domain_size());
   EXPECT_EQ((*restored)->StorageWords(), original.StorageWords());
-  auto bytes2 = SerializeSynopsis(*restored.value());
+  auto bytes2 = EncodeFlatSynopsis(*restored.value());
   ASSERT_TRUE(bytes2.ok()) << bytes2.status();
   EXPECT_EQ(bytes2.value(), bytes.value())
-      << original.Name() << ": re-serialization not byte-identical";
+      << original.Name() << ": re-encoding not byte-identical";
   const int64_t n = original.domain_size();
   for (int64_t a = 1; a <= n; ++a) {
-    EXPECT_EQ((*restored)->EstimateRange(a, n), original.EstimateRange(a, n));
-    EXPECT_EQ((*restored)->EstimateRange(1, a), original.EstimateRange(1, a));
+    EXPECT_EQ(Bits((*restored)->EstimateOne(a, n)),
+              Bits(original.EstimateRange(a, n)));
+    EXPECT_EQ(Bits((*restored)->EstimateOne(1, a)),
+              Bits(original.EstimateRange(1, a)));
   }
 }
 
@@ -232,21 +248,30 @@ TEST(SerializeFuzzTest, RandomWaveletSynopses) {
   }
 }
 
+/// `bytes` with byte `pos` set to `value` and the CRC32C trailer
+/// recomputed, so only the structural checks can reject it.
+std::string Reseal(std::string bytes, size_t pos, char value) {
+  bytes[pos] = value;
+  const size_t body = bytes.size() - sizeof(uint32_t);
+  const uint32_t crc = Crc32c(std::string_view(bytes.data(), body));
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  return bytes;
+}
+
 TEST(SerializeTest, RejectsCorruptHeader) {
-  EXPECT_FALSE(DeserializeSynopsis("").ok());
-  EXPECT_FALSE(DeserializeSynopsis("garbage-bytes").ok());
-  // Right magic, bad kind.
-  ByteWriter w;
-  w.WriteU32(0x52534e31);
-  w.WriteU8(1);
-  w.WriteU8(99);
-  EXPECT_FALSE(DeserializeSynopsis(w.buffer()).ok());
+  EXPECT_FALSE(DecodeFlatSynopsis("").ok());
+  EXPECT_FALSE(DecodeFlatSynopsis("garbage-bytes").ok());
+  auto naive = NaiveEstimator::FromAverage(8, 2.5);
+  ASSERT_TRUE(naive.ok());
+  auto bytes = EncodeRsf1(naive.value());
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_TRUE(DecodeFlatSynopsis(*bytes).ok());
+  // Right magic and CRC, bad kind.
+  EXPECT_FALSE(DecodeFlatSynopsis(Reseal(*bytes, 5, 99)).ok());
   // Bad version.
-  ByteWriter w2;
-  w2.WriteU32(0x52534e31);
-  w2.WriteU8(42);
-  w2.WriteU8(1);
-  EXPECT_FALSE(DeserializeSynopsis(w2.buffer()).ok());
+  EXPECT_FALSE(DecodeFlatSynopsis(Reseal(*bytes, 4, 42)).ok());
+  // Bad magic.
+  EXPECT_FALSE(DecodeFlatSynopsis(Reseal(*bytes, 0, 'X')).ok());
 }
 
 TEST(SerializeTest, TruncatedPayloadsRejected) {
@@ -258,20 +283,20 @@ TEST(SerializeTest, TruncatedPayloadsRejected) {
   spec.budget_words = 15;
   auto est = BuildSynopsis(spec, data);
   ASSERT_TRUE(est.ok());
-  auto bytes = SerializeSynopsis(*est.value());
+  auto bytes = EncodeRsf1(*est.value());
   ASSERT_TRUE(bytes.ok());
   // Every strict prefix must fail cleanly.
   for (size_t cut = 0; cut < bytes->size(); cut += 3) {
     EXPECT_FALSE(
-        DeserializeSynopsis(std::string_view(*bytes).substr(0, cut)).ok())
+        DecodeFlatSynopsis(std::string_view(*bytes).substr(0, cut)).ok())
         << "cut=" << cut;
   }
 }
 
 TEST(SerializeTest, RandomByteCorruptionNeverCrashes) {
   // Fuzz-style robustness: flip random bytes in valid buffers; the
-  // deserializer must either reject cleanly or produce a structurally
-  // valid synopsis — never crash or read out of bounds.
+  // decoder must either reject cleanly or produce a structurally valid
+  // synopsis — never crash or read out of bounds.
   Rng rng(31);
   std::vector<int64_t> data(48);
   for (auto& v : data) v = rng.NextInt(0, 25);
@@ -281,28 +306,28 @@ TEST(SerializeTest, RandomByteCorruptionNeverCrashes) {
     spec.budget_words = 14;
     auto est = BuildSynopsis(spec, data);
     ASSERT_TRUE(est.ok());
-    auto bytes = SerializeSynopsis(*est.value());
+    auto bytes = EncodeRsf1(*est.value());
     ASSERT_TRUE(bytes.ok());
     for (int trial = 0; trial < 200; ++trial) {
       std::string mutated = bytes.value();
       const size_t pos =
           static_cast<size_t>(rng.NextBounded(mutated.size()));
       mutated[pos] = static_cast<char>(rng.NextUint64());
-      auto parsed = DeserializeSynopsis(mutated);
+      auto parsed = DecodeFlatSynopsis(mutated);
       if (parsed.ok()) {
         // If it parsed, it must behave like a valid synopsis.
-        const int64_t n = (*parsed)->domain_size();
+        const int64_t n = (*parsed)->n();
         ASSERT_GE(n, 1);
-        (void)(*parsed)->EstimateRange(1, n);
+        (void)(*parsed)->EstimateOne(1, n);
         (void)(*parsed)->StorageWords();
       }
     }
   }
 }
 
-// ---------------------------------- exhaustive corruption sweeps (v2)
+// ------------------------------------- exhaustive corruption sweeps
 
-/// One serialized buffer per concrete synopsis kind the format supports.
+/// One encoded buffer per concrete synopsis kind the format supports.
 std::vector<std::pair<std::string, std::string>> BuffersForAllKinds() {
   Rng rng(211);
   std::vector<int64_t> data(32);
@@ -316,7 +341,7 @@ std::vector<std::pair<std::string, std::string>> BuffersForAllKinds() {
     auto est = BuildSynopsis(spec, data);
     EXPECT_TRUE(est.ok()) << method << ": " << est.status();
     if (!est.ok()) continue;
-    auto bytes = SerializeSynopsis(*est.value());
+    auto bytes = EncodeRsf1(*est.value());
     EXPECT_TRUE(bytes.ok()) << method;
     if (bytes.ok()) out.emplace_back(method, std::move(bytes.value()));
   }
@@ -327,7 +352,7 @@ std::vector<std::pair<std::string, std::string>> BuffersForAllKinds() {
       p.value(), {1.0, 2.0}, {0.5, 0.25}, {4.0, 8.0});
   EXPECT_TRUE(wsap0.ok());
   if (wsap0.ok()) {
-    auto bytes = SerializeSynopsis(wsap0.value());
+    auto bytes = EncodeRsf1(wsap0.value());
     EXPECT_TRUE(bytes.ok());
     if (bytes.ok()) out.emplace_back("wsap0", std::move(bytes.value()));
   }
@@ -338,7 +363,7 @@ TEST(SerializeTest, EveryPrefixTruncationRejectedForEveryKind) {
   for (const auto& [kind, bytes] : BuffersForAllKinds()) {
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
       EXPECT_FALSE(
-          DeserializeSynopsis(std::string_view(bytes).substr(0, cut)).ok())
+          DecodeFlatSynopsis(std::string_view(bytes).substr(0, cut)).ok())
           << kind << " cut=" << cut;
     }
   }
@@ -353,39 +378,10 @@ TEST(SerializeTest, EverySingleBitFlipRejectedForEveryKind) {
       for (int bit = 0; bit < 8; ++bit) {
         std::string mutated = bytes;
         mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << bit));
-        EXPECT_FALSE(DeserializeSynopsis(mutated).ok())
+        EXPECT_FALSE(DecodeFlatSynopsis(mutated).ok())
             << kind << " pos=" << pos << " bit=" << bit;
       }
     }
-  }
-}
-
-TEST(SerializeTest, V1BuffersWithoutTrailerStillDeserialize) {
-  // Forward compatibility with pre-checksum snapshots: a v2 buffer minus
-  // its 4-byte trailer, relabeled version 1, is exactly the v1 encoding.
-  for (const auto& [kind, bytes] : BuffersForAllKinds()) {
-    ASSERT_GT(bytes.size(), 10u) << kind;
-    ASSERT_EQ(bytes[4], 2) << kind;
-    std::string v1 = bytes.substr(0, bytes.size() - 4);
-    v1[4] = 1;
-    auto restored = DeserializeSynopsis(v1);
-    ASSERT_TRUE(restored.ok()) << kind << ": " << restored.status();
-    auto v2 = DeserializeSynopsis(bytes);
-    ASSERT_TRUE(v2.ok()) << kind;
-    const int64_t n = (*restored)->domain_size();
-    EXPECT_EQ(n, (*v2)->domain_size()) << kind;
-    EXPECT_EQ((*restored)->EstimateRange(1, n), (*v2)->EstimateRange(1, n))
-        << kind;
-  }
-}
-
-TEST(SerializeTest, V2TrailerNotStrippableByVersionDowngrade) {
-  // Relabeling a v2 buffer as v1 *without* stripping the trailer must
-  // fail: the payload parser sees 4 trailing bytes it cannot own.
-  for (const auto& [kind, bytes] : BuffersForAllKinds()) {
-    std::string downgraded = bytes;
-    downgraded[4] = 1;
-    EXPECT_FALSE(DeserializeSynopsis(downgraded).ok()) << kind;
   }
 }
 
@@ -399,15 +395,19 @@ TEST(SerializeTest, FileRoundTrip) {
   auto est = BuildSynopsis(spec, data);
   ASSERT_TRUE(est.ok());
 
+  auto flat = FlatSynopsis::Compile(*est.value());
+  ASSERT_TRUE(flat.ok());
+
   const std::string path = ::testing::TempDir() + "/synopsis.rsn";
-  ASSERT_TRUE(SaveSynopsisToFile(*est.value(), path).ok());
-  auto loaded = LoadSynopsisFromFile(path);
+  ASSERT_TRUE(SaveFlatSynopsis(*flat.value(), path).ok());
+  auto loaded = OpenFlatMapped(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded)->Name(), "SAP0");
-  EXPECT_NEAR((*loaded)->EstimateRange(3, 30),
-              (*est)->EstimateRange(3, 30), 1e-9);
+  EXPECT_EQ((*loaded)->StorageWords(), (*est)->StorageWords());
+  EXPECT_EQ(Bits((*loaded)->EstimateOne(3, 30)),
+            Bits((*est)->EstimateRange(3, 30)));
   std::remove(path.c_str());
-  EXPECT_FALSE(LoadSynopsisFromFile(path + ".missing").ok());
+  EXPECT_FALSE(OpenFlatMapped(path + ".missing").ok());
 }
 
 }  // namespace

@@ -8,12 +8,13 @@
 #include <gtest/gtest.h>
 
 #include "core/random.h"
-#include "engine/serialize.h"
 #include "eval/metrics.h"
 #include "histogram/bucket_cost.h"
 #include "histogram/builders.h"
 #include "histogram/prefix_stats.h"
 #include "histogram/weighted_sap0.h"
+#include "qpath/flat_file.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace {
@@ -171,16 +172,17 @@ TEST(WeightedSap0Test, SerializationRoundTrip) {
   const RangeWorkloadWeights weights = SkewedWeights(20, 72);
   auto hist = BuildWeightedSap0(data, 4, weights);
   ASSERT_TRUE(hist.ok());
-  auto bytes = SerializeSynopsis(hist.value());
+  auto flat = FlatSynopsis::Compile(hist.value());
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  auto bytes = EncodeFlatSynopsis(*flat.value());
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto restored = DeserializeSynopsis(bytes.value());
+  auto restored = DecodeFlatSynopsis(bytes.value());
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ((*restored)->Name(), "W-SAP0");
   EXPECT_EQ((*restored)->StorageWords(), hist->StorageWords());
   for (int64_t a = 1; a <= 20; ++a) {
     for (int64_t b = a; b <= 20; ++b) {
-      EXPECT_NEAR((*restored)->EstimateRange(a, b),
-                  hist->EstimateRange(a, b), 1e-9);
+      EXPECT_EQ((*restored)->EstimateOne(a, b), hist->EstimateRange(a, b));
     }
   }
 }
