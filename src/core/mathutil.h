@@ -12,8 +12,19 @@ namespace rangesyn {
 /// Rounds to the nearest integer with ties broken toward even
 /// (banker's rounding). This is the deterministic instantiation of the
 /// paper's "round to a nearby integer in an arbitrary way".
+///
+/// Same result as std::nearbyint under the default FE_TONEAREST mode,
+/// without the libm call. For |x| < 2^52, adding 2^52 leaves no fraction
+/// bits, so the add itself rounds |x| to an integer, ties to even, and
+/// the subtraction is exact; copysign restores the sign (and -0.0). Any
+/// |x| >= 2^52 is already an integer, as are infinities; NaN passes
+/// through. The expression must not be reassociated, which holds since
+/// no build enables -ffast-math.
 inline int64_t RoundHalfToEven(double x) {
-  const double r = std::nearbyint(x);  // default FE_TONEAREST = ties-to-even
+  constexpr double kTwo52 = 4503599627370496.0;  // 2^52
+  const double mag = std::fabs(x);
+  const double r =
+      mag < kTwo52 ? std::copysign((mag + kTwo52) - kTwo52, x) : x;
   return static_cast<int64_t>(r);
 }
 

@@ -200,21 +200,34 @@ Status FlightRecorder::DumpToFile(const std::string& path,
   return OkStatus();
 }
 
+FlightRecorder::~FlightRecorder() {
+  const DirNode* node = dump_dir_.load(std::memory_order_acquire);
+  while (node != nullptr) {
+    const DirNode* replaced = node->replaced;
+    delete node;  // lint: waive(LINT-004) the recorder owns the chain
+    node = replaced;
+  }
+}
+
 void FlightRecorder::SetDumpDir(std::string_view dir) {
-  // Pointer-swapped so dump_dir() readers never lock. The old string must
-  // stay valid for stragglers; configuration changes are rare enough that
-  // leaking it is the simple safe choice.
-  const std::string* fresh = new std::string(dir);  // lint: waive(LINT-004)
+  // Pointer-swapped so dump_dir() readers never lock. The replaced node
+  // stays valid for stragglers: the fresh node takes ownership of it.
+  auto* fresh = new DirNode{std::string(dir)};  // lint: waive(LINT-004)
   env_checked_.store(true, std::memory_order_release);
-  dump_dir_.store(fresh, std::memory_order_release);
+  const DirNode* current = dump_dir_.load(std::memory_order_acquire);
+  do {
+    fresh->replaced = current;
+  } while (!dump_dir_.compare_exchange_weak(current, fresh,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire));
 }
 
 std::string FlightRecorder::dump_dir() {
   if (!env_checked_.load(std::memory_order_acquire)) {
     const char* env = std::getenv("RANGESYN_FLIGHT_DIR");
     if (env != nullptr && *env != '\0') {
-      const std::string* fresh = new std::string(env);  // lint: waive(LINT-004)
-      const std::string* expected = nullptr;
+      const DirNode* fresh = new DirNode{env};  // lint: waive(LINT-004)
+      const DirNode* expected = nullptr;
       if (!dump_dir_.compare_exchange_strong(expected, fresh,
                                              std::memory_order_release,
                                              std::memory_order_acquire)) {
@@ -223,8 +236,8 @@ std::string FlightRecorder::dump_dir() {
     }
     env_checked_.store(true, std::memory_order_release);
   }
-  const std::string* dir = dump_dir_.load(std::memory_order_acquire);
-  return dir != nullptr ? *dir : std::string();
+  const DirNode* node = dump_dir_.load(std::memory_order_acquire);
+  return node != nullptr ? node->dir : std::string();
 }
 
 std::string FlightRecorder::AutoDump(std::string_view reason) {

@@ -114,6 +114,7 @@ class FlightRecorder {
 
  private:
   FlightRecorder() = default;
+  ~FlightRecorder();
 
   struct Slot {
     // Seqlock: odd while the owner writes, even when stable; 0 = never
@@ -139,13 +140,22 @@ class FlightRecorder {
 
   Ring* RingForThisThread();
 
+  // One published dump directory. Each node links to the one it
+  // replaced, so the current node owns the chain of every string ever
+  // published: a reader holding an older node never sees it freed, and
+  // the destructor frees the chain.
+  struct DirNode {
+    std::string dir;
+    const DirNode* replaced = nullptr;
+  };
+
   std::atomic<Ring*> rings_{nullptr};
   std::atomic<uint32_t> next_tid_{0};
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> auto_dumps_{0};
   std::atomic<uint64_t> dump_files_{0};
-  // Dump dir handling: pointer-swapped strings so readers never lock.
-  std::atomic<const std::string*> dump_dir_{nullptr};
+  // Dump dir handling: pointer-swapped nodes so readers never lock.
+  std::atomic<const DirNode*> dump_dir_{nullptr};
   std::atomic<bool> env_checked_{false};
 };
 

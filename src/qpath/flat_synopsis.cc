@@ -256,6 +256,14 @@ Status FlatSynopsis::InitAndValidate() {
     }
     heights_ = f64_.data();
     table_ = f64_.data() + levels_ + 1;
+    if (!data_domain) {
+      // One walk per prefix at open instead of two per query; every entry
+      // is the double the walk returns (class comment).
+      prefix_.resize(static_cast<size_t>(n_) + 1);
+      for (int64_t t = 0; t <= n_; ++t) {
+        prefix_[static_cast<size_t>(t)] = WaveReconstructAt(t);
+      }
+    }
     return OkStatus();
   }
 
@@ -483,8 +491,8 @@ double FlatSynopsis::EstimateWavelet(int64_t a, int64_t b) const {
   if (aux_ == 0) {  // data domain
     return WaveReconstructRangeSum(a - 1, b - 1);
   }
-  // Prefix domain: s[a,b] = P[b] - P[a-1]; P[t] sits at slot t.
-  return WaveReconstructAt(b) - WaveReconstructAt(a - 1);
+  // Prefix domain: s[a,b] = P[b] - P[a-1], from the derived table.
+  return prefix_[static_cast<size_t>(b)] - prefix_[static_cast<size_t>(a - 1)];
 }
 
 double FlatSynopsis::EstimateOne(int64_t a, int64_t b) const {
@@ -500,7 +508,7 @@ double FlatSynopsis::EstimateOne(int64_t a, int64_t b) const {
     case FlatKind::kSap2:
       return EstimateSap2(a, b);
     case FlatKind::kNaive:
-      return static_cast<double>(b - a + 1) * avg_[0];
+      return EstimateNaive(a, b);
     case FlatKind::kWavelet:
       return EstimateWavelet(a, b);
   }
@@ -515,8 +523,33 @@ Status FlatSynopsis::EstimateMany(std::span<const FlatQuery> queries,
     return InvalidArgumentError(
         "FlatSynopsis::EstimateMany: out.size() != queries.size()");
   }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    out[i] = EstimateOne(queries[i].a, queries[i].b);
+  // One dispatch per batch, then a loop the kind's kernel inlines into.
+  const auto answer_all = [&](auto kernel) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      out[i] = kernel(queries[i].a, queries[i].b);
+    }
+  };
+  switch (kind_) {
+    case FlatKind::kAvgHistogram:
+      answer_all([this](int64_t a, int64_t b) { return EstimateAvg(a, b); });
+      break;
+    case FlatKind::kSap0:
+    case FlatKind::kWeightedSap0:
+      answer_all([this](int64_t a, int64_t b) { return EstimateSap0(a, b); });
+      break;
+    case FlatKind::kSap1:
+      answer_all([this](int64_t a, int64_t b) { return EstimateSap1(a, b); });
+      break;
+    case FlatKind::kSap2:
+      answer_all([this](int64_t a, int64_t b) { return EstimateSap2(a, b); });
+      break;
+    case FlatKind::kNaive:
+      answer_all([this](int64_t a, int64_t b) { return EstimateNaive(a, b); });
+      break;
+    case FlatKind::kWavelet:
+      answer_all(
+          [this](int64_t a, int64_t b) { return EstimateWavelet(a, b); });
+      break;
   }
   return OkStatus();
 }

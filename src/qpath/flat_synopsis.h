@@ -64,9 +64,13 @@ struct FlatQuery {
 /// 0.0-weighted term cannot change any IEEE-754 sum that the legacy
 /// skip-if-absent walk produces, so results are bit-identical.
 ///
-/// Bucket search goes through a derived hint table (see `hint_`) and a
-/// short forward scan over `ends`, returning the same lower_bound index
-/// Partition::BucketOf computes.
+/// Two tables are derived at construction and are not part of RSF1:
+///   - bucket search goes through a hint table (see `hint_`) and a short
+///     forward scan over `ends`, returning the same lower_bound index
+///     Partition::BucketOf computes;
+///   - a prefix-domain wavelet (aux = 1) holds its n + 1 reconstructed
+///     prefix sums (see `prefix_`), so a range is one subtraction
+///     instead of two Haar walks.
 ///
 /// Lifetime contract (machine-checked, DESIGN.md §6.4): FlatSynopsis is
 /// a RANGESYN_OWNER_TYPE — it keeps alive via `backing_` every byte its
@@ -101,13 +105,14 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   /// EstimateRange. Requires 1 <= a <= b <= n.
   RANGESYN_HOT_PATH double EstimateOne(int64_t a, int64_t b) const;
 
-  /// Per-caller batch state. EstimateMany keeps none today; batch callers
-  /// hold one per thread so a future batch strategy needs no signature
-  /// change.
+  /// Per-caller batch state. EstimateMany needs none: every table it
+  /// reads is derived at construction. The type stays so batch callers
+  /// keep their signature.
   struct BatchScratch {};
 
   /// Batched queries: answers queries[i] into out[i], in input order.
-  /// Each answer is the same double EstimateOne returns, so a batch is
+  /// Dispatches on the kind once and runs one loop over that kind's
+  /// kernel, the same kernel EstimateOne calls, so a batch is
   /// bit-identical to the matching single-query calls. `out.size()` must
   /// equal `queries.size()`.
   RANGESYN_HOT_PATH Status EstimateMany(std::span<const FlatQuery> queries,
@@ -136,23 +141,36 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
  private:
   FlatSynopsis() = default;
 
-  /// Validates the layout described in the class comment and wires the
-  /// per-kind raw pointers. Called once per construction; cold.
+  /// Validates the layout described in the class comment, wires the
+  /// per-kind raw pointers and derives the bucket-hint and prefix tables.
+  /// Called once per construction; cold.
   RANGESYN_COLD_PATH Status InitAndValidate();
 
-  RANGESYN_HOT_PATH int64_t BucketOfFlat(int64_t i) const;
+  // The query kernels and their bucket search, shared by EstimateOne and
+  // EstimateMany's per-kind loops. The larger ones are always inlined, so
+  // a batch loop makes no call per range.
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline int64_t BucketOfFlat(
+      int64_t i) const;
   RANGESYN_COLD_PATH void BuildBucketHint();
   RANGESYN_HOT_PATH int64_t BucketStart(int64_t k) const {
     return k == 0 ? 1 : ends_[k - 1] + 1;
   }
   RANGESYN_HOT_PATH int64_t BucketEnd(int64_t k) const { return ends_[k]; }
 
-  RANGESYN_HOT_PATH double EstimateAvg(int64_t a, int64_t b) const;
-  RANGESYN_HOT_PATH double EstimateSap0(int64_t a, int64_t b) const;
-  RANGESYN_HOT_PATH double EstimateSap1(int64_t a, int64_t b) const;
-  RANGESYN_HOT_PATH double EstimateSap2(int64_t a, int64_t b) const;
-  RANGESYN_HOT_PATH double EstimateWavelet(int64_t a, int64_t b) const;
-  RANGESYN_HOT_PATH double WaveReconstructAt(int64_t t) const;
+  RANGESYN_HOT_PATH double EstimateNaive(int64_t a, int64_t b) const {
+    return static_cast<double>(b - a + 1) * avg_[0];
+  }
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateAvg(
+      int64_t a, int64_t b) const;
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateSap0(
+      int64_t a, int64_t b) const;
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateSap1(
+      int64_t a, int64_t b) const;
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateSap2(
+      int64_t a, int64_t b) const;
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateWavelet(
+      int64_t a, int64_t b) const;
+  double WaveReconstructAt(int64_t t) const;
   RANGESYN_HOT_PATH double WaveReconstructRangeSum(int64_t lo,
                                                    int64_t hi) const;
 
@@ -189,6 +207,13 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   // bucket count so every index fits a uint32.
   std::vector<uint32_t> hint_;
   int hint_shift_ = 0;
+
+  // Prefix-domain wavelets only: prefix_[t] = WaveReconstructAt(t) for
+  // t = 0..n, derived at construction (not part of the on-disk format).
+  // Each entry is the very double the walk returns, so P[b] - P[a-1]
+  // read from it is bit-identical to walking both prefixes per query.
+  // 8(n + 1) bytes, at most the size of the coefficient table.
+  std::vector<double> prefix_;
 };
 
 /// RangeEstimator adapter over a flat view, so the evaluation and

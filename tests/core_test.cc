@@ -1,8 +1,10 @@
 // Unit tests for the core foundation: Status/Result, strings, flags,
 // deterministic RNG, math helpers, CRC32C.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <string_view>
@@ -249,6 +251,78 @@ TEST(MathTest, RoundHalfToEven) {
   EXPECT_EQ(RoundHalfToEven(-2.5), -2);
   EXPECT_EQ(RoundHalfToEven(2.4), 2);
   EXPECT_EQ(RoundHalfToEven(2.6), 3);
+}
+
+// RoundHalfToEven against the libm rounding it replaced, std::nearbyint
+// in the default FE_TONEAREST mode, over every input class the
+// add-and-subtract-2^52 form treats differently.
+TEST(MathTest, RoundHalfToEvenMatchesNearbyint) {
+  int64_t checked = 0;
+  int64_t mismatches = 0;
+  const auto check = [&](double x) {
+    ++checked;
+    const int64_t want = static_cast<int64_t>(std::nearbyint(x));
+    if (RoundHalfToEven(x) != want && ++mismatches <= 10) {
+      ADD_FAILURE() << std::hexfloat << x << ": got " << RoundHalfToEven(x)
+                    << " want " << want;
+    }
+  };
+  const auto check_signed = [&](double x) {
+    check(x);
+    check(-x);
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  // Every tie k + 0.5 for |k| <= 2^20, and both of its neighbours.
+  for (int64_t k = 0; k <= (int64_t{1} << 20); ++k) {
+    const double tie = static_cast<double>(k) + 0.5;
+    check_signed(tie);
+    check_signed(std::nextafter(tie, 0.0));
+    check_signed(std::nextafter(tie, kInf));
+  }
+
+  check_signed(0.0);
+  for (const double sub :
+       {std::numeric_limits<double>::denorm_min(),
+        3.0 * std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 2.0,
+        std::nextafter(std::numeric_limits<double>::min(), 0.0)}) {
+    check_signed(sub);
+  }
+
+  // 2^52 and 2^53 and the doubles within 8 ulps of them: below 2^52 the
+  // spacing is 1/2, from 2^52 on every double is an integer.
+  for (const double edge : {0x1p52, 0x1p53}) {
+    double below = edge;
+    double above = edge;
+    check_signed(edge);
+    for (int i = 0; i < 8; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, kInf);
+      check_signed(below);
+      check_signed(above);
+    }
+  }
+
+  // The largest doubles below 2^63, where the int64 cast is still defined.
+  double top = 0x1p63;
+  for (int i = 0; i < 16; ++i) {
+    top = std::nextafter(top, 0.0);
+    check_signed(top);
+  }
+
+  // Random sign and mantissa bits under an exponent drawn uniformly over
+  // every biased value below 2^63 (subnormals included).
+  Rng rng(5252);
+  constexpr uint64_t kMaxBiasedExponent = 1023 + 62;
+  for (int i = 0; i < 4'000'000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    const uint64_t exponent = rng.NextBounded(kMaxBiasedExponent + 1);
+    check(std::bit_cast<double>((bits & 0x800FFFFFFFFFFFFFull) |
+                                (exponent << 52)));
+  }
+
+  EXPECT_EQ(mismatches, 0) << "of " << checked << " values";
 }
 
 TEST(MathTest, PowerOfTwoHelpers) {

@@ -1,11 +1,13 @@
 // Unit tests for the flat query path itself: EstimateMany edge cases
-// (empty batches, size mismatches, duplicates, unsorted input), the
+// (empty batches, size mismatches, duplicates, unsorted input) and its
+// bit identity with EstimateOne for every method and rounding, the
 // factory and catalog entry points, eviction lifetime of outstanding
 // flat views (ASan-covered), RSF1 version refusal, and the CLI's RSF1
 // round trip (build, then inspect/estimate/evaluate on the file, against
 // answers pinned from the legacy estimator path); and the flat Haar
 // walks, bit for bit against reference copies of their branchy
-// predecessors on every range.
+// predecessors on every range, one at a time and batched, and across a
+// mapped reopen.
 
 #include <algorithm>
 #include <bit>
@@ -35,8 +37,10 @@
 #include "engine/catalog.h"
 #include "engine/factory.h"
 #include "engine/table.h"
+#include "histogram/histogram.h"
 #include "qpath/flat_file.h"
 #include "qpath/flat_synopsis.h"
+#include "qpath_flat_reference.h"
 
 namespace rangesyn {
 namespace {
@@ -136,73 +140,66 @@ TEST(FlatBatchTest, BatchEqualsSinglesAcrossScratchReuse) {
   }
 }
 
+/// Every range of `flat` through EstimateMany against EstimateOne, bit
+/// for bit. The ranges include every a == b, so every bucket is hit with
+/// both ends inside it.
+void ExpectBatchMatchesSingles(const FlatSynopsis& flat,
+                               const std::string& label) {
+  std::vector<FlatQuery> queries;
+  for (int64_t a = 1; a <= flat.n(); ++a) {
+    for (int64_t b = a; b <= flat.n(); ++b) queries.push_back({a, b});
+  }
+  std::vector<double> out(queries.size());
+  ASSERT_TRUE(flat.EstimateMany(queries, out).ok()) << label;
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double one = flat.EstimateOne(queries[i].a, queries[i].b);
+    if (Bits(one) != Bits(out[i]) && ++mismatches <= 5) {
+      ADD_FAILURE() << label << " [" << queries[i].a << "," << queries[i].b
+                    << "]: one " << one << " batch " << out[i];
+    }
+  }
+}
+
+// The batch runs one loop per kind; each must call the kernel
+// EstimateOne calls. Every factory method, and every averaging histogram
+// again under each PieceRounding, so each rounding arm of the averaging
+// kernel runs in a batch.
+TEST(FlatBatchTest, EveryMethodAndRoundingMatchesSingles) {
+  const std::vector<int64_t> data = Dataset(64, 21);
+  int64_t averaging = 0;
+  for (const std::string& method : KnownSynopsisMethods()) {
+    SynopsisSpec spec;
+    spec.method = method;
+    spec.budget_words = 21;
+    auto built = BuildSynopsis(spec, data);
+    ASSERT_TRUE(built.ok()) << method << ": " << built.status();
+    auto flat = FlatSynopsis::Compile(*built.value());
+    ASSERT_TRUE(flat.ok()) << method << ": " << flat.status();
+    ExpectBatchMatchesSingles(*flat.value(), method);
+    const auto* avg = dynamic_cast<const AvgHistogram*>(built.value().get());
+    if (avg == nullptr) continue;
+    ++averaging;
+    for (const PieceRounding rounding :
+         {PieceRounding::kNone, PieceRounding::kPerPiece,
+          PieceRounding::kWhole}) {
+      auto variant = AvgHistogram::Create(avg->partition(), avg->values(),
+                                          avg->Name(), rounding);
+      ASSERT_TRUE(variant.ok()) << variant.status();
+      auto variant_flat = FlatSynopsis::Compile(variant.value());
+      ASSERT_TRUE(variant_flat.ok()) << variant_flat.status();
+      ASSERT_EQ(variant_flat.value()->aux(), static_cast<uint8_t>(rounding));
+      ExpectBatchMatchesSingles(
+          *variant_flat.value(),
+          StrCat(method, " rounding ", static_cast<int>(rounding)));
+    }
+  }
+  EXPECT_GT(averaging, 0);
+}
+
 // --- Wavelet kernel bit identity ---------------------------------------
 
-// Reference copies of the flat Haar walks as they stood before the
-// branch-free rewrite: a `t < mid ? h : -h` select per level in the
-// prefix domain, and per-level max/min span clamps plus an
-// `a_hi != a_lo` test in the data domain. The flat kernels must agree
-// with them as 64-bit patterns, whatever the table holds. The copies
-// keep the old statements verbatim: when two NaNs meet, which one an
-// add or multiply returns depends on the operand order the compiler
-// emits, and at -O0 GCC emits `v += x` differently when `v` is reached
-// through a lambda capture, so a reshaped copy disagrees on NaN bits.
-double ReferenceReconstructAt(std::span<const double> heights,
-                              std::span<const double> table, int64_t padded,
-                              int64_t t) {
-  double v = 0.0;
-  v += table[0] * heights[0];
-  const int64_t levels = FloorLog2(static_cast<uint64_t>(padded));
-  int64_t j = 0;
-  for (int64_t shift = levels; shift > 0; --shift, ++j) {
-    const int64_t base = padded >> shift;
-    const int64_t k = base + (t >> shift);
-    const int64_t start = (k - base) << shift;
-    const int64_t mid = start + (int64_t{1} << (shift - 1));
-    const double h = heights[j];
-    v += table[k] * (t < mid ? h : -h);
-  }
-  return v;
-}
-
-double ReferenceRangeSum(std::span<const double> heights,
-                         std::span<const double> table, int64_t padded,
-                         int64_t lo, int64_t hi) {
-  double v = 0.0;
-  v += table[0] * (static_cast<double>(hi - lo + 1) * heights[0]);
-  const int64_t levels = FloorLog2(static_cast<uint64_t>(padded));
-  int64_t j = 0;
-  for (int64_t shift = levels; shift > 0; --shift, ++j) {
-    const int64_t base = padded >> shift;
-    const int64_t level_size = int64_t{1} << shift;
-    const int64_t a_lo = base + (lo >> shift);
-    const int64_t a_hi = base + (hi >> shift);
-    const double h = heights[j];
-    {
-      const int64_t start = (a_lo - base) << shift;
-      const int64_t s_lo = std::max(lo, start);
-      const int64_t s_hi = std::min(hi, start + level_size - 1);
-      const int64_t mid = start + (level_size >> 1);
-      const int64_t plus =
-          std::max<int64_t>(0, std::min(s_hi, mid - 1) - s_lo + 1);
-      const int64_t minus =
-          std::max<int64_t>(0, s_hi - std::max(s_lo, mid) + 1);
-      v += table[a_lo] * (static_cast<double>(plus - minus) * h);
-    }
-    if (a_hi != a_lo) {
-      const int64_t start = (a_hi - base) << shift;
-      const int64_t s_lo = std::max(lo, start);
-      const int64_t s_hi = std::min(hi, start + level_size - 1);
-      const int64_t mid = start + (level_size >> 1);
-      const int64_t plus =
-          std::max<int64_t>(0, std::min(s_hi, mid - 1) - s_lo + 1);
-      const int64_t minus =
-          std::max<int64_t>(0, s_hi - std::max(s_lo, mid) + 1);
-      v += table[a_hi] * (static_cast<double>(plus - minus) * h);
-    }
-  }
-  return v;
-}
+// The reference walks are in qpath_flat_reference.cc (see its header).
 
 /// A wavelet view over `table` (dense Haar layout, padded entries),
 /// assembled through FromBuffers as an mmap'd RSF1 file would be.
@@ -278,30 +275,66 @@ constexpr TableShape kShapes[] = {TableShape::kDense, TableShape::kSparse,
                                   TableShape::kDenseSpecial,
                                   TableShape::kSparseSpecial};
 
+/// Compares one row of answers, all ranges sharing their left end, with
+/// `want`: first EstimateOne per range, then one EstimateMany over the
+/// row. `to_range` maps a row slot to its 1-based range. Returns false
+/// after the first mismatch.
+template <typename ToRange>
+bool ExpectRowBitIdentical(const FlatSynopsis& flat,
+                           const std::vector<double>& want,
+                           ToRange to_range, const char* domain) {
+  std::vector<FlatQuery> queries(want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    queries[i] = to_range(static_cast<int64_t>(i));
+    const double got = flat.EstimateOne(queries[i].a, queries[i].b);
+    if (Bits(want[i]) != Bits(got)) {
+      ADD_FAILURE() << domain << " padded " << flat.padded_size() << " ["
+                    << queries[i].a << "," << queries[i].b
+                    << "]: reference " << want[i] << " flat " << got;
+      return false;
+    }
+  }
+  std::vector<double> batch(want.size());
+  EXPECT_TRUE(flat.EstimateMany(queries, batch).ok());
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (Bits(want[i]) != Bits(batch[i])) {
+      ADD_FAILURE() << domain << " padded " << flat.padded_size() << " ["
+                    << queries[i].a << "," << queries[i].b
+                    << "]: reference " << want[i] << " batch " << batch[i];
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Every range of the data-domain view of `table` against the reference
-/// range-sum walk. Returns the number of ranges compared.
+/// range-sum walk, one at a time and batched by left end. Returns the
+/// number of ranges compared.
 int64_t ExpectDataDomainBitIdentical(const std::vector<double>& table) {
   const WaveletView view = MakeWaveletView(table, /*prefix_domain=*/false);
   const int64_t padded = static_cast<int64_t>(table.size());
   int64_t compared = 0;
+  std::vector<double> want;
   for (int64_t lo = 0; lo < padded; ++lo) {
-    for (int64_t hi = lo; hi < padded; ++hi, ++compared) {
-      const double want =
-          ReferenceRangeSum(view.heights, view.table, padded, lo, hi);
-      const double got = view.flat->EstimateOne(lo + 1, hi + 1);
-      if (Bits(want) != Bits(got)) {
-        ADD_FAILURE() << "padded " << padded << " [" << lo << "," << hi
-                      << "]: reference " << want << " flat " << got;
-        return compared;
-      }
+    want.clear();
+    for (int64_t hi = lo; hi < padded; ++hi) {
+      want.push_back(
+          ReferenceRangeSum(view.heights, view.table, padded, lo, hi));
     }
+    const auto to_range = [lo](int64_t i) {
+      return FlatQuery{lo + 1, lo + 1 + i};
+    };
+    if (!ExpectRowBitIdentical(*view.flat, want, to_range, "data")) {
+      return compared;
+    }
+    compared += static_cast<int64_t>(want.size());
   }
   return compared;
 }
 
 /// Every range of the prefix-domain view of `table` against the
-/// reference point walk: s[a,b] = P[b] - P[a-1]. Returns the number of
-/// ranges compared.
+/// reference point walk, s[a,b] = P[b] - P[a-1], one at a time and
+/// batched by left end. Returns the number of ranges compared.
 int64_t ExpectPrefixDomainBitIdentical(const std::vector<double>& table) {
   const WaveletView view = MakeWaveletView(table, /*prefix_domain=*/true);
   const int64_t padded = static_cast<int64_t>(table.size());
@@ -310,16 +343,17 @@ int64_t ExpectPrefixDomainBitIdentical(const std::vector<double>& table) {
     prefix[t] = ReferenceReconstructAt(view.heights, view.table, padded, t);
   }
   int64_t compared = 0;
+  std::vector<double> want;
   for (int64_t a = 1; a < padded; ++a) {
-    for (int64_t b = a; b < padded; ++b, ++compared) {
-      const double want = prefix[b] - prefix[a - 1];
-      const double got = view.flat->EstimateOne(a, b);
-      if (Bits(want) != Bits(got)) {
-        ADD_FAILURE() << "padded " << padded << " [" << a << "," << b
-                      << "]: reference " << want << " flat " << got;
-        return compared;
-      }
+    want.clear();
+    for (int64_t b = a; b < padded; ++b) {
+      want.push_back(prefix[b] - prefix[a - 1]);
     }
+    const auto to_range = [a](int64_t i) { return FlatQuery{a, a + i}; };
+    if (!ExpectRowBitIdentical(*view.flat, want, to_range, "prefix")) {
+      return compared;
+    }
+    compared += static_cast<int64_t>(want.size());
   }
   return compared;
 }
@@ -387,6 +421,44 @@ TEST(FlatWaveletKernelTest, SplitEdgesMatchReferenceAtLargePaddedSize) {
                                       lo)),
           Bits(prefix.flat->EstimateOne(lo + 1, hi)))
           << "prefix domain P[" << hi << "] - P[" << lo << "]";
+    }
+  }
+}
+
+// A prefix-domain wavelet derives its prefix table when it is opened, so
+// a mapped RSF1 reopen builds it again from the file's coefficients. The
+// reopened view must answer every range with the same bits, one at a
+// time and batched, NaN payloads included.
+TEST(FlatWaveletKernelTest, MappedPrefixReopenIsBitIdentical) {
+  for (const auto& original :
+       {BuildFlat("wave-range-opt", 64, 1000),
+        MakeWaveletView(MakeTable(512, TableShape::kDenseSpecial, 90),
+                        /*prefix_domain=*/true)
+            .flat}) {
+    ASSERT_EQ(original->kind(), FlatKind::kWavelet);
+    ASSERT_EQ(original->aux(), 1);
+    const std::string path = TempPath("prefix_wavelet.rsn");
+    ASSERT_TRUE(SaveFlatSynopsis(*original, path).ok());
+    auto mapped = OpenFlatMapped(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(mapped.ok()) << mapped.status();
+    const FlatSynopsis& reopened = *mapped.value();
+    std::vector<FlatQuery> queries;
+    for (int64_t a = 1; a <= original->n(); ++a) {
+      for (int64_t b = a; b <= original->n(); ++b) queries.push_back({a, b});
+    }
+    std::vector<double> out(queries.size());
+    ASSERT_TRUE(reopened.EstimateMany(queries, out).ok());
+    int64_t mismatches = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const double want = original->EstimateOne(queries[i].a, queries[i].b);
+      const double one = reopened.EstimateOne(queries[i].a, queries[i].b);
+      if ((Bits(want) != Bits(one) || Bits(want) != Bits(out[i])) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "[" << queries[i].a << "," << queries[i].b
+                      << "]: original " << want << " reopened " << one
+                      << " batch " << out[i];
+      }
     }
   }
 }
