@@ -10,9 +10,12 @@
 //   BM_CodecRoundTrip/N  — the RSP1 codec work of one N-range request,
 //                          in process with no socket: encode query,
 //                          header + CRC check, parse, encode reply,
-//                          header + CRC check, parse reply
+//                          header + CRC check, parse reply; in the
+//                          in-place forms on buffers reused across
+//                          iterations, as the connection loops run them
 //   BM_ServePing         — empty round trip: pure protocol + socket cost
-//   BM_ServeQueryBatch/N — one query frame carrying N ranges
+//   BM_ServeQueryBatch/N — one query frame carrying N ranges (4096 is
+//                          rsbench's bulk-batch shape)
 //   BM_ServeQueryPipelined/T — T client threads, one connection each
 //
 // The committed baseline (results/baselines/BENCH_serving.json) feeds
@@ -132,31 +135,33 @@ void BM_CodecRoundTrip(benchmark::State& state) {
   request.deadline_ms = 5000;
   request.key = kKey;
   request.ranges = RandomRanges(static_cast<size_t>(state.range(0)), 1000);
-  QueryResponse response;
-  response.request_id = request.request_id;
+  std::vector<double> estimates;
   for (const FlatQuery& q : request.ranges) {
-    response.estimates.push_back(0.5 * static_cast<double>(q.b - q.a + 1));
+    estimates.push_back(0.5 * static_cast<double>(q.b - q.a + 1));
   }
+  std::string frame;
+  QueryRequest parsed;
+  std::string reply;
+  QueryResponse decoded;
   for (auto _ : state) {
-    const std::string frame = EncodeQuery(request);
+    EncodeQueryInto(request.request_id, request.deadline_ms, request.key,
+                    request.ranges, &frame);
     auto header = DecodeFrameHeader(
         std::string_view(frame).substr(0, kFrameHeaderBytes));
     RANGESYN_CHECK_OK(header.status());
-    auto payload = CheckFrameCrc(frame, *header);
+    auto payload = CheckFrameCrcInPlace(frame, *header);
     RANGESYN_CHECK_OK(payload.status());
-    auto parsed = ParseQuery(*payload);
-    RANGESYN_CHECK_OK(parsed.status());
-    benchmark::DoNotOptimize(parsed->ranges.data());
+    RANGESYN_CHECK_OK(ParseQueryInto(*payload, &parsed));
+    benchmark::DoNotOptimize(parsed.ranges.data());
 
-    const std::string reply = EncodeQueryOk(response);
+    EncodeQueryOkInto(parsed.request_id, estimates, &reply);
     auto reply_header = DecodeFrameHeader(
         std::string_view(reply).substr(0, kFrameHeaderBytes));
     RANGESYN_CHECK_OK(reply_header.status());
-    auto reply_payload = CheckFrameCrc(reply, *reply_header);
+    auto reply_payload = CheckFrameCrcInPlace(reply, *reply_header);
     RANGESYN_CHECK_OK(reply_payload.status());
-    auto decoded = ParseQueryOk(*reply_payload);
-    RANGESYN_CHECK_OK(decoded.status());
-    benchmark::DoNotOptimize(decoded->estimates.data());
+    RANGESYN_CHECK_OK(ParseQueryOkInto(*reply_payload, &decoded));
+    benchmark::DoNotOptimize(decoded.estimates.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(request.ranges.size()));
@@ -186,7 +191,12 @@ void BM_ServeQueryBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(ranges.size()));
 }
-BENCHMARK(BM_ServeQueryBatch)->Arg(1)->Arg(16)->Arg(256)->UseRealTime();
+BENCHMARK(BM_ServeQueryBatch)
+    ->Arg(1)
+    ->Arg(16)
+    ->Arg(256)
+    ->Arg(4096)
+    ->UseRealTime();
 
 void BM_ServeQueryPipelined(benchmark::State& state) {
   // One connection and one in-flight request per benchmark thread: the

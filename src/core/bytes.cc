@@ -106,12 +106,17 @@ Result<double> ByteReader::ReadDouble() {
 }
 
 Result<std::string> ByteReader::ReadString() {
+  RANGESYN_ASSIGN_OR_RETURN(std::string_view view, ReadStringView());
+  return std::string(view);
+}
+
+Result<std::string_view> ByteReader::ReadStringView() {
   RANGESYN_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
   if (len > kMaxLength) {
     return InvalidArgumentError("ByteReader: corrupt string length");
   }
   RANGESYN_RETURN_IF_ERROR(Need(len));
-  std::string out(data_.substr(pos_, len));
+  const std::string_view out = data_.substr(pos_, len);
   pos_ += len;
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/result.h"
@@ -16,6 +17,13 @@ namespace rangesyn {
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  /// Writes into `buffer`'s storage: its contents are dropped and its
+  /// capacity kept, so a caller that hands back what Release returned
+  /// writes the next message without reallocating.
+  explicit ByteWriter(std::string buffer) : buffer_(std::move(buffer)) {
+    buffer_.clear();
+  }
 
   void WriteU8(uint8_t v);
   void WriteU32(uint32_t v);
@@ -57,6 +65,8 @@ class ByteReader {
   Result<int64_t> ReadI64();
   Result<double> ReadDouble();
   Result<std::string> ReadString();
+  /// ReadString without the copy: a view into the reader's data.
+  Result<std::string_view> ReadStringView();
   Result<std::vector<int64_t>> ReadI64Vector();
   Result<std::vector<double>> ReadDoubleVector();
 

@@ -1,6 +1,7 @@
 #ifndef RANGESYN_CORE_CRC32C_H_
 #define RANGESYN_CORE_CRC32C_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -17,7 +18,18 @@ namespace rangesyn {
 /// SSE4.2 `crc32` instruction on x86-64, the ARMv8 CRC32 instructions on
 /// aarch64 builds that target them, and Crc32cExtendPortable everywhere
 /// else. Every path returns the same value for the same bytes.
+///
+/// The x86-64 path runs three independent `crc32` streams side by side
+/// (the instruction's latency is three times its issue interval) over
+/// runs of 3 · kCrc32cLongBlock bytes, then of 3 · kCrc32cShortBlock
+/// bytes, and folds the three partial CRCs together with precomputed
+/// zero-shift tables, after Mark Adler's crc32c.c.
 uint32_t Crc32c(std::string_view data);
+
+/// Block sizes of the three-stream interleave, exposed so that tests can
+/// probe inputs at the block edges.
+inline constexpr size_t kCrc32cShortBlock = 256;
+inline constexpr size_t kCrc32cLongBlock = 8192;
 
 /// Incremental form: extends a running CRC (pass the previous return
 /// value; start from Crc32c of the first piece or 0 for an empty prefix).

@@ -13,7 +13,10 @@ namespace rangesyn::serve {
 Client::Client(const ClientOptions& options)
     : options_(options), jitter_(options.backoff_seed) {}
 
-void Client::Disconnect() { fd_ = Fd(); }
+void Client::Disconnect() {
+  fd_ = Fd();
+  rx_.Release();  // bytes of the old connection must not frame the next
+}
 
 Status Client::EnsureConnected() {
   if (fd_.valid()) return OkStatus();
@@ -23,29 +26,18 @@ Status Client::EnsureConnected() {
   return OkStatus();
 }
 
-Result<Frame> Client::ReadFrame(const Deadline& deadline) {
-  char header[kFrameHeaderBytes];
-  RANGESYN_RETURN_IF_ERROR(
-      ReadFull(fd_.get(), header, kFrameHeaderBytes, sites_, deadline));
-  RANGESYN_ASSIGN_OR_RETURN(
-      FrameHeader decoded,
-      DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes)));
-  std::string frame_bytes(header, kFrameHeaderBytes);
-  const size_t rest = decoded.payload_size + kFrameTrailerBytes;
-  frame_bytes.resize(kFrameHeaderBytes + rest);
-  RANGESYN_RETURN_IF_ERROR(ReadFull(fd_.get(),
-                                    frame_bytes.data() + kFrameHeaderBytes,
-                                    rest, sites_, deadline));
-  Frame frame;
-  frame.type = decoded.type;
-  RANGESYN_ASSIGN_OR_RETURN(frame.payload,
-                            CheckFrameCrc(frame_bytes, decoded));
-  return frame;
+Result<FrameView> Client::ReadFrame(const Deadline& deadline) {
+  rx_.Consume();  // the previous round trip's reply
+  RANGESYN_ASSIGN_OR_RETURN(const FrameHeader header,
+                            rx_.ReadFrame(fd_.get(), sites_, deadline));
+  RANGESYN_ASSIGN_OR_RETURN(const std::string_view payload,
+                            CheckFrameCrcInPlace(rx_.frame(), header));
+  return FrameView{header.type, payload};
 }
 
-Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
-                                uint32_t deadline_ms,
-                                std::string_view what) {
+Result<FrameView> Client::RoundTrip(std::string_view frame_bytes,
+                                    uint32_t deadline_ms,
+                                    std::string_view what) {
   ++stats_.requests;
   // Socket waits get a grace past the budget: the server answers its own
   // typed DEADLINE_EXCEEDED at its next check, after the budget ran out.
@@ -56,7 +48,9 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
     budget = Deadline::After(deadline_ms / 1000.0);
     wire = Deadline::After(deadline_ms / 1000.0 + kWireGraceS);
   }
-  Status last = InternalError(StrCat(what, ": no attempt made"));
+  // Every failed attempt sets `last`; it is built lazily so that a round
+  // trip that succeeds allocates no error message.
+  Status last;
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0) {
       ++stats_.retries;
@@ -93,7 +87,7 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
       last = std::move(sent);
       continue;
     }
-    Result<Frame> frame = ReadFrame(wire);
+    Result<FrameView> frame = ReadFrame(wire);
     if (!frame.ok()) {
       Disconnect();
       ++stats_.reconnects;
@@ -136,7 +130,7 @@ Result<Frame> Client::RoundTrip(const std::string& frame_bytes,
 Status Client::Ping(uint32_t deadline_ms) {
   const uint64_t id = next_request_id_++;
   RANGESYN_ASSIGN_OR_RETURN(
-      Frame frame, RoundTrip(EncodePing(id), deadline_ms, "ping"));
+      const FrameView frame, RoundTrip(EncodePing(id), deadline_ms, "ping"));
   if (frame.type == MsgType::kError) {
     RANGESYN_ASSIGN_OR_RETURN(ErrorResponse error,
                               ParseError(frame.payload));
@@ -170,14 +164,13 @@ Result<std::vector<double>> Client::Query(const std::string& key,
                "-byte key need a ", payload_bytes,
                "-byte payload, over the frame cap of ", kMaxPayloadBytes));
   }
-  QueryRequest request;
-  request.request_id = next_request_id_++;
-  request.deadline_ms = deadline_ms;
-  request.key = key;
-  request.ranges.assign(ranges.begin(), ranges.end());
-  RANGESYN_ASSIGN_OR_RETURN(
-      Frame frame,
-      RoundTrip(EncodeQuery(request), deadline_ms, "query"));
+  const uint64_t id = next_request_id_++;
+  EncodeQueryInto(id, deadline_ms, key, ranges, &tx_);
+  Result<FrameView> round_trip = RoundTrip(tx_, deadline_ms, "query");
+  // Like the server's buffers, keep no more than the ceiling between
+  // requests.
+  if (tx_.capacity() > FrameBuffer::kCeilingBytes) std::string().swap(tx_);
+  RANGESYN_ASSIGN_OR_RETURN(const FrameView frame, std::move(round_trip));
   if (frame.type == MsgType::kError) {
     RANGESYN_ASSIGN_OR_RETURN(ErrorResponse error,
                               ParseError(frame.payload));
@@ -190,18 +183,17 @@ Result<std::vector<double>> Client::Query(const std::string& key,
     return InternalError(StrCat("query: unexpected response type ",
                                 static_cast<int>(frame.type)));
   }
-  RANGESYN_ASSIGN_OR_RETURN(QueryResponse response,
-                            ParseQueryOk(frame.payload));
-  if (response.request_id != request.request_id) {
+  QueryResponse response;
+  RANGESYN_RETURN_IF_ERROR(ParseQueryOkInto(frame.payload, &response));
+  if (response.request_id != id) {
     Disconnect();
     return InternalError(StrCat("query: response id ", response.request_id,
-                                " does not match request id ",
-                                request.request_id));
+                                " does not match request id ", id));
   }
-  if (response.estimates.size() != request.ranges.size()) {
+  if (response.estimates.size() != ranges.size()) {
     Disconnect();
     return InternalError(StrCat("query: ", response.estimates.size(),
-                                " estimates for ", request.ranges.size(),
+                                " estimates for ", ranges.size(),
                                 " ranges"));
   }
   return std::move(response.estimates);

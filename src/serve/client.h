@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "core/analysis_annotations.h"
 #include "core/deadline.h"
 #include "core/random.h"
 #include "core/result.h"
@@ -62,8 +63,11 @@ struct ClientStats {
 };
 
 /// One connection worth of client state. Not thread-safe: a loadgen
-/// worker owns one Client; concurrent callers each hold their own.
-class Client {
+/// worker owns one Client; concurrent callers each hold their own. The
+/// client owns its send and receive buffers and reuses them across
+/// requests: a query is encoded straight from the caller's ranges, and
+/// its reply is parsed straight into the returned estimates.
+class RANGESYN_OWNER_TYPE Client {
  public:
   explicit Client(const ClientOptions& options);
 
@@ -91,17 +95,22 @@ class Client {
 
  private:
   /// Sends `frame_bytes` and reads one response frame, applying the full
-  /// retry policy. `what` labels errors.
-  Result<Frame> RoundTrip(const std::string& frame_bytes,
-                          uint32_t deadline_ms, std::string_view what);
+  /// retry policy. `what` labels errors. The returned payload is a view
+  /// into rx_, valid until the next round trip.
+  RANGESYN_LENDS_VIEW Result<FrameView> RoundTrip(std::string_view frame_bytes,
+                                                  uint32_t deadline_ms,
+                                                  std::string_view what);
   Status EnsureConnected();
-  /// Reads one complete frame (header, payload, CRC) off the wire,
-  /// giving up with DeadlineExceeded once `deadline` expires.
-  Result<Frame> ReadFrame(const Deadline& deadline);
+  /// Reads one complete frame (header, payload, CRC) off the wire into
+  /// rx_, giving up with DeadlineExceeded once `deadline` expires.
+  RANGESYN_LENDS_VIEW Result<FrameView> ReadFrame(const Deadline& deadline);
 
   const ClientOptions options_;
   Fd fd_;
   WireSites sites_{"serve.client"};
+  /// The encoded query frame, and the bytes read off the connection.
+  std::string tx_;
+  FrameBuffer rx_;
   Rng jitter_;
   ClientStats stats_;
   uint64_t next_request_id_ = 1;

@@ -37,7 +37,8 @@ Status RequireAtEnd(const ByteReader& reader, std::string_view what) {
 
 // Frames are encoded in place: one writer reserved at the frame's final
 // size receives the header, the payload fields and then the CRC of
-// everything before it.
+// everything before it. The writer can adopt a caller's buffer, so a
+// reused buffer keeps its capacity across frames.
 
 /// Arrays of 64-bit fields (FlatQuery's two i64s, f64 estimates) travel
 /// as little-endian 8-byte words: one memcpy on a little-endian host, a
@@ -58,8 +59,9 @@ void WriteWordsLe(ByteWriter& out, std::span<const T> values) {
 }
 
 /// A writer reserved at the frame's final size, holding the header.
-ByteWriter BeginFrame(MsgType type, size_t payload_size) {
-  ByteWriter frame;
+ByteWriter BeginFrame(MsgType type, size_t payload_size,
+                      std::string buffer = {}) {
+  ByteWriter frame(std::move(buffer));
   frame.Reserve(kFrameHeaderBytes + payload_size + kFrameTrailerBytes);
   frame.WriteU32(kWireMagic);
   frame.WriteU8(kWireVersion);
@@ -172,23 +174,41 @@ size_t QueryPayloadBytes(std::string_view key, size_t range_count) {
 }
 
 std::string EncodeQuery(const QueryRequest& request) {
-  ByteWriter frame = BeginFrame(
-      MsgType::kQuery, QueryPayloadBytes(request.key, request.ranges.size()));
-  frame.WriteU64(request.request_id);
-  frame.WriteU32(request.deadline_ms);
-  frame.WriteString(request.key);
-  frame.WriteU32(static_cast<uint32_t>(request.ranges.size()));
-  WriteWordsLe(frame, std::span<const FlatQuery>(request.ranges));
-  return FinishFrame(std::move(frame));
+  std::string frame;
+  EncodeQueryInto(request.request_id, request.deadline_ms, request.key,
+                  request.ranges, &frame);
+  return frame;
 }
 
 std::string EncodeQueryOk(const QueryResponse& response) {
-  ByteWriter frame = BeginFrame(
-      MsgType::kQueryOk, 8 + 4 + response.estimates.size() * sizeof(double));
-  frame.WriteU64(response.request_id);
-  frame.WriteU32(static_cast<uint32_t>(response.estimates.size()));
-  WriteWordsLe(frame, std::span<const double>(response.estimates));
-  return FinishFrame(std::move(frame));
+  std::string frame;
+  EncodeQueryOkInto(response.request_id, response.estimates, &frame);
+  return frame;
+}
+
+void EncodeQueryInto(uint64_t request_id, uint32_t deadline_ms,
+                     std::string_view key, std::span<const FlatQuery> ranges,
+                     std::string* out) {
+  ByteWriter frame =
+      BeginFrame(MsgType::kQuery, QueryPayloadBytes(key, ranges.size()),
+                 std::move(*out));
+  frame.WriteU64(request_id);
+  frame.WriteU32(deadline_ms);
+  frame.WriteString(key);
+  frame.WriteU32(static_cast<uint32_t>(ranges.size()));
+  WriteWordsLe(frame, ranges);
+  *out = FinishFrame(std::move(frame));
+}
+
+void EncodeQueryOkInto(uint64_t request_id, std::span<const double> estimates,
+                       std::string* out) {
+  ByteWriter frame = BeginFrame(MsgType::kQueryOk,
+                                8 + 4 + estimates.size_bytes(),
+                                std::move(*out));
+  frame.WriteU64(request_id);
+  frame.WriteU32(static_cast<uint32_t>(estimates.size()));
+  WriteWordsLe(frame, estimates);
+  *out = FinishFrame(std::move(frame));
 }
 
 std::string EncodeError(const ErrorResponse& response) {
@@ -235,6 +255,13 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view header) {
 
 Result<std::string> CheckFrameCrc(std::string_view frame,
                                   const FrameHeader& header) {
+  RANGESYN_ASSIGN_OR_RETURN(const std::string_view payload,
+                            CheckFrameCrcInPlace(frame, header));
+  return std::string(payload);
+}
+
+Result<std::string_view> CheckFrameCrcInPlace(std::string_view frame,
+                                              const FrameHeader& header) {
   const size_t expected =
       kFrameHeaderBytes + header.payload_size + kFrameTrailerBytes;
   if (frame.size() != expected) {
@@ -250,7 +277,7 @@ Result<std::string> CheckFrameCrc(std::string_view frame,
         StrCat("frame: CRC mismatch (stored ", stored, ", computed ", actual,
                ")"));
   }
-  return std::string(body.substr(kFrameHeaderBytes));
+  return body.substr(kFrameHeaderBytes);
 }
 
 Result<PingMessage> ParsePing(std::string_view payload) {
@@ -262,11 +289,23 @@ Result<PingMessage> ParsePing(std::string_view payload) {
 }
 
 Result<QueryRequest> ParseQuery(std::string_view payload) {
-  ByteReader reader(payload);
   QueryRequest request;
-  RANGESYN_ASSIGN_OR_RETURN(request.request_id, reader.ReadU64());
-  RANGESYN_ASSIGN_OR_RETURN(request.deadline_ms, reader.ReadU32());
-  RANGESYN_ASSIGN_OR_RETURN(request.key, reader.ReadString());
+  RANGESYN_RETURN_IF_ERROR(ParseQueryInto(payload, &request));
+  return request;
+}
+
+Result<QueryResponse> ParseQueryOk(std::string_view payload) {
+  QueryResponse response;
+  RANGESYN_RETURN_IF_ERROR(ParseQueryOkInto(payload, &response));
+  return response;
+}
+
+Status ParseQueryInto(std::string_view payload, QueryRequest* request) {
+  ByteReader reader(payload);
+  RANGESYN_ASSIGN_OR_RETURN(const uint64_t request_id, reader.ReadU64());
+  RANGESYN_ASSIGN_OR_RETURN(const uint32_t deadline_ms, reader.ReadU32());
+  RANGESYN_ASSIGN_OR_RETURN(const std::string_view key,
+                            reader.ReadStringView());
   RANGESYN_ASSIGN_OR_RETURN(const uint32_t count, reader.ReadU32());
   if (count > kMaxRangesPerQuery) {
     return InvalidArgumentError(
@@ -276,23 +315,26 @@ Result<QueryRequest> ParseQuery(std::string_view payload) {
       const std::string_view bytes,
       ArrayBytes(payload, reader, count, sizeof(FlatQuery), "query",
                  "ranges"));
-  request.ranges.resize(count);
-  CopyWordsLe(bytes, std::span<FlatQuery>(request.ranges));
-  return request;
+  request->request_id = request_id;
+  request->deadline_ms = deadline_ms;
+  request->key.assign(key);
+  request->ranges.resize(count);
+  CopyWordsLe(bytes, std::span<FlatQuery>(request->ranges));
+  return OkStatus();
 }
 
-Result<QueryResponse> ParseQueryOk(std::string_view payload) {
+Status ParseQueryOkInto(std::string_view payload, QueryResponse* response) {
   ByteReader reader(payload);
-  QueryResponse response;
-  RANGESYN_ASSIGN_OR_RETURN(response.request_id, reader.ReadU64());
+  RANGESYN_ASSIGN_OR_RETURN(const uint64_t request_id, reader.ReadU64());
   RANGESYN_ASSIGN_OR_RETURN(const uint32_t count, reader.ReadU32());
   RANGESYN_ASSIGN_OR_RETURN(
       const std::string_view bytes,
       ArrayBytes(payload, reader, count, sizeof(double), "query-ok",
                  "estimates"));
-  response.estimates.resize(count);
-  CopyWordsLe(bytes, std::span<double>(response.estimates));
-  return response;
+  response->request_id = request_id;
+  response->estimates.resize(count);
+  CopyWordsLe(bytes, std::span<double>(response->estimates));
+  return OkStatus();
 }
 
 Result<ErrorResponse> ParseError(std::string_view payload) {

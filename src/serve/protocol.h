@@ -2,10 +2,12 @@
 #define RANGESYN_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/analysis_annotations.h"
 #include "core/result.h"
 #include "qpath/flat_synopsis.h"
 
@@ -103,6 +105,13 @@ struct Frame {
   std::string payload;
 };
 
+/// One decoded frame whose payload is a view into the buffer it was read
+/// into; valid while that buffer holds the frame.
+struct FrameView {
+  MsgType type = MsgType::kPing;
+  std::string_view payload;
+};
+
 /// Header fields decoded from the fixed kFrameHeaderBytes prefix.
 struct FrameHeader {
   MsgType type = MsgType::kPing;
@@ -142,6 +151,35 @@ Result<PingMessage> ParsePing(std::string_view payload);
 Result<QueryRequest> ParseQuery(std::string_view payload);
 Result<QueryResponse> ParseQueryOk(std::string_view payload);
 Result<ErrorResponse> ParseError(std::string_view payload);
+
+/// In-place forms, for callers that reuse buffers across frames (the
+/// server's and the client's connection loops): they write into storage
+/// the caller owns and keeps, so after the first frame of a given size
+/// they neither allocate nor copy a payload. The allocating functions
+/// above are wrappers over these: both produce the same bytes and the
+/// same errors.
+
+/// CheckFrameCrc without the copy: the payload as a view into `frame`.
+RANGESYN_LENDS_VIEW Result<std::string_view> CheckFrameCrcInPlace(
+    std::string_view frame, const FrameHeader& header);
+
+/// ParseQuery into `request`, reusing the capacity of its key and ranges.
+/// Every check runs before the first write, so on error `request` is
+/// unchanged.
+Status ParseQueryInto(std::string_view payload, QueryRequest* request);
+
+/// ParseQueryOk into `response`, reusing the capacity of its estimates;
+/// on error `response` is unchanged.
+Status ParseQueryOkInto(std::string_view payload, QueryResponse* response);
+
+/// EncodeQuery of these fields into `out`, replacing its contents.
+void EncodeQueryInto(uint64_t request_id, uint32_t deadline_ms,
+                     std::string_view key, std::span<const FlatQuery> ranges,
+                     std::string* out);
+
+/// EncodeQueryOk of these fields into `out`, replacing its contents.
+void EncodeQueryOkInto(uint64_t request_id, std::span<const double> estimates,
+                       std::string* out);
 
 }  // namespace rangesyn::serve
 

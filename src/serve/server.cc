@@ -4,8 +4,8 @@
 #include <chrono>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
-#include <variant>
 
 #include "core/failpoint.h"
 #include "core/status.h"
@@ -45,6 +45,7 @@ const ServingMetrics& GetServingMetrics() {
     m.drains = reg.GetCounter("serve.drain.count");
     m.queue_depth = reg.GetGauge("serve.queue.depth");
     m.open_conns = reg.GetGauge("serve.conn.open");
+    m.buffer_bytes = reg.GetGauge("serve.conn.buffer_bytes");
     m.latency = reg.GetHistogram("serve.request.latency");
     return m;
   }();
@@ -72,7 +73,9 @@ obs::Counter* ServingMetrics::ForError(WireError code) const {
 /// One live connection, owned by conns_. Its thread is the only one that
 /// reads or writes the socket: every reply is written by the thread that
 /// read the request, so replies leave in request order and need no lock.
-struct Server::Conn {
+/// It also owns the buffers its requests are parsed, evaluated and
+/// encoded in; views into them live no longer than one frame.
+struct RANGESYN_OWNER_TYPE Server::Conn {
   explicit Conn(Fd fd_in) : fd(std::move(fd_in)) {}
 
   Fd fd;
@@ -81,13 +84,22 @@ struct Server::Conn {
   /// A reply write failed (reset / injected fault): the loop stops after
   /// the current frame.
   bool dead = false;
-  /// Frames currently being handled on the connection thread (read
-  /// complete, reply not yet written); the drain settle-wait uses it so a
-  /// reply in progress is not cut off by the fd shutdown.
+  /// 1 from the first byte of a frame until its reply is written; the
+  /// drain settle-wait uses it so a reply in progress is not cut off by
+  /// the fd shutdown.
   std::atomic<int32_t> busy{0};
   /// ConnLoop returned; the thread is joinable and the conn reapable.
   std::atomic<bool> finished{false};
   WireSites sites{"serve.conn"};
+  /// Bytes read off the socket, the frame being handled first.
+  FrameBuffer rx{GetServingMetrics().buffer_bytes};
+  /// The frame's parsed query, its estimates and the encoded reply.
+  QueryRequest request;
+  std::vector<double> estimates;
+  std::string reply;
+  /// The capacity of request, estimates and reply last added to
+  /// serve.conn.buffer_bytes (rx adds its own).
+  int64_t published_bytes = 0;
 };
 
 Server::Server(const ServerOptions& options) : options_(options) {}
@@ -177,61 +189,65 @@ void Server::ListenerLoop() {
 }
 
 void Server::ConnLoop(Conn& conn) {
-  std::string frame_bytes;
   for (;;) {
-    char header[kFrameHeaderBytes];
-    Status read_status =
-        ReadFull(conn.fd.get(), header, kFrameHeaderBytes, conn.sites);
-    if (!read_status.ok()) {
-      // Clean EOF between frames, drain shutdown, or a transport fault:
-      // either way this connection is over. Faults were already surfaced
-      // as a typed client-side error (reset) — nothing is silent.
+    // Between frames, wait for the next frame's first bytes, unless a
+    // pipelined frame already began in the buffer. A clean EOF, the drain
+    // shutdown or a transport fault ends the connection; faults already
+    // surfaced as a typed client-side error (reset), so nothing is silent.
+    if (conn.rx.empty() && !conn.rx.ReadMore(conn.fd.get(), conn.sites).ok()) {
       break;
     }
-    conn.busy.fetch_add(1, std::memory_order_acq_rel);
-    bool keep = false;
-    Result<FrameHeader> decoded =
-        DecodeFrameHeader(std::string_view(header, kFrameHeaderBytes));
-    if (!decoded.ok()) {
-      // Bad magic/version/size: the stream position is unknowable, so
-      // answer typed MALFORMED and close rather than resynchronize.
-      Refuse(conn, {0, WireError::kMalformed,
-                    std::string(decoded.status().message())});
-    } else {
-      const size_t rest = decoded->payload_size + kFrameTrailerBytes;
-      frame_bytes.assign(header, kFrameHeaderBytes);
-      frame_bytes.resize(kFrameHeaderBytes + rest);
-      read_status = ReadFull(conn.fd.get(),
-                             frame_bytes.data() + kFrameHeaderBytes, rest,
-                             conn.sites);
-      if (read_status.ok()) {
-        Result<std::string> payload = CheckFrameCrc(frame_bytes, *decoded);
-        if (!payload.ok()) {
-          // Checksum mismatch: the transport corrupted bytes in flight;
-          // typed MALFORMED, then close (framing can no longer be
-          // trusted).
-          Refuse(conn, {0, WireError::kMalformed,
-                        std::string(payload.status().message())});
-        } else {
-          keep = DispatchFrame(conn, {decoded->type, *std::move(payload)});
-        }
-      }
-    }
-    conn.busy.fetch_sub(1, std::memory_order_acq_rel);
-    if (!keep || !read_status.ok() || conn.dead) break;
+    conn.busy.store(1, std::memory_order_release);
+    const bool keep = HandleFrame(conn);
+    conn.busy.store(conn.rx.empty() ? 0 : 1, std::memory_order_release);
+    if (!keep || conn.dead) break;
   }
+  conn.busy.store(0, std::memory_order_release);
   // Send FIN now: the fd object itself is reclaimed later (ReapConnections
   // or drain), but the peer must observe the close immediately — a client
   // waiting for the next frame after a protocol-violation reply would
   // otherwise hang until its own timeout.
   conn.fd.ShutdownBoth();
+  // Free the owned buffers now rather than at reap, and take what is left
+  // (an empty string's inline capacity) off the gauge.
+  conn.rx.Release();
+  SettleBuffers(conn, /*keep_bytes=*/0);
+  GetServingMetrics().buffer_bytes->Add(-conn.published_bytes);
+  conn.published_bytes = 0;
   counters_.conns_closed.fetch_add(1, std::memory_order_relaxed);
   GetServingMetrics().conns_closed->Increment();
   conn.finished.store(true, std::memory_order_release);
   GetServingMetrics().open_conns->Set(OpenConnCount());
 }
 
-bool Server::DispatchFrame(Conn& conn, const Frame& frame) {
+bool Server::HandleFrame(Conn& conn) {
+  Result<FrameHeader> header = conn.rx.ReadFrame(conn.fd.get(), conn.sites);
+  if (!header.ok()) {
+    if (header.status().code() == StatusCode::kInvalidArgument) {
+      // Bad magic/version/size: the stream position is unknowable, so
+      // answer typed MALFORMED and close rather than resynchronize.
+      Refuse(conn, {0, WireError::kMalformed,
+                    std::string(header.status().message())});
+    }
+    return false;  // otherwise the transport ended mid-frame
+  }
+  bool keep = false;
+  Result<std::string_view> payload =
+      CheckFrameCrcInPlace(conn.rx.frame(), *header);
+  if (!payload.ok()) {
+    // Checksum mismatch: the transport corrupted bytes in flight; typed
+    // MALFORMED, then close (framing can no longer be trusted).
+    Refuse(conn, {0, WireError::kMalformed,
+                  std::string(payload.status().message())});
+  } else {
+    keep = DispatchFrame(conn, {header->type, *payload});
+  }
+  conn.rx.Consume();
+  SettleBuffers(conn, FrameBuffer::kCeilingBytes);
+  return keep;
+}
+
+bool Server::DispatchFrame(Conn& conn, const FrameView& frame) {
   switch (frame.type) {
     case MsgType::kPing: {
       Result<PingMessage> ping = ParsePing(frame.payload);
@@ -262,13 +278,12 @@ bool Server::DispatchFrame(Conn& conn, const Frame& frame) {
 }
 
 void Server::HandleQuery(Conn& conn, std::string_view payload) {
-  Result<QueryRequest> parsed = ParseQuery(payload);
+  const Status parsed = ParseQueryInto(payload, &conn.request);
   if (!parsed.ok()) {
-    Refuse(conn, {0, WireError::kMalformed,
-                  std::string(parsed.status().message())});
+    Refuse(conn, {0, WireError::kMalformed, std::string(parsed.message())});
     return;
   }
-  const uint64_t id = parsed->request_id;
+  const uint64_t id = conn.request.request_id;
   if (draining()) {
     Refuse(conn, {id, WireError::kShuttingDown, "server draining"});
     return;
@@ -286,23 +301,25 @@ void Server::HandleQuery(Conn& conn, std::string_view payload) {
   GetServingMetrics().queue_depth->Set(depth);
   // The deadline clock starts at admission, on this connection thread.
   Deadline deadline;
-  if (parsed->deadline_ms > 0) {
-    deadline = Deadline::After(parsed->deadline_ms / 1000.0);
+  if (conn.request.deadline_ms > 0) {
+    deadline = Deadline::After(conn.request.deadline_ms / 1000.0);
   }
   const uint64_t admitted_ns = static_cast<uint64_t>(MonoNs());
-  const auto outcome = Evaluate(*parsed, deadline);
-  if (const auto* error = std::get_if<ErrorResponse>(&outcome)) {
+  const std::optional<ErrorResponse> error = Evaluate(conn, deadline);
+  if (error.has_value()) {
     CountOutcome(error->code, admitted_ns);
     WriteReply(conn, EncodeError(*error));
   } else {
     CountOk(admitted_ns);
-    WriteReply(conn, EncodeQueryOk(std::get<QueryResponse>(outcome)));
+    EncodeQueryOkInto(id, conn.estimates, &conn.reply);
+    WriteReply(conn, conn.reply);
   }
   ReleaseInflight();
 }
 
-std::variant<QueryResponse, ErrorResponse> Server::Evaluate(
-    const QueryRequest& request, const Deadline& deadline) const {
+std::optional<ErrorResponse> Server::Evaluate(Conn& conn,
+                                              const Deadline& deadline) const {
+  const QueryRequest& request = conn.request;
   const uint64_t id = request.request_id;
   // Evaluation-stage fault/latency injection (the drain test parks
   // requests here with sleep:MS; the soak injects hard failures).
@@ -327,13 +344,10 @@ std::variant<QueryResponse, ErrorResponse> Server::Evaluate(
                                   "] outside domain [1, ", view.n(), "]")};
     }
   }
-  QueryResponse response;
-  response.request_id = id;
-  response.estimates.resize(request.ranges.size());
-  FlatSynopsis::BatchScratch scratch;
+  conn.estimates.resize(request.ranges.size());
   const size_t chunk = static_cast<size_t>(options_.eval_chunk);
   const std::span<const FlatQuery> queries(request.ranges);
-  const std::span<double> out(response.estimates);
+  const std::span<double> out(conn.estimates);
   for (size_t off = 0; off < queries.size(); off += chunk) {
     if (deadline.Expired()) {
       return ErrorResponse{id, WireError::kDeadlineExceeded,
@@ -343,17 +357,17 @@ std::variant<QueryResponse, ErrorResponse> Server::Evaluate(
     const size_t len = std::min(chunk, queries.size() - off);
     // Chunked batches answer bit-identically to one big batch: every
     // element equals the matching EstimateOne regardless of grouping.
-    Status eval = view.EstimateMany(queries.subspan(off, len),
-                                    out.subspan(off, len), &scratch);
+    Status eval =
+        view.EstimateMany(queries.subspan(off, len), out.subspan(off, len));
     if (!eval.ok()) {
       return ErrorResponse{id, WireError::kInternal,
                            std::string(eval.message())};
     }
   }
-  return response;
+  return std::nullopt;
 }
 
-void Server::WriteReply(Conn& conn, const std::string& frame_bytes) {
+void Server::WriteReply(Conn& conn, std::string_view frame_bytes) {
   const Status written = WriteFull(conn.fd.get(), frame_bytes, conn.sites);
   if (written.ok()) return;
   // The peer observes a connection error (typed client-side); account for
@@ -363,6 +377,30 @@ void Server::WriteReply(Conn& conn, const std::string& frame_bytes) {
   GetServingMetrics().transport_errors->Increment();
   RANGESYN_LOG_EVENT(Warning, "serve.conn.write_error")
       .Arg("error", written.message());
+}
+
+void Server::SettleBuffers(Conn& conn, size_t keep_bytes) {
+  const auto bytes = [](const auto& buffer) {
+    return buffer.capacity() * sizeof(*buffer.data());
+  };
+  const auto trim = [&bytes, keep_bytes](auto& buffer) {
+    // Swap, not assign: a string move-assigned from an empty one keeps
+    // its storage.
+    if (bytes(buffer) > keep_bytes) {
+      std::remove_reference_t<decltype(buffer)>().swap(buffer);
+    }
+  };
+  trim(conn.request.key);
+  trim(conn.request.ranges);
+  trim(conn.estimates);
+  trim(conn.reply);
+  const auto total = static_cast<int64_t>(
+      bytes(conn.request.key) + bytes(conn.request.ranges) +
+      bytes(conn.estimates) + bytes(conn.reply));
+  if (total != conn.published_bytes) {
+    GetServingMetrics().buffer_bytes->Add(total - conn.published_bytes);
+    conn.published_bytes = total;
+  }
 }
 
 void Server::Refuse(Conn& conn, const ErrorResponse& error) {

@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "core/deadline.h"
@@ -48,7 +48,11 @@ namespace rangesyn::serve {
 /// Each connection's thread reads a request, evaluates it inline and
 /// writes the reply before reading the next, so a connection's replies
 /// leave in request order and a slow evaluation stalls only its own
-/// connection. Requests a client pipelines wait in the socket.
+/// connection. Requests a client pipelines wait in the socket or in the
+/// connection's receive buffer. Each connection owns its buffers (the
+/// received bytes, the parsed request, the estimates and the reply) and
+/// reuses them across requests, so a warm connection answers a query
+/// without a heap allocation.
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 picks an ephemeral port; read the bound port back with port().
@@ -113,6 +117,9 @@ struct ServingMetrics {
   obs::Counter* drains;             // serve.drain.count
   obs::Gauge* queue_depth;          // serve.queue.depth
   obs::Gauge* open_conns;           // serve.conn.open
+  /// Summed capacity of every connection's owned buffers, updated when a
+  /// capacity changes.
+  obs::Gauge* buffer_bytes;         // serve.conn.buffer_bytes
   obs::LatencyHistogram* latency;   // serve.request.latency (ns)
 
   /// The counter a given typed error feeds.
@@ -178,18 +185,27 @@ class Server {
 
   void ListenerLoop();
   void ConnLoop(Conn& conn);
+  /// Reads, checks and dispatches the frame whose first bytes are in the
+  /// connection's buffer. Returns false when the connection must close
+  /// (transport end or protocol violation).
+  bool HandleFrame(Conn& conn);
   /// Parses and dispatches one already-CRC-checked frame. Returns false
   /// when the connection must close (protocol violation).
-  bool DispatchFrame(Conn& conn, const Frame& frame);
+  bool DispatchFrame(Conn& conn, const FrameView& frame);
   /// Parses, admits and evaluates one query payload, then counts, writes
   /// and releases its one outcome.
   void HandleQuery(Conn& conn, std::string_view payload);
-  /// The admitted request's response, or the typed error that ends it.
-  std::variant<QueryResponse, ErrorResponse> Evaluate(
-      const QueryRequest& request, const Deadline& deadline) const;
+  /// Evaluates the connection's parsed request into its estimates, or
+  /// returns the typed error that ends it.
+  std::optional<ErrorResponse> Evaluate(Conn& conn,
+                                        const Deadline& deadline) const;
   /// Writes one reply frame; on transport failure marks the connection
   /// dead (typed accounting, never a hang).
-  void WriteReply(Conn& conn, const std::string& frame_bytes);
+  void WriteReply(Conn& conn, std::string_view frame_bytes);
+  /// Frees each of the connection's request, estimate and reply buffers
+  /// whose capacity exceeds `keep_bytes`, and adds any change of their
+  /// summed capacity to serve.conn.buffer_bytes.
+  void SettleBuffers(Conn& conn, size_t keep_bytes);
   /// Counts one request refused before evaluation (malformed, draining,
   /// shed) with its typed outcome, and writes the error frame.
   void Refuse(Conn& conn, const ErrorResponse& error);

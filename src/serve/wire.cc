@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -77,6 +78,14 @@ Result<struct sockaddr_in> ResolveIpv4(const std::string& host,
         StrCat("not an IPv4 address: '", host, "'"));
   }
   return addr;
+}
+
+/// An EOF after `done` of `size` bytes: clean between frames, a fault
+/// mid-frame.
+Status MidFrameEof(Status status, size_t done, size_t size) {
+  if (done == 0 || status.code() != StatusCode::kOutOfRange) return status;
+  return InternalError(StrCat("connection closed mid-frame after ", done,
+                              " of ", size, " bytes"));
 }
 
 void SetNoDelay(int fd) {
@@ -211,12 +220,14 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
   return fd;
 }
 
-Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
-                const Deadline& deadline) {
-  size_t done = 0;
+Result<size_t> ReadSome(int fd, char* data, size_t size,
+                        const WireSites& sites, const Deadline& deadline) {
+  // Without a deadline the blocking read does the waiting; with one, a
+  // sliced poll first, so that an expired deadline is noticed.
+  bool wait = !deadline.unlimited();
   int eintr = 0;
-  while (done < size) {
-    RANGESYN_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "read"));
+  for (;;) {
+    if (wait) RANGESYN_RETURN_IF_ERROR(WaitReady(fd, POLLIN, deadline, "read"));
     if (failpoint::ShouldFail(sites.read)) {
       return InternalError(StrCat("failpoint '", sites.read, "' fired"));
     }
@@ -225,20 +236,14 @@ Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
           StrCat("failpoint '", sites.read_reset,
                  "' fired: injected ECONNRESET"));
     }
-    const size_t want =
-        failpoint::ShouldFail(sites.read_short) ? 1 : size - done;
-    const ssize_t rc = ::read(fd, data + done, want);
-    if (rc > 0) {
-      done += static_cast<size_t>(rc);
-      eintr = 0;
+    const size_t want = failpoint::ShouldFail(sites.read_short) ? 1 : size;
+    const ssize_t rc = ::read(fd, data, want);
+    if (rc > 0) return static_cast<size_t>(rc);
+    if (rc == 0) return OutOfRangeError("eof");
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      wait = true;  // poll until readable
       continue;
     }
-    if (rc == 0) {
-      if (done == 0) return OutOfRangeError("eof");
-      return InternalError(StrCat("connection closed mid-frame after ",
-                                  done, " of ", size, " bytes"));
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // wait again
     if (errno == EINTR) {
       if (++eintr > kMaxEintrRetries) {
         return InternalError("read: EINTR retry budget exhausted");
@@ -250,7 +255,95 @@ Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
     }
     return InternalError(StrCat("read failed: ", ErrnoText()));
   }
+}
+
+Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
+                const Deadline& deadline) {
+  for (size_t done = 0; done < size;) {
+    Result<size_t> got =
+        ReadSome(fd, data + done, size - done, sites, deadline);
+    if (!got.ok()) return MidFrameEof(got.status(), done, size);
+    done += *got;
+  }
   return OkStatus();
+}
+
+Status FrameBuffer::ReadMore(int fd, const WireSites& sites,
+                             const Deadline& deadline) {
+  return Fill(fd, sites, deadline,
+              std::max(kFrameHeaderBytes, 2 * (end_ - begin_)));
+}
+
+Result<FrameHeader> FrameBuffer::ReadFrame(int fd, const WireSites& sites,
+                                           const Deadline& deadline) {
+  const auto read_until = [&](size_t need) -> Status {
+    while (end_ - begin_ < need) {
+      const size_t had = end_ - begin_;
+      RANGESYN_RETURN_IF_ERROR(
+          MidFrameEof(Fill(fd, sites, deadline, need), had, need));
+    }
+    return OkStatus();
+  };
+  RANGESYN_RETURN_IF_ERROR(read_until(kFrameHeaderBytes));
+  RANGESYN_ASSIGN_OR_RETURN(
+      const FrameHeader header,
+      DecodeFrameHeader(std::string_view(bytes_.get() + begin_,
+                                         kFrameHeaderBytes)));
+  const size_t size =
+      kFrameHeaderBytes + header.payload_size + kFrameTrailerBytes;
+  RANGESYN_RETURN_IF_ERROR(read_until(size));
+  frame_size_ = size;
+  return header;
+}
+
+void FrameBuffer::Consume() {
+  begin_ += frame_size_;
+  frame_size_ = 0;
+  if (begin_ == end_) begin_ = end_ = 0;
+  if (capacity_ > kCeilingBytes) {
+    Reallocate(std::max(kInitialBytes, end_ - begin_));
+  }
+}
+
+void FrameBuffer::Release() {
+  begin_ = end_ = frame_size_ = 0;
+  Reallocate(0);
+}
+
+Status FrameBuffer::Fill(int fd, const WireSites& sites,
+                         const Deadline& deadline, size_t frame_size) {
+  if (end_ == capacity_) {
+    if (begin_ > 0) {
+      std::memmove(bytes_.get(), bytes_.get() + begin_, end_ - begin_);
+      end_ -= begin_;
+      begin_ = 0;
+    } else {
+      Reallocate(std::max(kInitialBytes, std::min(2 * capacity_, frame_size)));
+    }
+  }
+  RANGESYN_ASSIGN_OR_RETURN(
+      const size_t got,
+      ReadSome(fd, bytes_.get() + end_, capacity_ - end_, sites, deadline));
+  end_ += got;
+  return OkStatus();
+}
+
+void FrameBuffer::Reallocate(size_t capacity) {
+  std::unique_ptr<char[]> fresh;
+  if (capacity > 0) {
+    fresh = std::make_unique_for_overwrite<char[]>(capacity);
+    if (end_ > begin_) {
+      std::memcpy(fresh.get(), bytes_.get() + begin_, end_ - begin_);
+    }
+  }
+  end_ -= begin_;
+  begin_ = 0;
+  bytes_ = std::move(fresh);
+  if (gauge_ != nullptr) {
+    gauge_->Add(static_cast<int64_t>(capacity) -
+                static_cast<int64_t>(capacity_));
+  }
+  capacity_ = capacity;
 }
 
 Status WriteFull(int fd, std::string_view data, const WireSites& sites,

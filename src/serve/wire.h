@@ -3,12 +3,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 
+#include "core/analysis_annotations.h"
 #include "core/deadline.h"
 #include "core/result.h"
+#include "obs/metrics.h"
+#include "serve/protocol.h"
 
 namespace rangesyn::serve {
 
@@ -115,6 +119,88 @@ Result<Fd> ConnectTcp(const std::string& host, uint16_t port,
 /// and mid-buffer EOF.
 Status ReadFull(int fd, char* data, size_t size, const WireSites& sites,
                 const Deadline& deadline = Deadline());
+
+/// Reads what the socket has, at least one byte and at most `size`, into
+/// `data`: one read(2). Without a deadline the read blocks until bytes
+/// arrive or the socket is shut down; with one it waits at most until
+/// the deadline. Carries the same failpoint sites as ReadFull.
+///
+/// Returns the byte count; OutOfRange("eof") on a clean EOF;
+/// DeadlineExceeded once `deadline` expired; Internal on resets, hard
+/// errors and injected faults.
+Result<size_t> ReadSome(int fd, char* data, size_t size,
+                        const WireSites& sites,
+                        const Deadline& deadline = Deadline());
+
+/// One connection's receive buffer, reused across frames. Each read takes
+/// whatever the socket has, so a read may end mid-frame or carry the
+/// start of the next frame; those bytes stay buffered for the next call.
+/// The buffer grows only as bytes arrive, never to a size a header
+/// merely declares, and Consume releases capacity above kCeilingBytes.
+/// When given a gauge, it adds every change of its capacity to it.
+class RANGESYN_OWNER_TYPE FrameBuffer {
+ public:
+  /// Capacity allocated for the first read.
+  static constexpr size_t kInitialBytes = 16 << 10;
+  /// Capacity a connection keeps between frames; any above it is
+  /// released once the frame that needed it is consumed.
+  static constexpr size_t kCeilingBytes = 1 << 20;
+
+  explicit FrameBuffer(obs::Gauge* gauge = nullptr) : gauge_(gauge) {}
+  ~FrameBuffer() { Release(); }
+
+  FrameBuffer(const FrameBuffer&) = delete;
+  FrameBuffer& operator=(const FrameBuffer&) = delete;
+
+  /// True when no unconsumed byte is buffered.
+  [[nodiscard]] bool empty() const { return begin_ == end_; }
+
+  /// Appends the bytes of one ReadSome: on an empty buffer, waits for the
+  /// first bytes of the next frame.
+  Status ReadMore(int fd, const WireSites& sites,
+                  const Deadline& deadline = Deadline());
+
+  /// Reads until one whole frame is buffered and returns its header; the
+  /// frame's bytes are then frame(). InvalidArgument when the header
+  /// fails DecodeFrameHeader (the stream can no longer be framed);
+  /// otherwise ReadSome's errors, with an EOF after the first byte of a
+  /// frame reported as Internal.
+  Result<FrameHeader> ReadFrame(int fd, const WireSites& sites,
+                                const Deadline& deadline = Deadline());
+
+  /// The frame the last ReadFrame returned: header, payload and trailer.
+  /// Valid until the next call that reads or consumes.
+  RANGESYN_LENDS_VIEW std::string_view frame() const {
+    return std::string_view(bytes_.get() + begin_, frame_size_);
+  }
+
+  /// Drops the frame returned by the last ReadFrame (no-op when there is
+  /// none), keeping any bytes after it.
+  void Consume();
+
+  /// Drops every buffered byte and frees the storage.
+  void Release();
+
+ private:
+  /// One ReadSome into the free space after end_, made first: a full
+  /// buffer slides its unconsumed bytes to the front, or, when they fill
+  /// it, grows toward the `frame_size` bytes the current frame needs, by
+  /// at most doubling.
+  Status Fill(int fd, const WireSites& sites, const Deadline& deadline,
+              size_t frame_size);
+  /// Moves the unconsumed bytes into new storage of `capacity` bytes
+  /// (none when 0) and adds the change of capacity to the gauge.
+  void Reallocate(size_t capacity);
+
+  obs::Gauge* gauge_;
+  /// Uninitialised storage of capacity_ bytes; [begin_, end_) is
+  /// unconsumed.
+  std::unique_ptr<char[]> bytes_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  size_t frame_size_ = 0;
+};
 
 /// Writes all of `data` (MSG_NOSIGNAL — a dead peer surfaces as a Status,
 /// never SIGPIPE). EINTR retries are bounded. With a deadline, a peer

@@ -438,5 +438,62 @@ TEST(Crc32cTest, ExtendAtAnySplitEqualsOneShot) {
   }
 }
 
+TEST(Crc32cTest, InterleavedBlockEdgesMatchPortable) {
+  // The x86-64 path picks three-stream long blocks, three-stream short
+  // blocks or one stream by length. Probe every switch at +-8 bytes and
+  // every alignment; the sweep above never reaches a long block.
+  constexpr size_t kShortRun = 3 * kCrc32cShortBlock;
+  constexpr size_t kLongRun = 3 * kCrc32cLongBlock;
+  constexpr size_t kBulkBatchFrame = 65566;  // one 4096-range query frame
+  std::vector<size_t> lengths = {kBulkBatchFrame};
+  const auto around = [&lengths](size_t edge) {
+    for (size_t d = 0; d <= 8; ++d) {
+      lengths.push_back(edge + d);
+      lengths.push_back(edge - d);
+    }
+  };
+  for (size_t edge = kShortRun; edge < kLongRun; edge += kShortRun) {
+    around(edge);
+  }
+  around(kLongRun);
+  around(2 * kLongRun);
+  Rng rng(20010521);
+  std::string bytes(kBulkBatchFrame + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextInt(0, 255));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (const size_t len : lengths) {
+      const std::string_view v = std::string_view(bytes).substr(offset, len);
+      ASSERT_EQ(Crc32c(v), Crc32cExtendPortable(0, v))
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  // Chaining across splits that straddle the block edges of a 100 KiB
+  // buffer: one step either side of every short run, and +-8 bytes
+  // around every long run.
+  std::string big(100 << 10, '\0');
+  for (char& c : big) c = static_cast<char>(rng.NextInt(0, 255));
+  const std::string_view all(big);
+  const uint32_t whole = Crc32cExtendPortable(0, all);
+  ASSERT_EQ(Crc32c(all), whole);
+  std::vector<size_t> splits;
+  for (size_t edge = kShortRun; edge < all.size(); edge += kShortRun) {
+    splits.push_back(edge - 1);
+    splits.push_back(edge + 1);
+  }
+  for (size_t edge = kLongRun; edge < all.size(); edge += kLongRun) {
+    for (size_t d = 0; d <= 8; ++d) {
+      splits.push_back(edge - d);
+      splits.push_back(edge + d);
+    }
+  }
+  EXPECT_GE(splits.size(), 300u);
+  for (const size_t split : splits) {
+    ASSERT_EQ(Crc32cExtend(Crc32c(all.substr(0, split)), all.substr(split)),
+              whole)
+        << split;
+  }
+}
+
 }  // namespace
 }  // namespace rangesyn

@@ -315,5 +315,99 @@ TEST(ServeProtocolTest, GoldenBytesPinTheWireLayout) {
   }
 }
 
+TEST(ServeProtocolTest, InPlaceFormsOnReusedBuffersMatchFreshOnes) {
+  // One request, one response, one send buffer and one reply buffer are
+  // reused across a 4096-range query, a 1-range query, a malformed one
+  // and a 16-range query. Every in-place result must equal the fresh
+  // allocating one byte for byte, and no key or range of an earlier
+  // frame may survive into a later one.
+  struct Step {
+    uint64_t id;
+    std::string key;
+    int ranges;
+    bool malformed;
+  };
+  const Step steps[] = {{1, "bulk.batch.column", 4096, false},
+                        {2, "k", 1, false},
+                        {3, "orders.price", 8, true},
+                        {4, "mid", 16, false}};
+  QueryRequest request;
+  QueryResponse response;
+  std::string sent;
+  std::string reply;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.id);
+    QueryRequest q;
+    q.request_id = step.id;
+    q.deadline_ms = static_cast<uint32_t>(10 * step.id);
+    q.key = step.key;
+    for (int i = 0; i < step.ranges; ++i) {
+      q.ranges.push_back({i + 1, 2 * i + 1 + static_cast<int64_t>(step.id)});
+    }
+    EncodeQueryInto(q.request_id, q.deadline_ms, q.key, q.ranges, &sent);
+    const std::string frame = EncodeQuery(q);
+    ASSERT_EQ(sent, frame);
+
+    auto header = DecodeFrameHeader(frame.substr(0, kFrameHeaderBytes));
+    ASSERT_TRUE(header.ok());
+    auto view = CheckFrameCrcInPlace(frame, *header);
+    auto copy = CheckFrameCrc(frame, *header);
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(copy.ok());
+    ASSERT_EQ(*view, *copy);
+    EXPECT_EQ(view->data(), frame.data() + kFrameHeaderBytes);  // no copy
+    // The malformed step drops the payload's last byte.
+    const std::string_view payload =
+        step.malformed ? view->substr(0, view->size() - 1) : *view;
+
+    const QueryRequest before = request;
+    const Status in_place = ParseQueryInto(payload, &request);
+    auto fresh = ParseQuery(payload);
+    ASSERT_EQ(in_place.ok(), fresh.ok());
+    if (step.malformed) {
+      EXPECT_EQ(in_place.message(), fresh.status().message());
+      // Every check runs before the first write.
+      EXPECT_EQ(request.request_id, before.request_id);
+      EXPECT_EQ(request.key, before.key);
+      ASSERT_EQ(request.ranges.size(), before.ranges.size());
+      continue;
+    }
+    EXPECT_EQ(request.request_id, fresh->request_id);
+    EXPECT_EQ(request.deadline_ms, fresh->deadline_ms);
+    EXPECT_EQ(request.key, fresh->key);
+    ASSERT_EQ(request.ranges.size(), fresh->ranges.size());
+    for (size_t i = 0; i < request.ranges.size(); ++i) {
+      ASSERT_EQ(request.ranges[i].a, fresh->ranges[i].a) << i;
+      ASSERT_EQ(request.ranges[i].b, fresh->ranges[i].b) << i;
+    }
+    // Re-encoding the reused request gives the bytes that were sent.
+    EXPECT_EQ(EncodeQuery(request), frame);
+
+    QueryResponse r;
+    r.request_id = step.id;
+    for (const FlatQuery& range : q.ranges) {
+      r.estimates.push_back(0.25 * static_cast<double>(range.b - range.a));
+    }
+    EncodeQueryOkInto(r.request_id, r.estimates, &reply);
+    ASSERT_EQ(reply, EncodeQueryOk(r));
+    auto reply_header = DecodeFrameHeader(reply.substr(0, kFrameHeaderBytes));
+    ASSERT_TRUE(reply_header.ok());
+    auto reply_payload = CheckFrameCrcInPlace(reply, *reply_header);
+    ASSERT_TRUE(reply_payload.ok());
+    ASSERT_TRUE(ParseQueryOkInto(*reply_payload, &response).ok());
+    auto fresh_response = ParseQueryOk(*reply_payload);
+    ASSERT_TRUE(fresh_response.ok());
+    EXPECT_EQ(response.request_id, fresh_response->request_id);
+    EXPECT_EQ(response.estimates, fresh_response->estimates);
+    // A truncated reply is refused and leaves the response unchanged.
+    EXPECT_FALSE(
+        ParseQueryOkInto(reply_payload->substr(1), &response).ok());
+    EXPECT_EQ(response.estimates, fresh_response->estimates);
+  }
+  EXPECT_EQ(request.request_id, 4u);
+  EXPECT_EQ(request.key, "mid");
+  EXPECT_EQ(request.ranges.size(), 16u);
+}
+
 }  // namespace
 }  // namespace rangesyn::serve

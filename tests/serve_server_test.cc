@@ -457,6 +457,129 @@ TEST_F(ServeServerTest, PipelinedQueriesAnswerInRequestOrder) {
   EXPECT_EQ(f.server->summary().ok, 3u);
 }
 
+/// The payload bytes of the kQueryOk frame that answers `ranges` under
+/// `id` from `oracle`: what a bit-exact reply must carry.
+std::string ExpectedReplyPayload(const FlatSynopsis& oracle, uint64_t id,
+                                 const std::vector<FlatQuery>& ranges) {
+  QueryResponse expected;
+  expected.request_id = id;
+  expected.estimates.resize(ranges.size());
+  EXPECT_TRUE(oracle.EstimateMany(ranges, expected.estimates).ok());
+  const std::string frame = EncodeQueryOk(expected);
+  return frame.substr(kFrameHeaderBytes, frame.size() - kFrameHeaderBytes -
+                                             kFrameTrailerBytes);
+}
+
+TEST_F(ServeServerTest, TwoFramesInOneWriteGetBothRepliesInOrder) {
+  Fixture f = Fixture::Make({});
+  auto fd = ConnectTcp("127.0.0.1", f.server->port(), 5.0);
+  ASSERT_TRUE(fd.ok());
+  const WireSites sites("serve.client");
+  // One write, so the server's first read can hold both frames: the
+  // second one's bytes must carry over to the next frame.
+  QueryRequest first;
+  first.request_id = 1;
+  first.key = "t.v";
+  first.ranges = MakeRanges(*f.oracle, 61, 300);
+  QueryRequest second = first;
+  second.request_id = 2;
+  second.ranges = MakeRanges(*f.oracle, 62, 5);
+  ASSERT_TRUE(
+      WriteFull(fd->get(), EncodeQuery(first) + EncodeQuery(second), sites)
+          .ok());
+  for (const QueryRequest* q : {&first, &second}) {
+    SCOPED_TRACE(q->request_id);
+    auto frame = ReadRawFrame(fd->get(), sites);
+    ASSERT_TRUE(frame.ok()) << frame.status().message();
+    ASSERT_EQ(frame->type, MsgType::kQueryOk);
+    EXPECT_EQ(frame->payload,
+              ExpectedReplyPayload(*f.oracle, q->request_id, q->ranges));
+  }
+  EXPECT_EQ(f.server->summary().ok, 2u);
+}
+
+TEST_F(ServeServerTest, FrameReadAByteAtATimeIsAnsweredBitExactly) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "built with RANGESYN_FAILPOINTS=OFF";
+  }
+  Fixture f = Fixture::Make({});
+  auto fd = ConnectTcp("127.0.0.1", f.server->port(), 5.0);
+  ASSERT_TRUE(fd.ok());
+  const WireSites sites("serve.client");
+  // Every server read returns at most one byte.
+  ASSERT_TRUE(failpoint::Configure("serve.conn.read.short=always").ok());
+  QueryRequest q;
+  q.request_id = 9;
+  q.key = "t.v";
+  q.ranges = MakeRanges(*f.oracle, 63, 64);
+  ASSERT_TRUE(WriteFull(fd->get(), EncodeQuery(q), sites).ok());
+  auto frame = ReadRawFrame(fd->get(), sites);
+  ASSERT_TRUE(frame.ok()) << frame.status().message();
+  ASSERT_EQ(frame->type, MsgType::kQueryOk);
+  EXPECT_EQ(frame->payload,
+            ExpectedReplyPayload(*f.oracle, q.request_id, q.ranges));
+}
+
+TEST_F(ServeServerTest, BufferGaugeFollowsBytesReceivedNotBytesDeclared) {
+  Fixture f = Fixture::Make({});
+  const obs::Gauge& gauge = *GetServingMetrics().buffer_bytes;
+  const int64_t before = gauge.Value();
+  const auto wait_for = [](const std::function<bool()>& done) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return done();
+  };
+
+  // A header that declares a payload at the cap, 100 of its bytes, then
+  // silence: the connection must not size its buffer from the header.
+  auto idle = ConnectTcp("127.0.0.1", f.server->port(), 5.0);
+  ASSERT_TRUE(idle.ok());
+  const WireSites sites("serve.client");
+  std::string lying = EncodePing(1).substr(0, kFrameHeaderBytes);
+  lying[5] = static_cast<char>(MsgType::kQuery);
+  for (int i = 0; i < 4; ++i) {
+    lying[6 + i] = static_cast<char>((kMaxPayloadBytes >> (8 * i)) & 0xff);
+  }
+  ASSERT_TRUE(DecodeFrameHeader(lying).ok());
+  ASSERT_TRUE(
+      WriteFull(idle->get(), lying + std::string(100, '\x11'), sites).ok());
+  ASSERT_TRUE(wait_for([&] { return gauge.Value() > before; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(gauge.Value() - before, int64_t{128} << 10);
+
+  // A real frame near the cap grows every buffer past the ceiling; once
+  // it is answered, they fall back under it.
+  const size_t count =
+      (kMaxPayloadBytes - QueryPayloadBytes("t.v", 0)) / sizeof(FlatQuery);
+  const std::vector<FlatQuery> ranges =
+      MakeRanges(*f.oracle, 64, static_cast<int>(count));
+  Client client(f.ClientFor());
+  auto got = client.Query("t.v", ranges, 0);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  std::vector<double> expected(ranges.size());
+  ASSERT_TRUE(f.oracle->EstimateMany(ranges, expected).ok());
+  EXPECT_TRUE(*got == expected);
+  EXPECT_TRUE(wait_for([&] {
+    return gauge.Value() - before <
+           static_cast<int64_t>(FrameBuffer::kCeilingBytes);
+  })) << gauge.Value() - before;
+
+  // The half-sent frame counts as in progress, so the drain waits out its
+  // grace, then shuts the connection down. The books balance and every
+  // buffer is released.
+  const Status drained = f.server->DrainAndWait(0.3);
+  EXPECT_EQ(drained.code(), StatusCode::kDeadlineExceeded)
+      << drained.message();
+  const ServerSummary s = f.server->summary();
+  EXPECT_EQ(s.requests, 1u);
+  EXPECT_EQ(s.ok, 1u);
+  EXPECT_EQ(s.conns_open, 0u);
+  EXPECT_EQ(gauge.Value(), before);
+}
+
 TEST_F(ServeServerTest, SlowQueryStallsOnlyItsOwnConnection) {
   if (!failpoint::kCompiledIn) {
     GTEST_SKIP() << "built with RANGESYN_FAILPOINTS=OFF";
