@@ -12,7 +12,15 @@
 // is purely about serving cost.
 //
 // The Large rows answer the same-size batch over an n = 65536 equi-depth
-// histogram of 8192 buckets, so the bucket arrays outgrow L1.
+// histogram of 8192 buckets, so the bucket arrays outgrow L1; n = 65536
+// is FlatSynopsis::kMaxEndTableN, the largest view with end tables. The
+// Untabled row answers it over an n = 2^20 equi-width histogram of 32
+// buckets, above that bound, where the kernels search their buckets.
+//
+// BM_FlatOpen/N times FromBuffers over a compiled n = N equi-depth
+// histogram of 32 buckets: validation plus the derived tables, the
+// cost of opening a view (RSF1 open or catalog load) at n = 1000 and at
+// kMaxEndTableN.
 
 #include <memory>
 #include <string>
@@ -39,6 +47,8 @@ constexpr int64_t kPaperN = 4096;
 constexpr int64_t kBatch = 4096;
 constexpr int64_t kLargeN = 65536;
 constexpr int64_t kLargeBuckets = 8192;
+constexpr int64_t kUntabledN = int64_t{1} << 20;
+constexpr int64_t kUntabledBuckets = 32;
 
 std::vector<int64_t> Dataset(int64_t n) {
   Rng rng(7);
@@ -187,6 +197,27 @@ void BM_FlatBatch_EquiDepthLarge(benchmark::State& state) {
   RunFlatBatch(state, LargeEquiDepth(), QueryBatch(kLargeN));
 }
 
+void BM_FlatBatch_EquiWidthUntabled(benchmark::State& state) {
+  auto hist = BuildEquiWidth(Dataset(kUntabledN), kUntabledBuckets);
+  RANGESYN_CHECK_OK(hist.status());
+  RunFlatBatch(state, hist.value(), QueryBatch(kUntabledN));
+}
+
+void BM_FlatOpen(benchmark::State& state) {
+  auto hist = BuildEquiDepth(Dataset(state.range(0)), 32);
+  RANGESYN_CHECK_OK(hist.status());
+  auto flat = FlatSynopsis::Compile(hist.value());
+  RANGESYN_CHECK_OK(flat.status());
+  const FlatSynopsis& view = *flat.value();
+  for (auto _ : state) {
+    auto reopened = FlatSynopsis::FromBuffers(
+        view.kind(), view.aux(), view.n(), view.num_buckets(),
+        view.padded_size(), view.i64s(), view.f64s(), flat.value());
+    RANGESYN_CHECK_OK(reopened.status());
+    benchmark::DoNotOptimize(reopened.value().get());
+  }
+}
+
 #define RANGESYN_QUERY_FLAT_ROWS(Name, method)                      \
   void BM_Legacy_##Name(benchmark::State& s) { BM_Legacy(s, method); } \
   void BM_Flat_##Name(benchmark::State& s) { BM_Flat(s, method); }     \
@@ -207,6 +238,8 @@ RANGESYN_QUERY_FLAT_ROWS(WavePoint, "wave-point");
 RANGESYN_QUERY_FLAT_ROWS(WaveRangeOpt, "wave-range-opt");
 BENCHMARK(BM_Flat_EquiDepthLarge);
 BENCHMARK(BM_FlatBatch_EquiDepthLarge);
+BENCHMARK(BM_FlatBatch_EquiWidthUntabled);
+BENCHMARK(BM_FlatOpen)->Arg(1000)->Arg(FlatSynopsis::kMaxEndTableN);
 
 }  // namespace
 }  // namespace rangesyn

@@ -50,6 +50,14 @@ RANGESYN_HOT_PATH inline double ModelAt(const double* m, double x) {
   return m[0] + m[1] * x + m[2] * x * x;
 }
 
+/// EstimateMany's error for its first range outside 1 <= a <= b <= n.
+/// The server sends the message as its MALFORMED reply text.
+RANGESYN_COLD_PATH [[gnu::cold, gnu::noinline]] Status RangeOutsideDomain(
+    int64_t a, int64_t b, int64_t n) {
+  return InvalidArgumentError(
+      StrCat("range [", a, ", ", b, "] outside domain [1, ", n, "]"));
+}
+
 /// Bucket indices live in the uint32 hint table.
 constexpr int64_t kMaxFlatBuckets = std::numeric_limits<uint32_t>::max();
 constexpr int64_t kMaxFlatPadded = int64_t{1} << 40;
@@ -215,7 +223,11 @@ Status FlatSynopsis::InitAndValidate() {
       default:
         return InvalidArgumentError("FlatSynopsis: unreachable kind");
     }
-    BuildBucketHint();
+    if (n_ <= kMaxEndTableN) {
+      BuildEndTable();
+    } else {
+      BuildBucketHint();
+    }
     return OkStatus();
   }
 
@@ -341,6 +353,46 @@ void FlatSynopsis::BuildBucketHint() {
   }
 }
 
+void FlatSynopsis::BuildEndTable() {
+  end_.resize(static_cast<size_t>(n_) + 1);
+  const int64_t last = num_buckets_ - 1;
+  // Each entry is computed by the piece function the searching kernel
+  // calls, so a table load returns the double that call would.
+  const auto fill = [&](auto left, auto right) {
+    int64_t k = 0;
+    for (int64_t i = 1; i <= n_; ++i) {
+      if (ends_[k] < i) ++k;  // strictly increasing ends: one step at most
+      EndPieces& e = end_[static_cast<size_t>(i)];
+      e.bucket = k;
+      if (k < last) e.left = (this->*left)(i, k);
+      if (k > 0) e.right = (this->*right)(i, k);
+    }
+  };
+  switch (kind_) {
+    case FlatKind::kAvgHistogram:
+      fill(&FlatSynopsis::AvgLeft, &FlatSynopsis::AvgRight);
+      break;
+    case FlatKind::kSap0:
+    case FlatKind::kWeightedSap0:
+      fill(&FlatSynopsis::Sap0Left, &FlatSynopsis::Sap0Right);
+      break;
+    case FlatKind::kSap1:
+      fill(&FlatSynopsis::Sap1Left, &FlatSynopsis::Sap1Right);
+      break;
+    case FlatKind::kSap2:
+      fill(&FlatSynopsis::Sap2Left, &FlatSynopsis::Sap2Right);
+      break;
+    default:
+      RANGESYN_DCHECK(false);
+  }
+}
+
+int64_t FlatSynopsis::DerivedBytes() const {
+  return static_cast<int64_t>(end_.size() * sizeof(EndPieces) +
+                              hint_.size() * sizeof(uint32_t) +
+                              prefix_.size() * sizeof(double));
+}
+
 int64_t FlatSynopsis::BucketOfFlat(int64_t i) const {
   // One cache-resident load gives the bucket of the block's first
   // position — a lower bound on the answer — then a forward scan over
@@ -352,61 +404,92 @@ int64_t FlatSynopsis::BucketOfFlat(int64_t i) const {
   return k;
 }
 
+double FlatSynopsis::AvgLeft(int64_t a, int64_t ka) const {
+  const double left = static_cast<double>(BucketEnd(ka) - a + 1) * f_a_[ka];
+  if (static_cast<PieceRounding>(aux_) != PieceRounding::kPerPiece) {
+    return left;
+  }
+  return static_cast<double>(RoundHalfToEven(left));
+}
+
+double FlatSynopsis::AvgRight(int64_t b, int64_t kb) const {
+  const double right =
+      static_cast<double>(b - BucketStart(kb) + 1) * f_a_[kb];
+  if (static_cast<PieceRounding>(aux_) != PieceRounding::kPerPiece) {
+    return right;
+  }
+  return static_cast<double>(RoundHalfToEven(right));
+}
+
+double FlatSynopsis::Sap2Left(int64_t a, int64_t ka) const {
+  return ModelAt(f_a_ + 3 * ka, static_cast<double>(BucketEnd(ka) - a + 1));
+}
+
+double FlatSynopsis::Sap2Right(int64_t b, int64_t kb) const {
+  return ModelAt(f_b_ + 3 * kb, static_cast<double>(b - BucketStart(kb) + 1));
+}
+
+template <bool kTabled>
 double FlatSynopsis::EstimateAvg(int64_t a, int64_t b) const {
-  const int64_t ka = BucketOfFlat(a);
-  const int64_t kb = BucketOfFlat(b);
-  const double* values = f_a_;
+  const int64_t ka = BucketAt<kTabled>(a);
+  const int64_t kb = BucketAt<kTabled>(b);
   const auto rounding = static_cast<PieceRounding>(aux_);
   if (ka == kb) {
-    const double whole = static_cast<double>(b - a + 1) * values[ka];
+    const double whole = static_cast<double>(b - a + 1) * f_a_[ka];
     if (rounding == PieceRounding::kNone) return whole;
     return static_cast<double>(RoundHalfToEven(whole));
   }
-  double left = static_cast<double>(BucketEnd(ka) - a + 1) * values[ka];
-  double right = static_cast<double>(b - BucketStart(kb) + 1) * values[kb];
-  if (rounding == PieceRounding::kPerPiece) {
-    left = static_cast<double>(RoundHalfToEven(left));
-    right = static_cast<double>(RoundHalfToEven(right));
-  }
-  const double middle = cum_[kb] - cum_[ka + 1];
-  const double total = left + middle + right;
+  const double left =
+      kTabled ? end_[static_cast<size_t>(a)].left : AvgLeft(a, ka);
+  const double right =
+      kTabled ? end_[static_cast<size_t>(b)].right : AvgRight(b, kb);
+  const double total = left + (cum_[kb] - cum_[ka + 1]) + right;
   if (rounding == PieceRounding::kWhole) {
     return static_cast<double>(RoundHalfToEven(total));
   }
   return total;
 }
 
+template <bool kTabled>
 double FlatSynopsis::EstimateSap0(int64_t a, int64_t b) const {
-  const int64_t ka = BucketOfFlat(a);
-  const int64_t kb = BucketOfFlat(b);
+  const int64_t ka = BucketAt<kTabled>(a);
+  const int64_t kb = BucketAt<kTabled>(b);
   if (ka == kb) {
     return static_cast<double>(b - a + 1) * avg_[ka];
   }
-  return f_a_[ka] + (cum_[kb] - cum_[ka + 1]) + f_b_[kb];
+  const double left =
+      kTabled ? end_[static_cast<size_t>(a)].left : Sap0Left(a, ka);
+  const double right =
+      kTabled ? end_[static_cast<size_t>(b)].right : Sap0Right(b, kb);
+  return left + (cum_[kb] - cum_[ka + 1]) + right;
 }
 
+template <bool kTabled>
 double FlatSynopsis::EstimateSap1(int64_t a, int64_t b) const {
-  const int64_t ka = BucketOfFlat(a);
-  const int64_t kb = BucketOfFlat(b);
+  const int64_t ka = BucketAt<kTabled>(a);
+  const int64_t kb = BucketAt<kTabled>(b);
   if (ka == kb) {
     return static_cast<double>(b - a + 1) * avg_[ka];
   }
-  const double left_len = static_cast<double>(BucketEnd(ka) - a + 1);
-  const double right_len = static_cast<double>(b - BucketStart(kb) + 1);
-  return left_len * f_a_[ka] + f_b_[ka] + right_len * f_c_[kb] + f_d_[kb] +
-         (cum_[kb] - cum_[ka + 1]);
+  const double left =
+      kTabled ? end_[static_cast<size_t>(a)].left : Sap1Left(a, ka);
+  const double right =
+      kTabled ? end_[static_cast<size_t>(b)].right : Sap1Right(b, kb);
+  return left + right + f_d_[kb] + (cum_[kb] - cum_[ka + 1]);
 }
 
+template <bool kTabled>
 double FlatSynopsis::EstimateSap2(int64_t a, int64_t b) const {
-  const int64_t ka = BucketOfFlat(a);
-  const int64_t kb = BucketOfFlat(b);
+  const int64_t ka = BucketAt<kTabled>(a);
+  const int64_t kb = BucketAt<kTabled>(b);
   if (ka == kb) {
     return static_cast<double>(b - a + 1) * avg_[ka];
   }
-  const double left_len = static_cast<double>(BucketEnd(ka) - a + 1);
-  const double right_len = static_cast<double>(b - BucketStart(kb) + 1);
-  return ModelAt(f_a_ + 3 * ka, left_len) +
-         ModelAt(f_b_ + 3 * kb, right_len) + (cum_[kb] - cum_[ka + 1]);
+  const double left =
+      kTabled ? end_[static_cast<size_t>(a)].left : Sap2Left(a, ka);
+  const double right =
+      kTabled ? end_[static_cast<size_t>(b)].right : Sap2Right(b, kb);
+  return left + right + (cum_[kb] - cum_[ka + 1]);
 }
 
 double FlatSynopsis::WaveReconstructAt(int64_t t) const {
@@ -495,18 +578,18 @@ double FlatSynopsis::EstimateWavelet(int64_t a, int64_t b) const {
   return prefix_[static_cast<size_t>(b)] - prefix_[static_cast<size_t>(a - 1)];
 }
 
-double FlatSynopsis::EstimateOne(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= n_);
+template <bool kTabled>
+double FlatSynopsis::EstimateWith(int64_t a, int64_t b) const {
   switch (kind_) {
     case FlatKind::kAvgHistogram:
-      return EstimateAvg(a, b);
+      return EstimateAvg<kTabled>(a, b);
     case FlatKind::kSap0:
     case FlatKind::kWeightedSap0:
-      return EstimateSap0(a, b);
+      return EstimateSap0<kTabled>(a, b);
     case FlatKind::kSap1:
-      return EstimateSap1(a, b);
+      return EstimateSap1<kTabled>(a, b);
     case FlatKind::kSap2:
-      return EstimateSap2(a, b);
+      return EstimateSap2<kTabled>(a, b);
     case FlatKind::kNaive:
       return EstimateNaive(a, b);
     case FlatKind::kWavelet:
@@ -514,6 +597,67 @@ double FlatSynopsis::EstimateOne(int64_t a, int64_t b) const {
   }
   RANGESYN_DCHECK(false);
   return 0.0;
+}
+
+double FlatSynopsis::EstimateOne(int64_t a, int64_t b) const {
+  RANGESYN_DCHECK(a >= 1 && a <= b && b <= n_);
+  return end_.empty() ? EstimateWith<false>(a, b) : EstimateWith<true>(a, b);
+}
+
+template <typename Kernel>
+Status FlatSynopsis::AnswerAll(std::span<const FlatQuery> queries,
+                               std::span<double> out, Kernel kernel) const {
+  const uint64_t n = static_cast<uint64_t>(n_);
+  size_t first_bad = queries.size();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    int64_t a = queries[i].a;
+    int64_t b = queries[i].b;
+    // 1 <= a <= b <= n in two unsigned compares: a negative b wraps above
+    // n, and a < 1 makes a - 1 wrap above every b <= n.
+    const bool in_domain = (static_cast<uint64_t>(b) <= n) &
+                           (static_cast<uint64_t>(a) - 1 <
+                            static_cast<uint64_t>(b));
+    // The loop has no exit but its end, so the kernel's loads of this
+    // view's section pointers stay hoisted out of it; a bad range is
+    // answered as [1, 1] and reported after the loop.
+    if (!in_domain) [[unlikely]] {
+      first_bad = std::min(first_bad, i);
+      a = 1;
+      b = 1;
+    }
+    out[i] = kernel(a, b);
+  }
+  if (first_bad != queries.size()) [[unlikely]] {
+    return RangeOutsideDomain(queries[first_bad].a, queries[first_bad].b, n_);
+  }
+  return OkStatus();
+}
+
+template <bool kTabled>
+Status FlatSynopsis::AnswerHistogram(std::span<const FlatQuery> queries,
+                                     std::span<double> out) const {
+  switch (kind_) {
+    case FlatKind::kAvgHistogram:
+      return AnswerAll(queries, out, [this](int64_t a, int64_t b) {
+        return EstimateAvg<kTabled>(a, b);
+      });
+    case FlatKind::kSap0:
+    case FlatKind::kWeightedSap0:
+      return AnswerAll(queries, out, [this](int64_t a, int64_t b) {
+        return EstimateSap0<kTabled>(a, b);
+      });
+    case FlatKind::kSap1:
+      return AnswerAll(queries, out, [this](int64_t a, int64_t b) {
+        return EstimateSap1<kTabled>(a, b);
+      });
+    case FlatKind::kSap2:
+      return AnswerAll(queries, out, [this](int64_t a, int64_t b) {
+        return EstimateSap2<kTabled>(a, b);
+      });
+    default:
+      RANGESYN_DCHECK(false);
+      return OkStatus();
+  }
 }
 
 Status FlatSynopsis::EstimateMany(std::span<const FlatQuery> queries,
@@ -524,34 +668,19 @@ Status FlatSynopsis::EstimateMany(std::span<const FlatQuery> queries,
         "FlatSynopsis::EstimateMany: out.size() != queries.size()");
   }
   // One dispatch per batch, then a loop the kind's kernel inlines into.
-  const auto answer_all = [&](auto kernel) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      out[i] = kernel(queries[i].a, queries[i].b);
-    }
-  };
   switch (kind_) {
-    case FlatKind::kAvgHistogram:
-      answer_all([this](int64_t a, int64_t b) { return EstimateAvg(a, b); });
-      break;
-    case FlatKind::kSap0:
-    case FlatKind::kWeightedSap0:
-      answer_all([this](int64_t a, int64_t b) { return EstimateSap0(a, b); });
-      break;
-    case FlatKind::kSap1:
-      answer_all([this](int64_t a, int64_t b) { return EstimateSap1(a, b); });
-      break;
-    case FlatKind::kSap2:
-      answer_all([this](int64_t a, int64_t b) { return EstimateSap2(a, b); });
-      break;
     case FlatKind::kNaive:
-      answer_all([this](int64_t a, int64_t b) { return EstimateNaive(a, b); });
-      break;
+      return AnswerAll(queries, out, [this](int64_t a, int64_t b) {
+        return EstimateNaive(a, b);
+      });
     case FlatKind::kWavelet:
-      answer_all(
-          [this](int64_t a, int64_t b) { return EstimateWavelet(a, b); });
-      break;
+      return AnswerAll(queries, out, [this](int64_t a, int64_t b) {
+        return EstimateWavelet(a, b);
+      });
+    default:
+      return end_.empty() ? AnswerHistogram<false>(queries, out)
+                          : AnswerHistogram<true>(queries, out);
   }
-  return OkStatus();
 }
 
 Status FlatSynopsis::EstimateMany(std::span<const FlatQuery> queries,

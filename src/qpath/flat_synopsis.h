@@ -64,13 +64,19 @@ struct FlatQuery {
 /// 0.0-weighted term cannot change any IEEE-754 sum that the legacy
 /// skip-if-absent walk produces, so results are bit-identical.
 ///
-/// Two tables are derived at construction and are not part of RSF1:
-///   - bucket search goes through a hint table (see `hint_`) and a short
-///     forward scan over `ends`, returning the same lower_bound index
-///     Partition::BucketOf computes;
+/// Three tables are derived at construction and are not part of RSF1:
+///   - a histogram view with n <= kMaxEndTableN holds, per position i,
+///     i's bucket and the kind's left piece (a range starting at i) and
+///     right piece (a range ending at i) (see `end_`), so a range that
+///     spans buckets is table loads plus the `cum` subtraction;
+///   - a histogram view above that bound searches its buckets through a
+///     hint table (see `hint_`) and a short forward scan over `ends`,
+///     returning the same lower_bound index Partition::BucketOf computes;
 ///   - a prefix-domain wavelet (aux = 1) holds its n + 1 reconstructed
 ///     prefix sums (see `prefix_`), so a range is one subtraction
 ///     instead of two Haar walks.
+/// Every derived entry is computed by the expression the kernel would
+/// otherwise evaluate per query, so answers keep their bits.
 ///
 /// Lifetime contract (machine-checked, DESIGN.md §6.4): FlatSynopsis is
 /// a RANGESYN_OWNER_TYPE — it keeps alive via `backing_` every byte its
@@ -101,8 +107,12 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
       std::span<const double> f64s, std::shared_ptr<const void> backing,
       std::string name = {}, int64_t storage_words = 0);
 
+  /// Largest n whose histogram view derives per-position end tables
+  /// (DESIGN.md §11.1). Above it a view searches its buckets per query.
+  static constexpr int64_t kMaxEndTableN = int64_t{1} << 16;
+
   /// Answer for one range query; bit-identical to the source estimator's
-  /// EstimateRange. Requires 1 <= a <= b <= n.
+  /// EstimateRange. Requires 1 <= a <= b <= n (DCHECK'd only).
   RANGESYN_HOT_PATH double EstimateOne(int64_t a, int64_t b) const;
 
   /// Per-caller batch state. EstimateMany needs none: every table it
@@ -114,7 +124,10 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   /// Dispatches on the kind once and runs one loop over that kind's
   /// kernel, the same kernel EstimateOne calls, so a batch is
   /// bit-identical to the matching single-query calls. `out.size()` must
-  /// equal `queries.size()`.
+  /// equal `queries.size()`. Each range is checked against
+  /// 1 <= a <= b <= n in the loop; the first one outside it fails the
+  /// batch with InvalidArgument "range [a, b] outside domain [1, n]"
+  /// (slots before it hold their answers, the rest are unspecified).
   RANGESYN_HOT_PATH Status EstimateMany(std::span<const FlatQuery> queries,
                                         std::span<double> out,
                                         BatchScratch* scratch) const;
@@ -128,6 +141,9 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   int64_t n() const { return n_; }
   int64_t num_buckets() const { return num_buckets_; }
   int64_t padded_size() const { return padded_size_; }
+  /// Heap bytes of the derived tables (class comment): the end tables,
+  /// the bucket-hint table and the wavelet prefix sums.
+  int64_t DerivedBytes() const;
   /// The raw buffers; valid only while this synopsis (or a shared_ptr
   /// to it) is alive.
   RANGESYN_LENDS_VIEW std::span<const int64_t> i64s() const { return i64_; }
@@ -146,26 +162,72 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   /// Called once per construction; cold.
   RANGESYN_COLD_PATH Status InitAndValidate();
 
-  // The query kernels and their bucket search, shared by EstimateOne and
-  // EstimateMany's per-kind loops. The larger ones are always inlined, so
-  // a batch loop makes no call per range.
+  // The query kernels, shared by EstimateOne and EstimateMany's per-kind
+  // loops. A histogram kernel takes its buckets and end pieces from the
+  // end tables (kTabled) or from the hint search and the piece formulas
+  // below, the ones the tables are filled with. The kernels are always
+  // inlined, so a batch loop makes no call per range.
+  template <bool kTabled>
+  RANGESYN_HOT_PATH double EstimateWith(int64_t a, int64_t b) const;
+  template <typename Kernel>
+  RANGESYN_HOT_PATH Status AnswerAll(std::span<const FlatQuery> queries,
+                                     std::span<double> out,
+                                     Kernel kernel) const;
+  template <bool kTabled>
+  RANGESYN_HOT_PATH Status AnswerHistogram(std::span<const FlatQuery> queries,
+                                           std::span<double> out) const;
+
+  template <bool kTabled>
+  [[gnu::always_inline]] RANGESYN_HOT_PATH int64_t BucketAt(int64_t i) const {
+    return kTabled ? end_[static_cast<size_t>(i)].bucket : BucketOfFlat(i);
+  }
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline int64_t BucketOfFlat(
       int64_t i) const;
   RANGESYN_COLD_PATH void BuildBucketHint();
+  RANGESYN_COLD_PATH void BuildEndTable();
   RANGESYN_HOT_PATH int64_t BucketStart(int64_t k) const {
     return k == 0 ? 1 : ends_[k - 1] + 1;
   }
   RANGESYN_HOT_PATH int64_t BucketEnd(int64_t k) const { return ends_[k]; }
 
+  // End pieces of a range [a, b] with a in bucket ka and b in bucket kb,
+  // ka < kb. The kernels add them in the legacy order: AVG left + middle
+  // + right; SAP0 left + middle + right; SAP1 left + right + pi[kb] +
+  // middle; SAP2 left + right + middle.
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double AvgLeft(
+      int64_t a, int64_t ka) const;
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double AvgRight(
+      int64_t b, int64_t kb) const;
+  RANGESYN_HOT_PATH double Sap0Left(int64_t /*a*/, int64_t ka) const {
+    return f_a_[ka];
+  }
+  RANGESYN_HOT_PATH double Sap0Right(int64_t /*b*/, int64_t kb) const {
+    return f_b_[kb];
+  }
+  RANGESYN_HOT_PATH double Sap1Left(int64_t a, int64_t ka) const {
+    return static_cast<double>(BucketEnd(ka) - a + 1) * f_a_[ka] + f_b_[ka];
+  }
+  RANGESYN_HOT_PATH double Sap1Right(int64_t b, int64_t kb) const {
+    return static_cast<double>(b - BucketStart(kb) + 1) * f_c_[kb];
+  }
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double Sap2Left(
+      int64_t a, int64_t ka) const;
+  [[gnu::always_inline]] RANGESYN_HOT_PATH inline double Sap2Right(
+      int64_t b, int64_t kb) const;
+
   RANGESYN_HOT_PATH double EstimateNaive(int64_t a, int64_t b) const {
     return static_cast<double>(b - a + 1) * avg_[0];
   }
+  template <bool kTabled>
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateAvg(
       int64_t a, int64_t b) const;
+  template <bool kTabled>
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateSap0(
       int64_t a, int64_t b) const;
+  template <bool kTabled>
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateSap1(
       int64_t a, int64_t b) const;
+  template <bool kTabled>
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateSap2(
       int64_t a, int64_t b) const;
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline double EstimateWavelet(
@@ -199,12 +261,27 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   const double* table_ = nullptr;    // dense Haar coefficient table
   int levels_ = 0;                   // wavelet levels: log2(padded_size_)
 
-  // Bucket-search accelerator, derived at construction (not part of the
-  // on-disk format): hint_[i >> hint_shift_] is the bucket of the first
-  // domain position in that block, so a search is one table load plus a
-  // short forward scan over the boundaries the block spans. The table is
-  // capped at 4K entries to stay cache-resident; InitAndValidate caps the
-  // bucket count so every index fits a uint32.
+  // Histogram views with n <= kMaxEndTableN only: end_[i] for i = 1..n
+  // holds i's bucket, the kind's left piece of a range starting at i and
+  // its right piece of a range ending at i (entry 0 is unused). Derived
+  // at construction (not part of the on-disk format) by the piece
+  // functions above, so each entry is the double the formula returns. A
+  // left piece in the last bucket and a right piece in the first are
+  // never read and hold 0.0. 24(n + 1) bytes.
+  struct EndPieces {
+    double left = 0.0;
+    double right = 0.0;
+    int64_t bucket = 0;
+  };
+  std::vector<EndPieces> end_;
+
+  // Bucket-search accelerator for histogram views above kMaxEndTableN,
+  // derived at construction (not part of the on-disk format):
+  // hint_[i >> hint_shift_] is the bucket of the first domain position
+  // in that block, so a search is one table load plus a short forward
+  // scan over the boundaries the block spans. The table is capped at 4K
+  // entries to stay cache-resident; InitAndValidate caps the bucket
+  // count so every index fits a uint32.
   std::vector<uint32_t> hint_;
   int hint_shift_ = 0;
 

@@ -337,13 +337,6 @@ std::optional<ErrorResponse> Server::Evaluate(Conn& conn,
                          StrCat("unknown synopsis key '", request.key, "'")};
   }
   const FlatSynopsis& view = *it->second;
-  for (const FlatQuery& q : request.ranges) {
-    if (q.a < 1 || q.a > q.b || q.b > view.n()) {
-      return ErrorResponse{id, WireError::kMalformed,
-                           StrCat("range [", q.a, ", ", q.b,
-                                  "] outside domain [1, ", view.n(), "]")};
-    }
-  }
   conn.estimates.resize(request.ranges.size());
   const size_t chunk = static_cast<size_t>(options_.eval_chunk);
   const std::span<const FlatQuery> queries(request.ranges);
@@ -357,11 +350,15 @@ std::optional<ErrorResponse> Server::Evaluate(Conn& conn,
     const size_t len = std::min(chunk, queries.size() - off);
     // Chunked batches answer bit-identically to one big batch: every
     // element equals the matching EstimateOne regardless of grouping.
+    // EstimateMany checks each range against the view's domain and
+    // refuses the first one outside it as InvalidArgument: MALFORMED.
     Status eval =
         view.EstimateMany(queries.subspan(off, len), out.subspan(off, len));
     if (!eval.ok()) {
-      return ErrorResponse{id, WireError::kInternal,
-                           std::string(eval.message())};
+      const WireError code = eval.code() == StatusCode::kInvalidArgument
+                                 ? WireError::kMalformed
+                                 : WireError::kInternal;
+      return ErrorResponse{id, code, std::string(eval.message())};
     }
   }
   return std::nullopt;

@@ -215,15 +215,17 @@ TEST(QpathEquivalenceTest, LosslessHistogramMatchesNaiveOracle) {
 
 // --- Many buckets per hint block --------------------------------------
 
-// The bucket search reads a 4K-entry hint table and scans forward over
-// the boundaries inside one block. The seeded grid's small B never puts
-// more than one boundary in a block; here B > 4096 at n = 100003 (block
-// width 32, ~10 positions per bucket) puts several in most blocks, and
-// the zipf equi-depth head puts a run of one-wide buckets in one block.
-// Every range endpoint sits at a bucket boundary or one off it, answered
-// one-shot and through the sorted batch walk, bit for bit.
+// Above FlatSynopsis::kMaxEndTableN a histogram view has no end tables;
+// its bucket search reads a 4K-entry hint table and scans forward over
+// the boundaries inside one block. The seeded grid's small n is tabled;
+// here n = 100003 searches, and B > 4096 (block width 32, ~10 positions
+// per bucket) puts several boundaries in most blocks, and the zipf
+// equi-depth head puts a run of one-wide buckets in one block. Every
+// range endpoint sits at a bucket boundary or one off it, answered
+// one-shot and batched, bit for bit.
 TEST(QpathEquivalenceTest, ManyBoundariesPerHintBlockMatchLegacy) {
   const int64_t n = 100'003;
+  ASSERT_GT(n, FlatSynopsis::kMaxEndTableN);
   const int64_t buckets = 9'973;
   const std::vector<int64_t> data = SeededDataset(/*case_id=*/0, n, 5e6);
   auto equiwidth = BuildEquiWidth(data, buckets);

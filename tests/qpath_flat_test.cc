@@ -21,6 +21,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,8 @@
 #include "engine/factory.h"
 #include "engine/table.h"
 #include "histogram/histogram.h"
+#include "histogram/partition.h"
+#include "histogram/weighted_sap0.h"
 #include "qpath/flat_file.h"
 #include "qpath/flat_synopsis.h"
 #include "qpath_flat_reference.h"
@@ -460,6 +463,294 @@ TEST(FlatWaveletKernelTest, MappedPrefixReopenIsBitIdentical) {
                       << " batch " << out[i];
       }
     }
+  }
+}
+
+// --- Histogram end tables against the legacy kernels ------------------
+
+/// One histogram kind with its stored sections drawn at random.
+enum class HistKind { kAvg, kSap0, kWeightedSap0, kSap1, kSap2 };
+
+constexpr HistKind kHistKinds[] = {HistKind::kAvg, HistKind::kSap0,
+                                   HistKind::kWeightedSap0, HistKind::kSap1,
+                                   HistKind::kSap2};
+
+/// How a view's stored values are drawn. Ordinary doubles keep every
+/// answer finite, so each one is compared bit for bit; finite specials
+/// (signed zeros, subnormals) keep them finite too; all specials turn
+/// most spanning answers into infinities or NaNs, since one non-finite
+/// bucket mass poisons every later cumulative sum.
+enum class Draw { kOrdinary, kFiniteSpecials, kAllSpecials };
+
+/// A stored value: ordinary doubles across 60 binades, with about one in
+/// three drawn from kSpecials under the special draws. `int64_safe`
+/// keeps to the specials below 1 in magnitude and to values far inside
+/// int64, for paths that convert to int64 (a NaN, an infinity or a
+/// value past 2^63 makes that conversion undefined).
+double StoredValue(Rng& rng, Draw draw, bool int64_safe) {
+  if (draw != Draw::kOrdinary && rng.NextBounded(3) == 0) {
+    const double special = kSpecials[rng.NextBounded(std::size(kSpecials))];
+    const bool small = std::isfinite(special) && std::fabs(special) < 1.0;
+    if (small || (draw == Draw::kAllSpecials && !int64_safe)) return special;
+  }
+  return std::ldexp(rng.NextDouble(-1.0, 1.0),
+                    static_cast<int>(rng.NextInt(-30, int64_safe ? 20 : 30)));
+}
+
+/// The legacy estimator of `kind` over `partition`, every stored section
+/// drawn by StoredValue. `rounding` applies to kAvg only.
+RangeEstimatorPtr LegacyWithStoredValues(HistKind kind,
+                                         const Partition& partition,
+                                         PieceRounding rounding, Draw draw,
+                                         uint64_t seed) {
+  Rng rng(seed);
+  const bool int64_safe =
+      kind == HistKind::kAvg && rounding != PieceRounding::kNone;
+  const auto section = [&] {
+    std::vector<double> v(static_cast<size_t>(partition.num_buckets()));
+    for (double& x : v) x = StoredValue(rng, draw, int64_safe);
+    return v;
+  };
+  const auto models = [&] {
+    std::vector<Sap2Histogram::Model> m(
+        static_cast<size_t>(partition.num_buckets()));
+    for (auto& model : m) {
+      model = {StoredValue(rng, draw, false), StoredValue(rng, draw, false),
+               StoredValue(rng, draw, false)};
+    }
+    return m;
+  };
+  const auto owned = [](auto built) -> RangeEstimatorPtr {
+    EXPECT_TRUE(built.ok()) << built.status();
+    using Built = std::decay_t<decltype(built.value())>;
+    return std::make_unique<Built>(std::move(built).value());
+  };
+  switch (kind) {
+    case HistKind::kAvg:
+      return owned(AvgHistogram::Create(partition, section(), "AVG", rounding));
+    case HistKind::kSap0:
+      return owned(Sap0Histogram::FromSummaries(partition, section(),
+                                                section()));
+    case HistKind::kWeightedSap0:
+      return owned(WeightedSap0Histogram::FromSummaries(
+          partition, section(), section(), section()));
+    case HistKind::kSap1:
+      return owned(Sap1Histogram::FromSummaries(
+          partition, section(), section(), section(), section()));
+    case HistKind::kSap2:
+      return owned(Sap2Histogram::FromSummaries(partition, models(), models()));
+  }
+  return nullptr;
+}
+
+/// True when `flat` carries `legacy`'s bits. Where two NaNs meet in an
+/// add, which one the sum returns depends on the operand order the
+/// compiler emits for that expression (DESIGN.md §11.1), so a NaN answer
+/// must be a NaN on both sides and its sign and payload are not compared.
+/// Every non-NaN answer, signed zeros and infinities included, is
+/// independent of that order and must match bit for bit.
+bool SameAnswer(double legacy, double flat) {
+  if (std::isnan(legacy) || std::isnan(flat)) {
+    return std::isnan(legacy) && std::isnan(flat);
+  }
+  return Bits(legacy) == Bits(flat);
+}
+
+/// Every range with both ends in `points` (ascending): legacy
+/// EstimateRange against the flat view one at a time, and the batch
+/// against the single calls, both by SameAnswer (EstimateOne and
+/// EstimateMany inline the kernel into different code, and a Debug or
+/// sanitizer build orders the NaN operands differently in each).
+/// Returns the number of ranges compared, and adds those whose legacy
+/// answer is not a NaN to *bit_compared.
+int64_t ExpectMatchesLegacy(const RangeEstimator& legacy,
+                            const FlatSynopsis& flat,
+                            const std::vector<int64_t>& points,
+                            const std::string& label,
+                            int64_t* bit_compared) {
+  std::vector<FlatQuery> queries;
+  std::vector<double> want;
+  for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t j = i; j < points.size(); ++j) {
+      queries.push_back({points[i], points[j]});
+      want.push_back(legacy.EstimateRange(points[i], points[j]));
+    }
+  }
+  std::vector<double> batch(queries.size());
+  EXPECT_TRUE(flat.EstimateMany(queries, batch).ok()) << label;
+  int64_t mismatches = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double one = flat.EstimateOne(queries[i].a, queries[i].b);
+    if (!std::isnan(want[i])) ++*bit_compared;
+    if ((!SameAnswer(want[i], one) || !SameAnswer(one, batch[i])) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << label << " [" << queries[i].a << "," << queries[i].b
+                    << "]: legacy " << want[i] << " one " << one
+                    << " batch " << batch[i];
+    }
+  }
+  return static_cast<int64_t>(queries.size());
+}
+
+/// Bucket ends with one-wide buckets, a two-wide one and wider ones, the
+/// first and last buckets included; `n` closes the last bucket.
+std::vector<int64_t> MixedEnds(int64_t n) {
+  return {1, 2, 4, 9, 10, 16, 17, 30, 31, 45, 63, n};
+}
+
+// The end tables hold pieces computed once per position at open; the
+// searching kernels compute them per query. Both must return the legacy
+// estimator's answers for every stored double: signed zeros, subnormals,
+// overflowing products, infinities and NaNs included (SameAnswer). At
+// n = 64 the view is tabled and every range is checked; at
+// n = kMaxEndTableN + 1 (the same buckets, the last one widened) it
+// searches, and every range with both ends among the first 64 positions
+// and the last three is checked. Each kind and rounding runs each Draw
+// twice.
+TEST(FlatEndTableTest, SpecialStoredValuesMatchLegacyOnEveryRange) {
+  const int64_t big_n = FlatSynopsis::kMaxEndTableN + 1;
+  std::vector<int64_t> big_points;
+  for (int64_t p = 1; p <= 64; ++p) big_points.push_back(p);
+  for (int64_t p = big_n - 2; p <= big_n; ++p) big_points.push_back(p);
+  std::vector<int64_t> small_points(big_points.begin(),
+                                    big_points.begin() + 64);
+  int64_t compared = 0;
+  int64_t bit_compared = 0;
+  uint64_t seed = 500;
+  for (const HistKind kind : kHistKinds) {
+    for (const PieceRounding rounding :
+         {PieceRounding::kNone, PieceRounding::kPerPiece,
+          PieceRounding::kWhole}) {
+      if (kind != HistKind::kAvg && rounding != PieceRounding::kNone) {
+        continue;
+      }
+      for (int rep = 0; rep < 6; ++rep, ++seed) {
+        for (const int64_t n : {int64_t{64}, big_n}) {
+          auto partition = Partition::FromEnds(n, MixedEnds(n));
+          ASSERT_TRUE(partition.ok()) << partition.status();
+          const Draw draw = static_cast<Draw>(rep % 3);
+          const RangeEstimatorPtr legacy = LegacyWithStoredValues(
+              kind, partition.value(), rounding, draw, seed);
+          ASSERT_NE(legacy, nullptr);
+          auto flat = FlatSynopsis::Compile(*legacy);
+          ASSERT_TRUE(flat.ok()) << flat.status();
+          const bool tabled = n <= FlatSynopsis::kMaxEndTableN;
+          EXPECT_EQ(flat.value()->DerivedBytes() >= 24 * (n + 1), tabled);
+          compared += ExpectMatchesLegacy(
+              *legacy, *flat.value(), tabled ? small_points : big_points,
+              StrCat(legacy->Name(), " rounding ", static_cast<int>(rounding),
+                     " draw ", static_cast<int>(draw), " seed ", seed, " n ",
+                     n),
+              &bit_compared);
+        }
+      }
+    }
+  }
+  // 7 kind/rounding pairs x 6 seeds x (2080 + 2278) ranges.
+  EXPECT_EQ(compared, 7 * 6 * (64 * 65 / 2 + 67 * 68 / 2));
+  // The ordinary and finite-special draws keep most answers to the bit
+  // compare.
+  EXPECT_GT(bit_compared, compared / 2);
+}
+
+/// A two-bucket averaging view over [1, n], assembled through
+/// FromBuffers as an RSF1 file would be.
+std::shared_ptr<const FlatSynopsis> TwoBucketView(int64_t n) {
+  auto buffers = std::make_shared<std::pair<std::vector<int64_t>,
+                                            std::vector<double>>>();
+  buffers->first = {n / 2, n};
+  buffers->second = {0.0, 3.0 * static_cast<double>(n / 2),
+                     5.0 * static_cast<double>(n), 3.0, 2.0};
+  auto flat = FlatSynopsis::FromBuffers(FlatKind::kAvgHistogram, 0, n, 2, 0,
+                                        buffers->first, buffers->second,
+                                        buffers);
+  EXPECT_TRUE(flat.ok()) << flat.status();
+  return flat.ok() ? flat.value() : nullptr;
+}
+
+// DerivedBytes is the whole heap a view derives at open. A tabled view
+// holds 24 bytes per position (the end table, plus its unused entry 0);
+// a histogram view above the bound holds only the 4K-entry hint table,
+// so even n = 2^40 opens without a large allocation.
+TEST(FlatEndTableTest, DerivedBytesStayWithinTheBound) {
+  for (const char* method : {"equidepth", "sap0", "a0", "sap1", "sap2"}) {
+    for (const int64_t n : {int64_t{1}, int64_t{64}, int64_t{1000}}) {
+      const auto flat = BuildFlat(method, 12, n);
+      ASSERT_NE(flat, nullptr);
+      EXPECT_EQ(flat->DerivedBytes(), 24 * (n + 1)) << method << " n " << n;
+    }
+  }
+  const int64_t hint_cap = 4 * 4097;
+  for (const int64_t n :
+       {FlatSynopsis::kMaxEndTableN, FlatSynopsis::kMaxEndTableN + 1,
+        int64_t{1} << 40}) {
+    const auto flat = TwoBucketView(n);
+    ASSERT_NE(flat, nullptr);
+    if (n <= FlatSynopsis::kMaxEndTableN) {
+      EXPECT_EQ(flat->DerivedBytes(), 24 * (n + 1));
+    } else {
+      EXPECT_LE(flat->DerivedBytes(), hint_cap) << "n " << n;
+    }
+    // Both buckets answer: the left piece 3 per position, the right 2.
+    EXPECT_EQ(flat->EstimateOne(1, n), 3.0 * static_cast<double>(n / 2) +
+                                           2.0 * static_cast<double>(n - n / 2))
+        << "n " << n;
+  }
+  // Naive and data-domain wavelets derive nothing; a prefix-domain
+  // wavelet derives its n + 1 prefix sums.
+  EXPECT_EQ(BuildFlat("naive", 4, 1000)->DerivedBytes(), 0);
+  EXPECT_EQ(BuildFlat("wave-point", 16, 1000)->DerivedBytes(), 0);
+  EXPECT_EQ(BuildFlat("wave-range-opt", 16, 1000)->DerivedBytes(),
+            8 * 1001);
+}
+
+// EstimateMany checks 1 <= a <= b <= n per range and refuses the first
+// range outside it, wherever it sits in the batch, naming it; the ranges
+// before it are answered. Covers every kernel loop: a tabled histogram, a
+// histogram above the bound, naive, and both wavelet domains.
+TEST(FlatBatchTest, OutOfDomainRangesAreRefused) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<std::pair<const char*, std::shared_ptr<const FlatSynopsis>>>
+      views = {{"tabled sap1", BuildFlat("sap1", 16, 64)},
+               {"searched avg",
+                TwoBucketView(FlatSynopsis::kMaxEndTableN + 1)},
+               {"naive", BuildFlat("naive", 4, 64)},
+               {"data wavelet", BuildFlat("wave-point", 16, 64)},
+               {"prefix wavelet", BuildFlat("wave-range-opt", 16, 64)}};
+  for (const auto& [label, flat] : views) {
+    ASSERT_NE(flat, nullptr) << label;
+    const int64_t n = flat->n();
+    const std::vector<FlatQuery> bad = {
+        {0, 5},       {5, 3},       {1, n + 1},   {0, 0},
+        {-1, -1},     {n + 1, n + 1}, {kMin, 1},  {1, kMax},
+        {kMin, kMin}, {kMax, kMax}, {kMin, kMax}, {kMax, kMin}};
+    std::vector<FlatQuery> good;
+    for (int64_t i = 1; i <= 8; ++i) good.push_back({i, n - i + 1});
+    good.push_back({n, n});
+    for (const FlatQuery& b : bad) {
+      for (const size_t at : {size_t{0}, good.size() / 2, good.size()}) {
+        std::vector<FlatQuery> queries = good;
+        queries.insert(queries.begin() + static_cast<ptrdiff_t>(at), b);
+        queries.push_back({0, 1});  // a later bad range is not the one named
+        std::vector<double> out(queries.size());
+        const Status s = flat->EstimateMany(queries, out);
+        const std::string where =
+            StrCat(label, " [", b.a, ", ", b.b, "] at ", at);
+        ASSERT_EQ(s.code(), StatusCode::kInvalidArgument) << where;
+        EXPECT_EQ(s.message(), StrCat("range [", b.a, ", ", b.b,
+                                      "] outside domain [1, ", n, "]"))
+            << where;
+        for (size_t i = 0; i < at; ++i) {
+          EXPECT_EQ(Bits(out[i]),
+                    Bits(flat->EstimateOne(queries[i].a, queries[i].b)))
+              << where << " slot " << i;
+        }
+      }
+    }
+    // The same batch without the bad ranges is answered.
+    std::vector<double> out(good.size());
+    EXPECT_TRUE(flat->EstimateMany(good, out).ok()) << label;
   }
 }
 
