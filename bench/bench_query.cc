@@ -1,7 +1,7 @@
 // EXT-TIME (b) — google-benchmark microbenchmarks of query answering:
-// estimate latency per synopsis family (histograms answer in O(log B),
-// wavelet synopses in O(log n)), versus the exact executor's O(1) prefix
-// lookup and a raw scan.
+// estimate latency per synopsis family through the flat view
+// (FlatSynopsis::EstimateOne, the library's one query path), versus the
+// exact executor's O(1) prefix lookup and a raw scan.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "engine/table.h"
 #include "histogram/builders.h"
 #include "histogram/prefix_stats.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace {
@@ -34,11 +35,11 @@ std::vector<int64_t> Dataset(int64_t n) {
 /// as a RANGESYN_HOT_PATH function so rangesyn-analyze proves the loop
 /// body the benchmark times is allocation- and lock-free; what it
 /// measures is then synopsis arithmetic, not allocator noise.
-RANGESYN_HOT_PATH double QueryOnce(const RangeEstimator& est, Rng& rng,
+RANGESYN_HOT_PATH double QueryOnce(const FlatSynopsis& synopsis, Rng& rng,
                                    int64_t n) {
   const int64_t a = rng.NextInt(1, n);
   const int64_t b = rng.NextInt(a, n);
-  return est.EstimateRange(a, b);
+  return synopsis.EstimateOne(a, b);
 }
 
 /// Same contract for the exact-executor baseline's inner step.
@@ -49,55 +50,43 @@ RANGESYN_HOT_PATH int64_t PrefixLookupOnce(const PrefixStats& stats,
   return stats.Sum(a, b);
 }
 
-void BM_EstimateRange(benchmark::State& state, const std::string& method) {
+void RunQueryRow(benchmark::State& state, const std::string& method) {
   const int64_t n = state.range(0);
   const std::vector<int64_t> data = Dataset(n);
   // Query latency does not depend on how boundaries were chosen, so the
   // SAP representations are built on cheap equi-depth boundaries here
   // (their optimal DP construction is O(n^2 B) — measured separately in
   // bench_construction at feasible sizes).
-  RangeEstimatorPtr est;
-  if (method == "sap0" || method == "sap1") {
-    auto cheap = BuildEquiDepth(data, 32);
-    RANGESYN_CHECK_OK(cheap.status());
-    if (method == "sap0") {
-      auto h = Sap0Histogram::Build(data, cheap->partition());
-      RANGESYN_CHECK_OK(h.status());
-      est = std::make_unique<Sap0Histogram>(std::move(h).value());
-    } else {
-      auto h = Sap1Histogram::Build(data, cheap->partition());
-      RANGESYN_CHECK_OK(h.status());
-      est = std::make_unique<Sap1Histogram>(std::move(h).value());
+  Result<std::shared_ptr<const FlatSynopsis>> synopsis = [&] {
+    if (method == "sap0" || method == "sap1") {
+      auto cheap = BuildEquiDepth(data, 32);
+      RANGESYN_CHECK_OK(cheap.status());
+      if (method == "sap0") {
+        return Sap0Histogram::Build(data, cheap->partition())->Compile();
+      }
+      return Sap1Histogram::Build(data, cheap->partition())->Compile();
     }
-  } else {
     SynopsisSpec spec;
     spec.method = method;
     spec.budget_words = 64;
-    auto built = BuildSynopsis(spec, data);
-    RANGESYN_CHECK_OK(built.status());
-    est = std::move(built).value();
-  }
+    return BuildSynopsis(spec, data);
+  }();
+  RANGESYN_CHECK_OK(synopsis.status());
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(QueryOnce(*est, rng, n));
+    benchmark::DoNotOptimize(QueryOnce(*synopsis.value(), rng, n));
   }
 }
 
 void BM_QueryEquiDepth(benchmark::State& state) {
-  BM_EstimateRange(state, "equidepth");
+  RunQueryRow(state, "equidepth");
 }
-void BM_QuerySap0(benchmark::State& state) {
-  BM_EstimateRange(state, "sap0");
-}
-void BM_QuerySap1(benchmark::State& state) {
-  BM_EstimateRange(state, "sap1");
-}
+void BM_QuerySap0(benchmark::State& state) { RunQueryRow(state, "sap0"); }
+void BM_QuerySap1(benchmark::State& state) { RunQueryRow(state, "sap1"); }
 void BM_QueryWaveRangeOpt(benchmark::State& state) {
-  BM_EstimateRange(state, "wave-range-opt");
+  RunQueryRow(state, "wave-range-opt");
 }
-void BM_QueryTopBB(benchmark::State& state) {
-  BM_EstimateRange(state, "topbb");
-}
+void BM_QueryTopBB(benchmark::State& state) { RunQueryRow(state, "topbb"); }
 BENCHMARK(BM_QueryEquiDepth)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_QuerySap0)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_QuerySap1)->Arg(1024)->Arg(65536);

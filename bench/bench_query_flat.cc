@@ -1,15 +1,11 @@
-// EXT-TIME (b') — the flat query path versus the legacy virtual path,
-// per estimator family at paper scale (n = 4096, 64-word synopses).
-// Every row answers the *same* pre-generated 4096-query batch per
-// iteration, three ways:
-//   Legacy     — virtual EstimateRange, one call per query
+// EXT-TIME (b') — the flat query path per estimator family at paper
+// scale (n = 4096, 64-word synopses). Every row answers the *same*
+// pre-generated 4096-query batch per iteration, two ways:
 //   Flat       — FlatSynopsis::EstimateOne, one call per query
 //   FlatBatch  — one FlatSynopsis::EstimateMany over the whole batch
-// so per-iteration times are directly comparable: the committed
-// baseline records FlatBatch vs Legacy as the per-family speedup the
-// PR 7 regression gate watches. The answers are bit-identical across
-// all three rows (tests/qpath_equivalence_test.cc), so the comparison
-// is purely about serving cost.
+// so per-iteration times are directly comparable. The answers are
+// bit-identical across both rows (tests/qpath_flat_test.cc), so the
+// comparison is purely about serving cost.
 //
 // The Large rows answer the same-size batch over an n = 65536 equi-depth
 // histogram of 8192 buckets, so the bucket arrays outgrow L1; n = 65536
@@ -37,7 +33,6 @@
 #include "engine/factory.h"
 #include "histogram/builders.h"
 #include "histogram/histogram.h"
-#include "histogram/weighted_sap0.h"
 #include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
@@ -78,55 +73,29 @@ std::vector<FlatQuery> QueryBatch(int64_t n) {
 /// representations are built on cheap equi-depth boundaries (boundary
 /// *choice* does not affect query latency; their optimal construction
 /// is measured in bench_construction).
-RangeEstimatorPtr BuildFamily(const std::string& method,
-                              const std::vector<int64_t>& data) {
-  const auto on_equidepth = [&](auto&& build) -> RangeEstimatorPtr {
-    auto cheap = BuildEquiDepth(data, 32);
-    RANGESYN_CHECK_OK(cheap.status());
-    return build(cheap->partition());
-  };
-  if (method == "sap0") {
-    return on_equidepth([&](const Partition& p) -> RangeEstimatorPtr {
-      auto h = Sap0Histogram::Build(data, p);
-      RANGESYN_CHECK_OK(h.status());
-      return std::make_unique<Sap0Histogram>(std::move(h).value());
-    });
-  }
-  if (method == "sap1") {
-    return on_equidepth([&](const Partition& p) -> RangeEstimatorPtr {
-      auto h = Sap1Histogram::Build(data, p);
-      RANGESYN_CHECK_OK(h.status());
-      return std::make_unique<Sap1Histogram>(std::move(h).value());
-    });
-  }
-  if (method == "sap2") {
-    return on_equidepth([&](const Partition& p) -> RangeEstimatorPtr {
-      auto h = Sap2Histogram::Build(data, p);
-      RANGESYN_CHECK_OK(h.status());
-      return std::make_unique<Sap2Histogram>(std::move(h).value());
-    });
-  }
-  SynopsisSpec spec;
-  spec.method = method;
-  spec.budget_words = 64;
-  auto built = BuildSynopsis(spec, data);
+std::shared_ptr<const FlatSynopsis> BuildFamily(
+    const std::string& method, const std::vector<int64_t>& data) {
+  const Result<std::shared_ptr<const FlatSynopsis>> built = [&] {
+    if (method == "sap0" || method == "sap1" || method == "sap2") {
+      auto cheap = BuildEquiDepth(data, 32);
+      RANGESYN_CHECK_OK(cheap.status());
+      const Partition& p = cheap->partition();
+      if (method == "sap0") return Sap0Histogram::Build(data, p)->Compile();
+      if (method == "sap1") return Sap1Histogram::Build(data, p)->Compile();
+      return Sap2Histogram::Build(data, p)->Compile();
+    }
+    SynopsisSpec spec;
+    spec.method = method;
+    spec.budget_words = 64;
+    return BuildSynopsis(spec, data);
+  }();
   RANGESYN_CHECK_OK(built.status());
-  return std::move(built).value();
+  return built.value();
 }
 
-/// The timed step of the legacy rows: answer the whole batch through the
-/// virtual interface. RANGESYN_HOT_PATH so rangesyn-analyze proves the
+/// The timed step of the one-at-a-time rows: answer the whole batch
+/// through EstimateOne. RANGESYN_HOT_PATH so rangesyn-analyze proves the
 /// loop the benchmark times is allocation- and lock-free.
-RANGESYN_HOT_PATH double AnswerBatchLegacy(
-    const RangeEstimator& est, const std::vector<FlatQuery>& queries) {
-  double acc = 0.0;
-  for (const FlatQuery& q : queries) {
-    acc += est.EstimateRange(q.a, q.b);
-  }
-  return acc;
-}
-
-/// Same contract for the flat one-at-a-time rows.
 RANGESYN_HOT_PATH double AnswerBatchFlat(
     const FlatSynopsis& flat, const std::vector<FlatQuery>& queries) {
   double acc = 0.0;
@@ -136,45 +105,29 @@ RANGESYN_HOT_PATH double AnswerBatchFlat(
   return acc;
 }
 
-void BM_Legacy(benchmark::State& state, const std::string& method) {
-  const std::vector<int64_t> data = Dataset(kPaperN);
-  const RangeEstimatorPtr est = BuildFamily(method, data);
-  const std::vector<FlatQuery> queries = QueryBatch(kPaperN);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(AnswerBatchLegacy(*est, queries));
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
-void RunFlat(benchmark::State& state, const RangeEstimator& est,
+void RunFlat(benchmark::State& state, const FlatSynopsis& flat,
              const std::vector<FlatQuery>& queries) {
-  auto flat = FlatSynopsis::Compile(est);
-  RANGESYN_CHECK_OK(flat.status());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AnswerBatchFlat(*flat.value(), queries));
+    benchmark::DoNotOptimize(AnswerBatchFlat(flat, queries));
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
-void RunFlatBatch(benchmark::State& state, const RangeEstimator& est,
+void RunFlatBatch(benchmark::State& state, const FlatSynopsis& flat,
                   const std::vector<FlatQuery>& queries) {
-  auto flat = FlatSynopsis::Compile(est);
-  RANGESYN_CHECK_OK(flat.status());
   std::vector<double> out(queries.size());
   FlatSynopsis::BatchScratch scratch;
   // One untimed pass warms the caches.
-  RANGESYN_CHECK_OK(flat.value()->EstimateMany(queries, out, &scratch));
+  RANGESYN_CHECK_OK(flat.EstimateMany(queries, out, &scratch));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        flat.value()->EstimateMany(queries, out, &scratch).ok());
+    benchmark::DoNotOptimize(flat.EstimateMany(queries, out, &scratch).ok());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
 void BM_Flat(benchmark::State& state, const std::string& method) {
-  RunFlat(state, *BuildFamily(method, Dataset(kPaperN)),
-          QueryBatch(kPaperN));
+  RunFlat(state, *BuildFamily(method, Dataset(kPaperN)), QueryBatch(kPaperN));
 }
 
 void BM_FlatBatch(benchmark::State& state, const std::string& method) {
@@ -182,31 +135,31 @@ void BM_FlatBatch(benchmark::State& state, const std::string& method) {
                QueryBatch(kPaperN));
 }
 
-AvgHistogram LargeEquiDepth() {
+std::shared_ptr<const FlatSynopsis> LargeEquiDepth() {
   auto hist = BuildEquiDepth(Dataset(kLargeN), kLargeBuckets);
   RANGESYN_CHECK_OK(hist.status());
   RANGESYN_CHECK_EQ(hist->partition().num_buckets(), kLargeBuckets);
-  return std::move(hist).value();
+  return hist->Compile().value();
 }
 
 void BM_Flat_EquiDepthLarge(benchmark::State& state) {
-  RunFlat(state, LargeEquiDepth(), QueryBatch(kLargeN));
+  RunFlat(state, *LargeEquiDepth(), QueryBatch(kLargeN));
 }
 
 void BM_FlatBatch_EquiDepthLarge(benchmark::State& state) {
-  RunFlatBatch(state, LargeEquiDepth(), QueryBatch(kLargeN));
+  RunFlatBatch(state, *LargeEquiDepth(), QueryBatch(kLargeN));
 }
 
 void BM_FlatBatch_EquiWidthUntabled(benchmark::State& state) {
   auto hist = BuildEquiWidth(Dataset(kUntabledN), kUntabledBuckets);
   RANGESYN_CHECK_OK(hist.status());
-  RunFlatBatch(state, hist.value(), QueryBatch(kUntabledN));
+  RunFlatBatch(state, *hist->Compile().value(), QueryBatch(kUntabledN));
 }
 
 void BM_FlatOpen(benchmark::State& state) {
   auto hist = BuildEquiDepth(Dataset(state.range(0)), 32);
   RANGESYN_CHECK_OK(hist.status());
-  auto flat = FlatSynopsis::Compile(hist.value());
+  auto flat = hist->Compile();
   RANGESYN_CHECK_OK(flat.status());
   const FlatSynopsis& view = *flat.value();
   for (auto _ : state) {
@@ -219,12 +172,10 @@ void BM_FlatOpen(benchmark::State& state) {
 }
 
 #define RANGESYN_QUERY_FLAT_ROWS(Name, method)                      \
-  void BM_Legacy_##Name(benchmark::State& s) { BM_Legacy(s, method); } \
   void BM_Flat_##Name(benchmark::State& s) { BM_Flat(s, method); }     \
   void BM_FlatBatch_##Name(benchmark::State& s) {                      \
     BM_FlatBatch(s, method);                                           \
   }                                                                    \
-  BENCHMARK(BM_Legacy_##Name);                                         \
   BENCHMARK(BM_Flat_##Name);                                           \
   BENCHMARK(BM_FlatBatch_##Name)
 

@@ -115,12 +115,13 @@ int main(int argc, char** argv) {
       BuildSynopsisWithOptions(spec, data.value(), degrade_options);
   RANGESYN_CHECK_OK(degraded.status());
   int64_t degraded_count = degraded->degraded ? 1 : 0;
-  auto fallback_sse = AllRangesSse(data.value(), *degraded->estimator);
+  auto fallback_sse = AllRangesSse(data.value(), *degraded->synopsis);
   RANGESYN_CHECK_OK(fallback_sse.status());
   double sse_ratio = 0.0;
   std::string ratio_text = "-";
   if (optimal_histogram.has_value()) {
-    auto optimal_sse = AllRangesSse(data.value(), *optimal_histogram);
+    auto optimal_sse =
+        AllRangesSse(data.value(), *optimal_histogram->Compile().value());
     RANGESYN_CHECK_OK(optimal_sse.status());
     if (optimal_sse.value() > 0.0) {
       sse_ratio = fallback_sse.value() / optimal_sse.value();

@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
     opta_options.max_buckets = b;
     auto opta = BuildOptA(data, opta_options);
     RANGESYN_CHECK_OK(opta.status());
-    const double sse_opta = AllRangesSse(data, opta->histogram).value();
+    const double sse_opta =
+        AllRangesSse(data, *opta->histogram.Compile().value()).value();
 
     struct Base {
       std::string name;
@@ -77,10 +78,12 @@ int main(int argc, char** argv) {
 
     for (Base& base : bases) {
       RANGESYN_CHECK_OK(base.hist.status());
-      const double sse_base = AllRangesSse(data, base.hist.value()).value();
+      const double sse_base =
+          AllRangesSse(data, *base.hist->Compile().value()).value();
       auto reopt = Reoptimize(data, base.hist.value());
       RANGESYN_CHECK_OK(reopt.status());
-      const double sse_reopt = AllRangesSse(data, reopt.value()).value();
+      const double sse_reopt =
+          AllRangesSse(data, *reopt->Compile().value()).value();
       const double gain_base = 1.0 - sse_reopt / sse_base;
       const double vs_opta = sse_reopt / sse_opta;
       if (base.name == "OPT-A") {

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     auto result = BuildOptARounded(data, options);
     const double build_seconds = watch.Seconds();
     RANGESYN_CHECK_OK(result.status());
-    const double sse = AllRangesSse(data, result->histogram).value();
+    const double sse =
+        AllRangesSse(data, *result->histogram.Compile().value()).value();
     if (x == 1) exact_sse = sse;
     table.AddRow(
         {StrCat(x), FormatG(sse),

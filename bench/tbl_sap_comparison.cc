@@ -69,8 +69,8 @@ int main(int argc, char** argv) {
     RANGESYN_CHECK_OK(opta.status());
     auto sap1 = BuildSap1(data, b);
     RANGESYN_CHECK_OK(sap1.status());
-    auto sse_opta = AllRangesSse(data, opta->histogram);
-    auto sse_sap1 = AllRangesSse(data, sap1.value());
+    auto sse_opta = AllRangesSse(data, *opta->histogram.Compile().value());
+    auto sse_sap1 = AllRangesSse(data, *sap1->Compile().value());
     RANGESYN_CHECK_OK(sse_opta.status());
     RANGESYN_CHECK_OK(sse_sap1.status());
     equal_b.AddRow({StrCat(b), FormatG(sse_opta.value()),
@@ -97,9 +97,12 @@ int main(int argc, char** argv) {
     auto sap0 = BuildSap0(data, words / 3);
     RANGESYN_CHECK_OK(sap1.status());
     RANGESYN_CHECK_OK(sap0.status());
-    const double sse_opta = AllRangesSse(data, opta->histogram).value();
-    const double sse_sap1 = AllRangesSse(data, sap1.value()).value();
-    const double sse_sap0 = AllRangesSse(data, sap0.value()).value();
+    const double sse_opta =
+        AllRangesSse(data, *opta->histogram.Compile().value()).value();
+    const double sse_sap1 =
+        AllRangesSse(data, *sap1->Compile().value()).value();
+    const double sse_sap0 =
+        AllRangesSse(data, *sap0->Compile().value()).value();
     equal_w.AddRow({StrCat(words), FormatG(sse_opta), FormatG(sse_sap1),
                     FormatG(sse_sap0), FormatG(sse_sap1 / sse_opta, 3),
                     (sse_sap0 >= sse_sap1 && sse_sap0 >= sse_opta) ? "yes"

@@ -4,6 +4,7 @@
 //   ./build/examples/quickstart [--n=127] [--buckets=12] [--seed=20010521]
 
 #include <iostream>
+#include <memory>
 
 #include "core/flags.h"
 #include "core/logging.h"
@@ -14,6 +15,7 @@
 #include "histogram/builders.h"
 #include "histogram/opt_a_dp.h"
 #include "histogram/prefix_stats.h"
+#include "qpath/flat_synopsis.h"
 #include "wavelet/selection.h"
 
 int main(int argc, char** argv) {
@@ -60,7 +62,11 @@ int main(int argc, char** argv) {
   RANGESYN_CHECK_OK(opta.status());
   RANGESYN_CHECK_OK(wave.status());
 
-  // 3. Answer a few representative range queries.
+  // 3. Compile each builder's record into the flat view that answers its
+  //    queries, and answer a few representative range queries.
+  const std::shared_ptr<const FlatSynopsis> views[] = {
+      equidepth->Compile().value(), sap1->Compile().value(),
+      opta->histogram.Compile().value(), wave->Compile().value()};
   const int64_t n = stats.n();
   const std::vector<std::pair<int64_t, int64_t>> queries = {
       {1, n}, {1, n / 4}, {n / 4, n / 2}, {n / 2, n / 2}, {3, 3}};
@@ -69,26 +75,22 @@ int main(int argc, char** argv) {
   for (const auto& [a, b] : queries) {
     answers.AddRow({StrCat("s[", a, ",", b, "]"),
                     StrCat(stats.Sum(a, b)),
-                    FormatG(equidepth->EstimateRange(a, b), 5),
-                    FormatG(sap1->EstimateRange(a, b), 5),
-                    FormatG(opta->histogram.EstimateRange(a, b), 5),
-                    FormatG(wave->EstimateRange(a, b), 5)});
+                    FormatG(views[0]->EstimateOne(a, b), 5),
+                    FormatG(views[1]->EstimateOne(a, b), 5),
+                    FormatG(views[2]->EstimateOne(a, b), 5),
+                    FormatG(views[3]->EstimateOne(a, b), 5)});
   }
   answers.Print(std::cout);
 
   // 4. Overall quality: SSE over all n(n+1)/2 ranges (the paper's metric).
   std::cout << "\nall-ranges SSE (lower is better):\n";
   TextTable sse({"synopsis", "storage(words)", "SSE"});
-  auto add = [&](const RangeEstimator& est) {
-    auto s = AllRangesSse(data, est);
+  for (const std::shared_ptr<const FlatSynopsis>& view : views) {
+    auto s = AllRangesSse(data, *view);
     RANGESYN_CHECK_OK(s.status());
-    sse.AddRow({est.Name(), StrCat(est.StorageWords()),
+    sse.AddRow({view->Name(), StrCat(view->StorageWords()),
                 FormatG(s.value())});
-  };
-  add(*equidepth);
-  add(*sap1);
-  add(opta->histogram);
-  add(*wave);
+  }
   sse.Print(std::cout);
 
   std::cout << "\nOPT-A DP reports optimal SSE " << FormatG(opta->optimal_sse)

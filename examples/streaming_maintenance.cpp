@@ -69,8 +69,10 @@ int main(int argc, char** argv) {
   auto rebuilt = BuildWaveRangeOpt(data, budget);
   RANGESYN_CHECK_OK(snapshot.status());
   RANGESYN_CHECK_OK(rebuilt.status());
-  const double sse_snapshot = AllRangesSse(data, snapshot.value()).value();
-  const double sse_rebuilt = AllRangesSse(data, rebuilt.value()).value();
+  const double sse_snapshot =
+      AllRangesSse(data, *snapshot->Compile().value()).value();
+  const double sse_rebuilt =
+      AllRangesSse(data, *rebuilt->Compile().value()).value();
   std::cout << "maintained synopsis SSE:    " << FormatG(sse_snapshot)
             << "\nfrom-scratch rebuild SSE:   " << FormatG(sse_rebuilt)
             << "\n(identical by construction — the maintainer is exact)\n\n";
@@ -87,9 +89,9 @@ int main(int argc, char** argv) {
   RANGESYN_CHECK_OK(generic.status());
 
   auto err_adapted =
-      EvaluateOnWorkload(data, adapted.value(), log.value());
+      EvaluateOnWorkload(data, *adapted->Compile().value(), log.value());
   auto err_generic =
-      EvaluateOnWorkload(data, generic.value(), log.value());
+      EvaluateOnWorkload(data, *generic->Compile().value(), log.value());
   RANGESYN_CHECK_OK(err_adapted.status());
   RANGESYN_CHECK_OK(err_generic.status());
 

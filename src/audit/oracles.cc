@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <numeric>
 
 #include "core/logging.h"
@@ -16,12 +17,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-Status ValidateDataVsEstimator(const std::vector<int64_t>& data,
-                               const RangeEstimator& estimator) {
+Status ValidateDataVsSynopsis(const std::vector<int64_t>& data,
+                              const FlatSynopsis& synopsis) {
   if (data.empty()) return InvalidArgumentError("oracle: empty data");
-  if (estimator.domain_size() != static_cast<int64_t>(data.size())) {
+  if (synopsis.n() != static_cast<int64_t>(data.size())) {
     return InvalidArgumentError(
-        StrCat("oracle: estimator domain ", estimator.domain_size(),
+        StrCat("oracle: synopsis domain ", synopsis.n(),
                " != data size ", data.size()));
   }
   return OkStatus();
@@ -39,14 +40,14 @@ int64_t NaiveRangeSum(const std::vector<int64_t>& data, int64_t a,
 }
 
 Result<double> NaiveAllRangesSse(const std::vector<int64_t>& data,
-                                 const RangeEstimator& estimator) {
-  RANGESYN_RETURN_IF_ERROR(ValidateDataVsEstimator(data, estimator));
+                                 const FlatSynopsis& synopsis) {
+  RANGESYN_RETURN_IF_ERROR(ValidateDataVsSynopsis(data, synopsis));
   const int64_t n = static_cast<int64_t>(data.size());
   double sse = 0.0;
   for (int64_t a = 1; a <= n; ++a) {
     for (int64_t b = a; b <= n; ++b) {
       const double err = static_cast<double>(NaiveRangeSum(data, a, b)) -
-                         estimator.EstimateRange(a, b);
+                         synopsis.EstimateOne(a, b);
       sse += err * err;
     }
   }
@@ -54,10 +55,10 @@ Result<double> NaiveAllRangesSse(const std::vector<int64_t>& data,
 }
 
 Result<double> NaiveWeightedAllRangesSse(const std::vector<int64_t>& data,
-                                         const RangeEstimator& estimator,
+                                         const FlatSynopsis& synopsis,
                                          const std::vector<double>& alpha,
                                          const std::vector<double>& beta) {
-  RANGESYN_RETURN_IF_ERROR(ValidateDataVsEstimator(data, estimator));
+  RANGESYN_RETURN_IF_ERROR(ValidateDataVsSynopsis(data, synopsis));
   if (alpha.size() != data.size() || beta.size() != data.size()) {
     return InvalidArgumentError("oracle: weight size mismatch");
   }
@@ -66,7 +67,7 @@ Result<double> NaiveWeightedAllRangesSse(const std::vector<int64_t>& data,
   for (int64_t a = 1; a <= n; ++a) {
     for (int64_t b = a; b <= n; ++b) {
       const double err = static_cast<double>(NaiveRangeSum(data, a, b)) -
-                         estimator.EstimateRange(a, b);
+                         synopsis.EstimateOne(a, b);
       sse += alpha[static_cast<size_t>(a - 1)] *
              beta[static_cast<size_t>(b - 1)] * err * err;
     }
@@ -152,8 +153,9 @@ Result<double> NaiveBestPrefixWaveletSse(const std::vector<int64_t>& data,
         WaveletSynopsis synopsis,
         WaveletSynopsis::Create(std::move(kept), padded, n,
                                 WaveletDomain::kPrefix, "ORACLE"));
-    RANGESYN_ASSIGN_OR_RETURN(double sse,
-                              NaiveAllRangesSse(data, synopsis));
+    RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> view,
+                              synopsis.Compile());
+    RANGESYN_ASSIGN_OR_RETURN(double sse, NaiveAllRangesSse(data, *view));
     best = std::min(best, sse);
     // Next combination of `keep` values out of 1..num_candidates.
     int64_t i = keep - 1;

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/result.h"
 #include "histogram/dp.h"
 #include "histogram/partition.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace audit {
@@ -23,14 +23,14 @@ namespace audit {
 /// Exact s[a,b] by direct summation (1-based, inclusive); no prefix sums.
 int64_t NaiveRangeSum(const std::vector<int64_t>& data, int64_t a, int64_t b);
 
-/// All-ranges SSE of `estimator` over the n(n+1)/2 ranges, each true
+/// All-ranges SSE of `synopsis` over the n(n+1)/2 ranges, each true
 /// answer recomputed by direct summation. O(n³) time.
 Result<double> NaiveAllRangesSse(const std::vector<int64_t>& data,
-                                 const RangeEstimator& estimator);
+                                 const FlatSynopsis& synopsis);
 
 /// Weighted all-ranges SSE with product-form weights alpha[a-1]*beta[b-1].
 Result<double> NaiveWeightedAllRangesSse(const std::vector<int64_t>& data,
-                                         const RangeEstimator& estimator,
+                                         const FlatSynopsis& synopsis,
                                          const std::vector<double>& alpha,
                                          const std::vector<double>& beta);
 

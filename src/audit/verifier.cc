@@ -110,8 +110,9 @@ Status Verifier::VerifySap0(const std::vector<int64_t>& data,
   };
   // Decomposition Lemma: the additive bucket costs of the chosen partition
   // sum to the true all-ranges SSE of the histogram built on it.
-  RANGESYN_ASSIGN_OR_RETURN(double naive_sse,
-                            NaiveAllRangesSse(data, hist));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> view,
+                            hist.Compile());
+  RANGESYN_ASSIGN_OR_RETURN(double naive_sse, NaiveAllRangesSse(data, *view));
   RANGESYN_RETURN_IF_ERROR(CheckClose(ResumCost(hist.partition(), cost_fn),
                                       naive_sse, "sap0 decomposition"));
   // Range-optimality (paper Theorem 6) against exhaustive enumeration.
@@ -137,9 +138,11 @@ Status Verifier::VerifyWeightedSap0(const std::vector<int64_t>& data,
   const BucketCostFn cost_fn = [&costs](int64_t l, int64_t r) {
     return costs.Cost(l, r);
   };
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> view,
+                            hist.Compile());
   RANGESYN_ASSIGN_OR_RETURN(
       double naive_sse,
-      NaiveWeightedAllRangesSse(data, hist, weights.alpha, weights.beta));
+      NaiveWeightedAllRangesSse(data, *view, weights.alpha, weights.beta));
   RANGESYN_RETURN_IF_ERROR(CheckClose(ResumCost(hist.partition(), cost_fn),
                                       naive_sse,
                                       "weighted-sap0 decomposition"));
@@ -197,8 +200,9 @@ Status Verifier::VerifyWaveRangeOpt(const std::vector<int64_t>& data,
   if (padded != n + 1) return OkStatus();  // the exact theory needs n+1 = 2^j
   // Theorem 9: the prediction formula and (for small n) the exhaustive
   // best subset both agree with the realized SSE.
-  RANGESYN_ASSIGN_OR_RETURN(double naive_sse,
-                            NaiveAllRangesSse(data, synopsis));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> view,
+                            synopsis.Compile());
+  RANGESYN_ASSIGN_OR_RETURN(double naive_sse, NaiveAllRangesSse(data, *view));
   RANGESYN_ASSIGN_OR_RETURN(double predicted,
                             PredictPrefixSynopsisSse(data, synopsis));
   RANGESYN_RETURN_IF_ERROR(
@@ -213,21 +217,18 @@ Status Verifier::VerifyWaveRangeOpt(const std::vector<int64_t>& data,
 }
 
 Status Verifier::VerifySerializeRoundTrip(
-    const RangeEstimator& estimator) const {
-  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(estimator));
+    const FlatSynopsis& synopsis) const {
   RANGESYN_ASSIGN_OR_RETURN(const std::string bytes,
-                            EncodeFlatSynopsis(*flat));
+                            EncodeFlatSynopsis(synopsis));
   RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> restored,
                             DecodeFlatSynopsis(bytes));
-  if (restored->Name() != estimator.Name() ||
-      restored->n() != estimator.domain_size() ||
-      restored->StorageWords() != estimator.StorageWords()) {
+  if (restored->Name() != synopsis.Name() || restored->n() != synopsis.n() ||
+      restored->StorageWords() != synopsis.StorageWords()) {
     return InternalError(
-        StrCat("audit mismatch [round-trip metadata]: ", estimator.Name(),
-               " n=", estimator.domain_size(), " words=",
-               estimator.StorageWords(), " came back as ", restored->Name(),
-               " n=", restored->n(), " words=", restored->StorageWords()));
+        StrCat("audit mismatch [round-trip metadata]: ", synopsis.Name(),
+               " n=", synopsis.n(), " words=", synopsis.StorageWords(),
+               " came back as ", restored->Name(), " n=", restored->n(),
+               " words=", restored->StorageWords()));
   }
   // Re-encoding the decoded synopsis must reproduce the exact bytes: every
   // stored word and the name round-trip bitwise.
@@ -236,18 +237,18 @@ Status Verifier::VerifySerializeRoundTrip(
   if (bytes2 != bytes) {
     return InternalError(
         StrCat("audit mismatch [round-trip bytes]: re-encoding a decoded ",
-               estimator.Name(), " produced different bytes"));
+               synopsis.Name(), " produced different bytes"));
   }
   // The decoded synopsis answers bit for bit what its source does.
-  const int64_t n = estimator.domain_size();
+  const int64_t n = synopsis.n();
   const int64_t step = n <= 64 ? 1 : std::max<int64_t>(1, n / 16);
   for (int64_t a = 1; a <= n; a += step) {
     for (int64_t b = a; b <= n; b += step) {
-      const double orig = estimator.EstimateRange(a, b);
+      const double orig = synopsis.EstimateOne(a, b);
       const double back = restored->EstimateOne(a, b);
       if (std::bit_cast<uint64_t>(back) != std::bit_cast<uint64_t>(orig)) {
         return InternalError(StrCat("audit mismatch [round-trip estimate]: ",
-                                    estimator.Name(), " range [", a, ",", b,
+                                    synopsis.Name(), " range [", a, ",", b,
                                     "] ", orig, " -> ", back));
       }
     }
@@ -283,27 +284,21 @@ Status Verifier::VerifyAll(const std::vector<int64_t>& data,
   RANGESYN_RETURN_IF_ERROR(VerifyWaveRangeOpt(data, buckets));
 
   // Round-trip every serializable synopsis family built from this data.
-  RANGESYN_ASSIGN_OR_RETURN(NaiveEstimator naive, BuildNaive(data));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(naive));
-  RANGESYN_ASSIGN_OR_RETURN(AvgHistogram equi,
-                            BuildEquiWidth(data, buckets));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(equi));
-  RANGESYN_ASSIGN_OR_RETURN(Sap0Histogram sap0, BuildSap0(data, buckets));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(sap0));
-  RANGESYN_ASSIGN_OR_RETURN(Sap1Histogram sap1, BuildSap1(data, buckets));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(sap1));
-  RANGESYN_ASSIGN_OR_RETURN(Sap2Histogram sap2, BuildSap2(data, buckets));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(sap2));
-  RANGESYN_ASSIGN_OR_RETURN(
-      WeightedSap0Histogram wsap0,
-      BuildWeightedSap0(data, buckets, RangeWorkloadWeights::Uniform(n)));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(wsap0));
-  RANGESYN_ASSIGN_OR_RETURN(WaveletSynopsis wave_point,
-                            BuildWavePoint(data, buckets));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(wave_point));
-  RANGESYN_ASSIGN_OR_RETURN(WaveletSynopsis wave_range,
-                            BuildWaveRangeOpt(data, buckets));
-  RANGESYN_RETURN_IF_ERROR(VerifySerializeRoundTrip(wave_range));
+  const auto round_trip = [this](const auto& built) -> Status {
+    RANGESYN_RETURN_IF_ERROR(built.status());
+    RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> view,
+                              built->Compile());
+    return VerifySerializeRoundTrip(*view);
+  };
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildNaive(data)));
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildEquiWidth(data, buckets)));
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildSap0(data, buckets)));
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildSap1(data, buckets)));
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildSap2(data, buckets)));
+  RANGESYN_RETURN_IF_ERROR(round_trip(
+      BuildWeightedSap0(data, buckets, RangeWorkloadWeights::Uniform(n))));
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildWavePoint(data, buckets)));
+  RANGESYN_RETURN_IF_ERROR(round_trip(BuildWaveRangeOpt(data, buckets)));
   return OkStatus();
 }
 

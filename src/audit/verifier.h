@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/result.h"
 #include "histogram/dp.h"
 #include "histogram/weighted_sap0.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace audit {
@@ -71,10 +71,10 @@ class Verifier {
   Status VerifyWaveRangeOpt(const std::vector<int64_t>& data,
                             int64_t budget) const;
 
-  /// The full RSF1 round trip: compile → encode → decode gives back the
-  /// name, n and paper storage words, re-encodes to identical bytes, and
-  /// answers every range bit-identically to `estimator`.
-  Status VerifySerializeRoundTrip(const RangeEstimator& estimator) const;
+  /// The full RSF1 round trip: encode → decode gives back the name, n
+  /// and paper storage words, re-encodes to identical bytes, and answers
+  /// every range bit-identically to `synopsis`.
+  Status VerifySerializeRoundTrip(const FlatSynopsis& synopsis) const;
 
   /// Runs every applicable check for one dataset/budget combination,
   /// including round-trips of each serializable synopsis family.

@@ -93,13 +93,11 @@ Result<std::string> CmdBuild(const std::vector<std::string>& args) {
   RANGESYN_ASSIGN_OR_RETURN(BuildOutcome outcome,
                             BuildSynopsisWithOptions(spec, data,
                                                      build_options));
-  const RangeEstimatorPtr& est = outcome.estimator;
-  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(*est));
-  RANGESYN_RETURN_IF_ERROR(SaveFlatSynopsis(*flat, flags.GetString("out")));
+  const FlatSynopsis& synopsis = *outcome.synopsis;
+  RANGESYN_RETURN_IF_ERROR(SaveFlatSynopsis(synopsis, flags.GetString("out")));
   // Total-mass self-check: one real query through the freshly built
   // synopsis, so even a bare `build` run exercises the query path.
-  const double total = est->EstimateRange(1, est->domain_size());
+  const double total = synopsis.EstimateOne(1, synopsis.n());
   RANGESYN_OBS_COUNTER_INC("engine.query.count");
   std::string degraded_note;
   if (outcome.degraded) {
@@ -107,30 +105,23 @@ Result<std::string> CmdBuild(const std::vector<std::string>& args) {
         StrCat("note: degraded '", outcome.degraded_from, "' -> '",
                outcome.built_method, "' (", outcome.fallback_reason, ")\n");
   }
-  return StrCat(degraded_note, "built ", est->Name(), " (",
-                est->StorageWords(), " words over domain ",
-                est->domain_size(), ") -> ", flags.GetString("out"),
-                "\nself-check: s[1,", est->domain_size(), "] ~= ",
+  return StrCat(degraded_note, "built ", synopsis.Name(), " (",
+                synopsis.StorageWords(), " words over domain ",
+                synopsis.n(), ") -> ", flags.GetString("out"),
+                "\nself-check: s[1,", synopsis.n(), "] ~= ",
                 FormatG(total, 10), "\n");
-}
-
-/// Opens the --synopsis RSF1 file: mmap'd, checked once, and served
-/// straight from the mapping.
-Result<RangeEstimatorPtr> OpenSynopsis(const FlagSet& flags) {
-  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            OpenFlatMapped(flags.GetString("synopsis")));
-  return RangeEstimatorPtr(
-      std::make_unique<FlatRangeEstimator>(std::move(flat)));
 }
 
 Result<std::string> CmdInspect(const std::vector<std::string>& args) {
   FlagSet flags("rangesyn inspect", "describe a persisted synopsis");
   flags.DefineString("synopsis", "synopsis.rsn", "synopsis path");
   RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, OpenSynopsis(flags));
-  return StrCat("name:    ", est->Name(), "\nstorage: ",
-                est->StorageWords(), " words\ndomain:  1..",
-                est->domain_size(), "\n");
+  // The RSF1 file is mmap'd, checked once, and served from the mapping.
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> synopsis,
+                            OpenFlatMapped(flags.GetString("synopsis")));
+  return StrCat("name:    ", synopsis->Name(), "\nstorage: ",
+                synopsis->StorageWords(), " words\ndomain:  1..",
+                synopsis->n(), "\n");
 }
 
 Result<std::string> CmdEstimate(const std::vector<std::string>& args) {
@@ -139,16 +130,17 @@ Result<std::string> CmdEstimate(const std::vector<std::string>& args) {
   flags.DefineInt64("a", 1, "range start (1-based, inclusive)");
   flags.DefineInt64("b", 1, "range end (inclusive)");
   RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, OpenSynopsis(flags));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> synopsis,
+                            OpenFlatMapped(flags.GetString("synopsis")));
   const int64_t a = flags.GetInt64("a");
   const int64_t b = flags.GetInt64("b");
-  if (a < 1 || a > b || b > est->domain_size()) {
+  if (a < 1 || a > b || b > synopsis->n()) {
     return InvalidArgumentError(
         StrCat("bad range [", a, ",", b, "] for domain 1..",
-               est->domain_size()));
+               synopsis->n()));
   }
   return StrCat("s[", a, ",", b, "] ~= ",
-                FormatG(est->EstimateRange(a, b), 10), "\n");
+                FormatG(synopsis->EstimateOne(a, b), 10), "\n");
 }
 
 Result<std::string> CmdEvaluate(const std::vector<std::string>& args) {
@@ -159,17 +151,18 @@ Result<std::string> CmdEvaluate(const std::vector<std::string>& args) {
   flags.DefineString("workload", "",
                      "optional query-log CSV (default: all ranges)");
   RANGESYN_RETURN_IF_ERROR(ParseArgs(&flags, args));
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, OpenSynopsis(flags));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> synopsis,
+                            OpenFlatMapped(flags.GetString("synopsis")));
   RANGESYN_ASSIGN_OR_RETURN(std::vector<int64_t> data,
                             LoadDistributionCsv(flags.GetString("data")));
   ErrorStats stats;
   if (flags.GetString("workload").empty()) {
-    RANGESYN_ASSIGN_OR_RETURN(stats, AllRangesStats(data, *est));
+    RANGESYN_ASSIGN_OR_RETURN(stats, AllRangesStats(data, *synopsis));
   } else {
     RANGESYN_ASSIGN_OR_RETURN(std::vector<RangeQuery> queries,
                               LoadWorkloadCsv(flags.GetString("workload")));
     RANGESYN_ASSIGN_OR_RETURN(stats,
-                              EvaluateOnWorkload(data, *est, queries));
+                              EvaluateOnWorkload(data, *synopsis, queries));
   }
   return StrCat("queries:  ", stats.count, "\nSSE:      ",
                 FormatG(stats.sse, 10), "\nRMSE:     ",
@@ -242,11 +235,11 @@ Result<std::string> CmdStats(const std::vector<std::string>& args) {
   spec.budget_words = flags.GetInt64("budget");
   // Build -> evaluate -> encode, so the dump below covers every
   // instrumented phase of the pipeline.
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr est, BuildSynopsis(spec, data));
-  RANGESYN_ASSIGN_OR_RETURN(ErrorStats err, AllRangesStats(data, *est));
-  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(*est));
-  RANGESYN_ASSIGN_OR_RETURN(const std::string bytes, EncodeFlatSynopsis(*flat));
+  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> synopsis,
+                            BuildSynopsis(spec, data));
+  RANGESYN_ASSIGN_OR_RETURN(ErrorStats err, AllRangesStats(data, *synopsis));
+  RANGESYN_ASSIGN_OR_RETURN(const std::string bytes,
+                            EncodeFlatSynopsis(*synopsis));
   // Eagerly register the serving metrics (serve.request.*, serve.queue.*,
   // ...) so scrapers see the full serving series — at zero — even from a
   // process that never handled a request.
@@ -258,7 +251,7 @@ Result<std::string> CmdStats(const std::vector<std::string>& args) {
     return os.str();
   }
   if (format == "prometheus") return obs::FormatStatsPrometheus(snapshot);
-  return StrCat("pipeline: ", est->Name(), " budget=",
+  return StrCat("pipeline: ", synopsis->Name(), " budget=",
                 flags.GetInt64("budget"), " n=", data.size(), " queries=",
                 err.count, " sse=", FormatG(err.sse, 6), " bytes=",
                 bytes.size(), "\n\n", obs::FormatStatsText(snapshot));

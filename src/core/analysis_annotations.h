@@ -12,7 +12,7 @@
 /// Place the macro at the very start of the declaration, before storage
 /// specifiers:
 ///
-///     RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b) const;
+///     RANGESYN_HOT_PATH double EstimateOne(int64_t a, int64_t b) const;
 ///     RANGESYN_CANCELLABLE static Result<DpSolution> Solve(...);
 ///
 /// The vocabulary (DESIGN.md §6.4 has the full check catalog):

@@ -52,12 +52,13 @@ Status SynopsisCatalog::RegisterDistribution(const std::string& key,
       return AlreadyExistsError(StrCat("catalog entry '", key, "' exists"));
     }
   }
-  // The synopsis build and its flat compile are the expensive part; run
+  // The synopsis build (which ends in its flat compile) is the expensive
+  // part; run
   // them outside the lock so concurrent registrations of different keys
   // build in parallel. The raw counts are not retained — the synopsis is
   // the point.
   RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            BuildFlatSynopsis(spec, dist.counts));
+                            BuildSynopsis(spec, dist.counts));
   MutexLock lock(mu_);
   if (!entries_.emplace(key, Entry{dist.domain_lo, spec.method,
                                    std::move(flat)})

@@ -1,8 +1,10 @@
 #include "engine/factory.h"
 
-#include <algorithm>
 #include <exception>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/strings.h"
 #include "histogram/builders.h"
@@ -28,170 +30,199 @@ Result<int64_t> UnitsForBudget(int64_t budget_words, int64_t words_per_unit) {
   return units;
 }
 
-template <typename T>
-RangeEstimatorPtr Wrap(T value) {
-  return std::make_unique<T>(std::move(value));
+using View = std::shared_ptr<const FlatSynopsis>;
+
+/// What a method's build function gets: the data, the unit count its
+/// word cost affords under spec.budget_words, and the OPT-A knobs.
+struct BuildArgs {
+  const std::vector<int64_t>& data;
+  int64_t units;
+  const SynopsisSpec& spec;
+  const Deadline& deadline;
+  uint64_t max_states;
+};
+
+/// The view of a builder's record, or the builder's error.
+template <typename Record>
+Result<View> Compiled(Result<Record> record) {
+  RANGESYN_RETURN_IF_ERROR(record.status());
+  return record->Compile();
 }
 
-/// Builds exactly `method` (with spec supplying the budget and OPT-A
-/// knobs), recomputing the unit count for the method's own word cost so a
-/// ladder fallback honors the same budget_words.
-Result<RangeEstimatorPtr> BuildOneMethod(const std::string& m,
-                                         const SynopsisSpec& spec,
-                                         const std::vector<int64_t>& data,
-                                         const Deadline& deadline,
-                                         uint64_t max_states) {
-  RANGESYN_ASSIGN_OR_RETURN(const int64_t words_per_unit, WordsPerUnit(m));
-  RANGESYN_ASSIGN_OR_RETURN(const int64_t units,
-                            UnitsForBudget(spec.budget_words, words_per_unit));
+OptAOptions OptAFor(const BuildArgs& a) {
+  OptAOptions options;
+  options.max_buckets = a.units;
+  options.max_states = a.max_states;
+  options.deadline = a.deadline;
+  return options;
+}
 
-  if (m == "naive") {
-    RANGESYN_ASSIGN_OR_RETURN(NaiveEstimator e, BuildNaive(data));
-    return Wrap(std::move(e));
-  }
-  if (m == "equiwidth") {
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram e, BuildEquiWidth(data, units));
-    return Wrap(std::move(e));
-  }
-  if (m == "equidepth") {
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram e, BuildEquiDepth(data, units));
-    return Wrap(std::move(e));
-  }
-  if (m == "maxdiff") {
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram e, BuildMaxDiff(data, units));
-    return Wrap(std::move(e));
-  }
-  if (m == "vopt") {
-    RANGESYN_ASSIGN_OR_RETURN(
-        AvgHistogram e,
-        BuildVOptimal(data, units, PieceRounding::kPerPiece, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "pointopt") {
-    RANGESYN_ASSIGN_OR_RETURN(
-        AvgHistogram e,
-        BuildPointOpt(data, units, PieceRounding::kPerPiece, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "a0") {
-    RANGESYN_ASSIGN_OR_RETURN(
-        AvgHistogram e,
-        BuildA0(data, units, PieceRounding::kPerPiece, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "sap0") {
-    RANGESYN_ASSIGN_OR_RETURN(Sap0Histogram e,
-                              BuildSap0(data, units, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "sap1") {
-    RANGESYN_ASSIGN_OR_RETURN(Sap1Histogram e,
-                              BuildSap1(data, units, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "sap2") {
-    RANGESYN_ASSIGN_OR_RETURN(Sap2Histogram e,
-                              BuildSap2(data, units, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "prefixopt") {
-    RANGESYN_ASSIGN_OR_RETURN(
-        AvgHistogram e,
-        BuildPrefixOpt(data, units, PieceRounding::kPerPiece, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "opta") {
-    OptAOptions options;
-    options.max_buckets = units;
-    options.max_states = max_states;
-    options.deadline = deadline;
-    RANGESYN_ASSIGN_OR_RETURN(OptAResult r, BuildOptA(data, options));
-    return Wrap(std::move(r.histogram));
-  }
-  if (m == "opta-rounded") {
-    OptARoundedOptions options;
-    options.max_buckets = units;
-    options.granularity = spec.granularity;
-    options.max_states = max_states;
-    options.deadline = deadline;
-    RANGESYN_ASSIGN_OR_RETURN(OptAResult r, BuildOptARounded(data, options));
-    return Wrap(std::move(r.histogram));
-  }
-  if (m == "equidepth-reopt") {
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram base,
-                              BuildEquiDepth(data, units));
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram e, Reoptimize(data, base));
-    return Wrap(std::move(e));
-  }
-  if (m == "a0-reopt") {
-    RANGESYN_ASSIGN_OR_RETURN(
-        AvgHistogram base,
-        BuildA0(data, units, PieceRounding::kPerPiece, deadline));
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram e, Reoptimize(data, base));
-    return Wrap(std::move(e));
-  }
-  if (m == "opta-reopt") {
-    OptAOptions options;
-    options.max_buckets = units;
-    options.max_states = max_states;
-    options.deadline = deadline;
-    RANGESYN_ASSIGN_OR_RETURN(OptAResult r, BuildOptA(data, options));
-    RANGESYN_ASSIGN_OR_RETURN(AvgHistogram e,
-                              Reoptimize(data, r.histogram));
-    return Wrap(std::move(e));
-  }
-  if (m == "wave-point") {
-    RANGESYN_ASSIGN_OR_RETURN(WaveletSynopsis e,
-                              BuildWavePoint(data, units, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "topbb") {
-    RANGESYN_ASSIGN_OR_RETURN(WaveletSynopsis e,
-                              BuildTopBB(data, units, deadline));
-    return Wrap(std::move(e));
-  }
-  if (m == "wave-range-opt") {
-    RANGESYN_ASSIGN_OR_RETURN(WaveletSynopsis e,
-                              BuildWaveRangeOpt(data, units, deadline));
-    return Wrap(std::move(e));
+Result<AvgHistogram> OptAHistogram(const BuildArgs& a) {
+  RANGESYN_ASSIGN_OR_RETURN(OptAResult r, BuildOptA(a.data, OptAFor(a)));
+  return std::move(r.histogram);
+}
+
+constexpr PieceRounding kPerPiece = PieceRounding::kPerPiece;
+
+/// One factory method: its name, the words each stored unit (bucket or
+/// coefficient) costs, its build, and the degradation ladder of cheaper
+/// methods tried in order after a deadline/state-budget trip. The last
+/// rung is built without the deadline (see BuildSynopsisWithOptions), so
+/// ladders end in a near-linear construction that cannot itself trip;
+/// naive / equiwidth / equidepth / maxdiff never observe the deadline.
+struct Method {
+  const char* name;
+  int64_t words_per_unit;
+  Result<View> (*build)(const BuildArgs&);
+  std::vector<std::string> ladder;
+};
+
+/// Every method the factory builds, in KnownSynopsisMethods() order.
+const std::vector<Method>& Methods() {
+  static const std::vector<Method> kMethods = {
+      {"naive", 1,
+       [](const BuildArgs& a) { return Compiled(BuildNaive(a.data)); },
+       {}},
+      {"equiwidth", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildEquiWidth(a.data, a.units));
+       },
+       {}},
+      {"equidepth", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildEquiDepth(a.data, a.units));
+       },
+       {}},
+      {"maxdiff", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildMaxDiff(a.data, a.units));
+       },
+       {}},
+      {"vopt", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildVOptimal(a.data, a.units, kPerPiece, a.deadline));
+       },
+       {"equiwidth"}},
+      {"pointopt", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildPointOpt(a.data, a.units, kPerPiece, a.deadline));
+       },
+       {"equiwidth"}},
+      {"a0", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildA0(a.data, a.units, kPerPiece, a.deadline));
+       },
+       {"equiwidth"}},
+      {"sap0", 3,
+       [](const BuildArgs& a) {
+         return Compiled(BuildSap0(a.data, a.units, a.deadline));
+       },
+       {"equiwidth"}},
+      {"sap1", 5,
+       [](const BuildArgs& a) {
+         return Compiled(BuildSap1(a.data, a.units, a.deadline));
+       },
+       {"equiwidth"}},
+      {"sap2", 7,
+       [](const BuildArgs& a) {
+         return Compiled(BuildSap2(a.data, a.units, a.deadline));
+       },
+       {"equiwidth"}},
+      {"prefixopt", 2,
+       [](const BuildArgs& a) {
+         return Compiled(
+             BuildPrefixOpt(a.data, a.units, kPerPiece, a.deadline));
+       },
+       {"equiwidth"}},
+      {"opta", 2,
+       [](const BuildArgs& a) { return Compiled(OptAHistogram(a)); },
+       {"opta-rounded", "sap0", "equiwidth"}},
+      {"opta-rounded", 2,
+       [](const BuildArgs& a) -> Result<View> {
+         OptARoundedOptions options;
+         options.max_buckets = a.units;
+         options.granularity = a.spec.granularity;
+         options.max_states = a.max_states;
+         options.deadline = a.deadline;
+         RANGESYN_ASSIGN_OR_RETURN(OptAResult r,
+                                   BuildOptARounded(a.data, options));
+         return r.histogram.Compile();
+       },
+       {"sap0", "equiwidth"}},
+      {"equidepth-reopt", 2,
+       [](const BuildArgs& a) -> Result<View> {
+         RANGESYN_ASSIGN_OR_RETURN(AvgHistogram base,
+                                   BuildEquiDepth(a.data, a.units));
+         return Compiled(Reoptimize(a.data, base));
+       },
+       {"equiwidth"}},
+      {"a0-reopt", 2,
+       [](const BuildArgs& a) -> Result<View> {
+         RANGESYN_ASSIGN_OR_RETURN(
+             AvgHistogram base,
+             BuildA0(a.data, a.units, kPerPiece, a.deadline));
+         return Compiled(Reoptimize(a.data, base));
+       },
+       {"equiwidth"}},
+      {"opta-reopt", 2,
+       [](const BuildArgs& a) -> Result<View> {
+         RANGESYN_ASSIGN_OR_RETURN(AvgHistogram base, OptAHistogram(a));
+         return Compiled(Reoptimize(a.data, base));
+       },
+       {"opta-rounded", "sap0", "equiwidth"}},
+      {"wave-point", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildWavePoint(a.data, a.units, a.deadline));
+       },
+       {"topbb"}},
+      {"topbb", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildTopBB(a.data, a.units, a.deadline));
+       },
+       {"topbb"}},
+      {"wave-range-opt", 2,
+       [](const BuildArgs& a) {
+         return Compiled(BuildWaveRangeOpt(a.data, a.units, a.deadline));
+       },
+       {"topbb"}},
+  };
+  return kMethods;
+}
+
+Result<const Method*> FindMethod(const std::string& m) {
+  for (const Method& method : Methods()) {
+    if (m == method.name) return &method;
   }
   return InvalidArgumentError(StrCat("unknown synopsis method '", m, "'"));
+}
+
+/// Builds exactly `m` (with spec supplying the budget and OPT-A knobs),
+/// recomputing the unit count for the method's own word cost so a
+/// ladder fallback honors the same budget_words.
+Result<View> BuildOneMethod(const std::string& m, const SynopsisSpec& spec,
+                            const std::vector<int64_t>& data,
+                            const Deadline& deadline, uint64_t max_states) {
+  RANGESYN_ASSIGN_OR_RETURN(const Method* method, FindMethod(m));
+  RANGESYN_ASSIGN_OR_RETURN(
+      const int64_t units,
+      UnitsForBudget(spec.budget_words, method->words_per_unit));
+  return method->build(BuildArgs{data, units, spec, deadline, max_states});
 }
 
 /// As BuildOneMethod, but converts a thrown exception — e.g. an injected
 /// "threadpool.task" fault escaping ParallelFor — into a clean Status, so
 /// no fault can crash a caller of the factory.
-Result<RangeEstimatorPtr> BuildOneMethodNoThrow(
-    const std::string& m, const SynopsisSpec& spec,
-    const std::vector<int64_t>& data, const Deadline& deadline,
-    uint64_t max_states) {
+Result<View> BuildOneMethodNoThrow(const std::string& m,
+                                   const SynopsisSpec& spec,
+                                   const std::vector<int64_t>& data,
+                                   const Deadline& deadline,
+                                   uint64_t max_states) {
   try {
     return BuildOneMethod(m, spec, data, deadline, max_states);
   } catch (const std::exception& e) {
     return InternalError(
         StrCat("synopsis build '", m, "' threw: ", e.what()));
   }
-}
-
-/// The degradation ladder for `method`: cheaper constructions tried in
-/// order after a deadline/state-budget trip. The last rung is built
-/// without the deadline (see BuildSynopsisWithOptions), so ladders end in
-/// a near-linear construction that cannot itself trip.
-std::vector<std::string> FallbackLadder(const std::string& m) {
-  if (m == "opta" || m == "opta-reopt") {
-    return {"opta-rounded", "sap0", "equiwidth"};
-  }
-  if (m == "opta-rounded") return {"sap0", "equiwidth"};
-  if (m == "wave-range-opt" || m == "wave-point" || m == "topbb") {
-    return {"topbb"};
-  }
-  if (m == "vopt" || m == "pointopt" || m == "a0" || m == "sap0" ||
-      m == "sap1" || m == "sap2" || m == "prefixopt" || m == "a0-reopt" ||
-      m == "equidepth-reopt") {
-    return {"equiwidth"};
-  }
-  // naive / equiwidth / equidepth / maxdiff never observe the deadline.
-  return {};
 }
 
 bool ShouldFallBack(const Status& status) {
@@ -202,46 +233,24 @@ bool ShouldFallBack(const Status& status) {
 }  // namespace
 
 std::vector<std::string> KnownSynopsisMethods() {
-  return {"naive",    "equiwidth",   "equidepth",      "maxdiff",
-          "vopt",     "pointopt",    "a0",             "sap0",
-          "sap1",     "sap2",        "prefixopt",   "opta",        "opta-rounded",   "equidepth-reopt",
-          "a0-reopt", "opta-reopt",  "wave-point",     "topbb",
-          "wave-range-opt"};
+  std::vector<std::string> names;
+  for (const Method& method : Methods()) names.push_back(method.name);
+  return names;
 }
 
 Result<int64_t> WordsPerUnit(const std::string& method) {
-  if (method == "naive") return 1;
-  if (method == "sap0") return 3;
-  if (method == "sap1") return 5;
-  if (method == "sap2") return 7;
-  if (method == "equiwidth" || method == "equidepth" || method == "maxdiff" ||
-      method == "vopt" || method == "pointopt" || method == "a0" ||
-      method == "prefixopt" ||
-      method == "opta" || method == "opta-rounded" ||
-      method == "equidepth-reopt" || method == "a0-reopt" ||
-      method == "opta-reopt" || method == "wave-point" || method == "topbb" ||
-      method == "wave-range-opt") {
-    return 2;
-  }
-  return InvalidArgumentError(StrCat("unknown synopsis method '", method,
-                                     "'"));
+  RANGESYN_ASSIGN_OR_RETURN(const Method* m, FindMethod(method));
+  return m->words_per_unit;
 }
 
-Result<RangeEstimatorPtr> BuildSynopsis(const SynopsisSpec& spec,
-                                        const std::vector<int64_t>& data) {
+Result<std::shared_ptr<const FlatSynopsis>> BuildSynopsis(
+    const SynopsisSpec& spec, const std::vector<int64_t>& data) {
   RANGESYN_OBS_SPAN("engine.build");
   RANGESYN_OBS_COUNTER_INC("engine.build.count");
   RANGESYN_OBS_GAUGE_SET("engine.build.last_n",
                          static_cast<int64_t>(data.size()));
   return BuildOneMethodNoThrow(spec.method, spec, data, Deadline(),
                                spec.max_states);
-}
-
-Result<std::shared_ptr<const FlatSynopsis>> BuildFlatSynopsis(
-    const SynopsisSpec& spec, const std::vector<int64_t>& data) {
-  RANGESYN_ASSIGN_OR_RETURN(RangeEstimatorPtr estimator,
-                            BuildSynopsis(spec, data));
-  return FlatSynopsis::Compile(*estimator);
 }
 
 Result<BuildOutcome> BuildSynopsisWithOptions(
@@ -254,17 +263,18 @@ Result<BuildOutcome> BuildSynopsisWithOptions(
   const uint64_t max_states =
       options.max_states != 0 ? options.max_states : spec.max_states;
 
-  Result<RangeEstimatorPtr> first = BuildOneMethodNoThrow(
+  Result<View> first = BuildOneMethodNoThrow(
       spec.method, spec, data, options.deadline, max_states);
   if (first.ok()) {
     BuildOutcome out;
-    out.estimator = std::move(first.value());
+    out.synopsis = std::move(first.value());
     out.built_method = spec.method;
     return out;
   }
   if (!ShouldFallBack(first.status())) return first.status();
 
-  const std::vector<std::string> ladder = FallbackLadder(spec.method);
+  RANGESYN_ASSIGN_OR_RETURN(const Method* method, FindMethod(spec.method));
+  const std::vector<std::string>& ladder = method->ladder;
   const std::string reason(first.status().message());
   RANGESYN_LOG_EVENT(Warning, "engine.build.fallback_start")
       .Arg("method", spec.method)
@@ -276,7 +286,7 @@ Result<BuildOutcome> BuildSynopsisWithOptions(
     // still produce a usable synopsis, and every ladder ends in a
     // near-linear construction whose cost is negligible by design.
     const bool final_rung = rung + 1 == ladder.size();
-    Result<RangeEstimatorPtr> attempt = BuildOneMethodNoThrow(
+    Result<View> attempt = BuildOneMethodNoThrow(
         ladder[rung], spec, data,
         final_rung ? Deadline() : options.deadline, max_states);
     if (attempt.ok()) {
@@ -293,7 +303,7 @@ Result<BuildOutcome> BuildSynopsisWithOptions(
       ::rangesyn::obs::FlightRecorder::Get().AutoDump("build_degraded");
 #endif
       BuildOutcome out;
-      out.estimator = std::move(attempt.value());
+      out.synopsis = std::move(attempt.value());
       out.built_method = ladder[rung];
       out.degraded = true;
       out.degraded_from = spec.method;

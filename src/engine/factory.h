@@ -2,13 +2,11 @@
 #define RANGESYN_ENGINE_FACTORY_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "core/deadline.h"
-#include "core/estimator.h"
 #include "core/result.h"
 #include "qpath/flat_synopsis.h"
 
@@ -33,19 +31,18 @@ struct SynopsisSpec {
   uint64_t max_states = 50'000'000;
 };
 
-/// Methods the factory understands:
-///   "naive", "equiwidth", "equidepth", "maxdiff", "vopt", "pointopt",
-///   "a0", "sap0", "sap1", "sap2", "prefixopt", "opta", "opta-rounded",
-///   "equidepth-reopt", "a0-reopt", "opta-reopt",
-///   "wave-point", "topbb", "wave-range-opt".
+/// Methods the factory understands, in the order of the method table in
+/// factory.cc, which gives each one's words per unit, build and fallback
+/// ladder.
 std::vector<std::string> KnownSynopsisMethods();
 
-/// Builds a synopsis for `data` per `spec`. The heavy constructions
+/// Builds a synopsis for `data` per `spec` and returns the flat view
+/// that answers its queries (src/qpath). The heavy constructions
 /// (pseudo-polynomial OPT-A) can fail with ResourceExhausted; everything
 /// else is polynomial. Strict: no deadline, no fallback — use
 /// BuildSynopsisWithOptions for graceful degradation.
-Result<RangeEstimatorPtr> BuildSynopsis(const SynopsisSpec& spec,
-                                        const std::vector<int64_t>& data);
+Result<std::shared_ptr<const FlatSynopsis>> BuildSynopsis(
+    const SynopsisSpec& spec, const std::vector<int64_t>& data);
 
 /// Resource limits for a degradable build.
 struct BuildOptions {
@@ -57,9 +54,9 @@ struct BuildOptions {
   uint64_t max_states = 0;
 };
 
-/// A build that may have degraded. `estimator` is always usable.
+/// A build that may have degraded. `synopsis` is always usable.
 struct BuildOutcome {
-  RangeEstimatorPtr estimator;
+  std::shared_ptr<const FlatSynopsis> synopsis;
 
   /// Method actually built — spec.method, or the fallback that succeeded.
   std::string built_method;
@@ -97,12 +94,6 @@ Result<BuildOutcome> BuildSynopsisWithOptions(
 /// Words each stored unit (bucket / coefficient) of `method` costs, e.g.
 /// 2 for "opta", 3 for "sap0", 5 for "sap1". Fails on unknown methods.
 Result<int64_t> WordsPerUnit(const std::string& method);
-
-/// Builds `spec` and compiles the result straight into the flat query
-/// path (src/qpath): one call for callers that only ever serve queries
-/// and never need the legacy estimator object.
-Result<std::shared_ptr<const FlatSynopsis>> BuildFlatSynopsis(
-    const SynopsisSpec& spec, const std::vector<int64_t>& data);
 
 }  // namespace rangesyn
 

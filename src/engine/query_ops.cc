@@ -9,23 +9,23 @@
 namespace rangesyn {
 namespace {
 
-double PrefixEstimate(const RangeEstimator& est, int64_t x) {
-  return x < 1 ? 0.0 : est.EstimateRange(1, x);
+double PrefixEstimate(const FlatSynopsis& synopsis, int64_t x) {
+  return x < 1 ? 0.0 : synopsis.EstimateOne(1, x);
 }
 
-double ClampedPoint(const RangeEstimator& est, int64_t i) {
-  return std::fmax(0.0, est.EstimatePoint(i));
+double ClampedPoint(const FlatSynopsis& synopsis, int64_t i) {
+  return std::fmax(0.0, synopsis.EstimateOne(i, i));
 }
 
 }  // namespace
 
-Result<int64_t> EstimateQuantilePosition(const RangeEstimator& estimator,
+Result<int64_t> EstimateQuantilePosition(const FlatSynopsis& synopsis,
                                          double q) {
   if (!(q > 0.0 && q < 1.0)) {
     return InvalidArgumentError("EstimateQuantilePosition: q in (0,1)");
   }
-  const int64_t n = estimator.domain_size();
-  const double total = PrefixEstimate(estimator, n);
+  const int64_t n = synopsis.n();
+  const double total = PrefixEstimate(synopsis, n);
   if (total <= 0.0) {
     return FailedPreconditionError(
         "EstimateQuantilePosition: estimated total mass is not positive");
@@ -38,7 +38,7 @@ Result<int64_t> EstimateQuantilePosition(const RangeEstimator& estimator,
   while (lo < hi) {
     const int64_t mid = lo + (hi - lo) / 2;
     ++probes;
-    if (PrefixEstimate(estimator, mid) >= target) {
+    if (PrefixEstimate(synopsis, mid) >= target) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -47,10 +47,10 @@ Result<int64_t> EstimateQuantilePosition(const RangeEstimator& estimator,
   // Local refinement for mildly non-monotone estimators (wavelet
   // reconstructions can dip): walk left while the inequality still holds,
   // right if it does not.
-  while (lo > 1 && (++probes, PrefixEstimate(estimator, lo - 1) >= target)) {
+  while (lo > 1 && (++probes, PrefixEstimate(synopsis, lo - 1) >= target)) {
     --lo;
   }
-  while (lo < n && (++probes, PrefixEstimate(estimator, lo) < target)) {
+  while (lo < n && (++probes, PrefixEstimate(synopsis, lo) < target)) {
     ++lo;
   }
   RANGESYN_OBS_COUNTER_ADD("engine.query.count", probes);
@@ -58,9 +58,9 @@ Result<int64_t> EstimateQuantilePosition(const RangeEstimator& estimator,
   return lo;
 }
 
-Result<double> EstimateEquiJoinSize(const RangeEstimator& r,
-                                    const RangeEstimator& s) {
-  const int64_t n = std::min(r.domain_size(), s.domain_size());
+Result<double> EstimateEquiJoinSize(const FlatSynopsis& r,
+                                    const FlatSynopsis& s) {
+  const int64_t n = std::min(r.n(), s.n());
   if (n < 1) return InvalidArgumentError("EstimateEquiJoinSize: empty");
   RANGESYN_OBS_SPAN("engine.query.join");
   double join = 0.0;
@@ -85,8 +85,8 @@ Result<double> ExactEquiJoinSize(const std::vector<int64_t>& r,
   return join;
 }
 
-Result<double> EstimateSelfJoinSize(const RangeEstimator& estimator) {
-  return EstimateEquiJoinSize(estimator, estimator);
+Result<double> EstimateSelfJoinSize(const FlatSynopsis& synopsis) {
+  return EstimateEquiJoinSize(synopsis, synopsis);
 }
 
 }  // namespace rangesyn

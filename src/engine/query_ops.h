@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "core/analysis_annotations.h"
-#include "core/estimator.h"
 #include "core/result.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 
@@ -22,15 +22,15 @@ namespace rangesyn {
 /// locally dip) the result is refined by a local scan, so the returned
 /// position always satisfies the defining inequality against the
 /// synopsis' own estimates.
-RANGESYN_HOT_PATH Result<int64_t> EstimateQuantilePosition(const RangeEstimator& estimator,
-                                         double q);
+RANGESYN_HOT_PATH Result<int64_t> EstimateQuantilePosition(
+    const FlatSynopsis& synopsis, double q);
 
 /// Estimated equi-join size |R join S on value| = Σ_v f_R(v) * f_S(v),
 /// computed from the two synopses' point estimates over the shared
 /// 1..min(nR, nS) domain. Point estimates below zero are clamped (counts
 /// cannot be negative). O(n log B).
-RANGESYN_HOT_PATH Result<double> EstimateEquiJoinSize(const RangeEstimator& r,
-                                    const RangeEstimator& s);
+RANGESYN_HOT_PATH Result<double> EstimateEquiJoinSize(const FlatSynopsis& r,
+                                                      const FlatSynopsis& s);
 
 /// Exact join size from two frequency vectors (the oracle the estimate is
 /// judged against in tests/benchmarks).
@@ -39,7 +39,8 @@ Result<double> ExactEquiJoinSize(const std::vector<int64_t>& r,
 
 /// Estimated self-join size Σ_v f(v)² — the classical "second frequency
 /// moment" that drives skew detection.
-RANGESYN_HOT_PATH Result<double> EstimateSelfJoinSize(const RangeEstimator& estimator);
+RANGESYN_HOT_PATH Result<double> EstimateSelfJoinSize(
+    const FlatSynopsis& synopsis);
 
 }  // namespace rangesyn
 

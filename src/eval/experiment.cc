@@ -20,7 +20,7 @@ Status RunSweepCell(const std::vector<int64_t>& data,
   spec.granularity = options.granularity;
   spec.max_states = options.max_states;
   obs::Stopwatch watch;
-  Result<RangeEstimatorPtr> built = [&] {
+  Result<std::shared_ptr<const FlatSynopsis>> built = [&] {
     RANGESYN_OBS_SPAN("eval.sweep.build");
     return BuildSynopsis(spec, data);
   }();
@@ -31,21 +31,19 @@ Status RunSweepCell(const std::vector<int64_t>& data,
     row.failure = built.status().ToString();
     return OkStatus();
   }
-  const RangeEstimatorPtr& est = built.value();
-  row.actual_words = est->StorageWords();
+  const FlatSynopsis& synopsis = *built.value();
+  row.actual_words = synopsis.StorageWords();
   watch.Reset();
   {
     RANGESYN_OBS_SPAN("eval.sweep.query");
-    RANGESYN_ASSIGN_OR_RETURN(row.all_ranges, AllRangesStats(data, *est));
+    RANGESYN_ASSIGN_OR_RETURN(row.all_ranges, AllRangesStats(data, synopsis));
   }
   row.query_seconds = watch.Seconds();
   watch.Reset();
   {
     RANGESYN_OBS_SPAN("eval.sweep.serialize");
-    RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                              FlatSynopsis::Compile(*est));
     RANGESYN_ASSIGN_OR_RETURN(const std::string bytes,
-                              EncodeFlatSynopsis(*flat));
+                              EncodeFlatSynopsis(synopsis));
     row.serialized_bytes = static_cast<int64_t>(bytes.size());
   }
   row.serialize_seconds = watch.Seconds();

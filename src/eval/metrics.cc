@@ -13,13 +13,13 @@ namespace {
 /// One workload query: exact answer from the prefix oracle, estimate
 /// from the synopsis, error folded into the running statistics. This is
 /// the sweep's per-query inner step; the hot-path contract keeps it —
-/// and every estimator it dispatches into — allocation- and lock-free.
+/// and the kernel it calls — allocation- and lock-free.
 RANGESYN_HOT_PATH void AccumulateQueryError(const PrefixStats& stats,
-                                            const RangeEstimator& estimator,
+                                            const FlatSynopsis& synopsis,
                                             const RangeQuery& q,
                                             ErrorStats& out) {
   const double truth = static_cast<double>(stats.Sum(q.a, q.b));
-  const double est = estimator.EstimateRange(q.a, q.b);
+  const double est = synopsis.EstimateOne(q.a, q.b);
   const double err = truth - est;
   out.sse += err * err;
   out.max_abs = std::fmax(out.max_abs, std::fabs(err));
@@ -32,19 +32,19 @@ RANGESYN_HOT_PATH void AccumulateQueryError(const PrefixStats& stats,
 /// Squared error of one range query, the O(n^2)-iteration inner step of
 /// the all-ranges SSE scan.
 RANGESYN_HOT_PATH double SquaredQueryError(const PrefixStats& stats,
-                                           const RangeEstimator& estimator,
+                                           const FlatSynopsis& synopsis,
                                            int64_t a, int64_t b) {
   const double err = static_cast<double>(stats.Sum(a, b)) -
-                     estimator.EstimateRange(a, b);
+                     synopsis.EstimateOne(a, b);
   return err * err;
 }
 
 Status ValidateEvalInput(const std::vector<int64_t>& data,
-                         const RangeEstimator& estimator) {
+                         const FlatSynopsis& synopsis) {
   if (data.empty()) return InvalidArgumentError("eval: empty data");
-  if (estimator.domain_size() != static_cast<int64_t>(data.size())) {
+  if (synopsis.n() != static_cast<int64_t>(data.size())) {
     return InvalidArgumentError(
-        StrCat("eval: estimator domain ", estimator.domain_size(),
+        StrCat("eval: synopsis domain ", synopsis.n(),
                " != data size ", data.size()));
   }
   return OkStatus();
@@ -53,9 +53,9 @@ Status ValidateEvalInput(const std::vector<int64_t>& data,
 }  // namespace
 
 Result<ErrorStats> EvaluateOnWorkload(
-    const std::vector<int64_t>& data, const RangeEstimator& estimator,
+    const std::vector<int64_t>& data, const FlatSynopsis& synopsis,
     const std::vector<RangeQuery>& queries) {
-  RANGESYN_RETURN_IF_ERROR(ValidateEvalInput(data, estimator));
+  RANGESYN_RETURN_IF_ERROR(ValidateEvalInput(data, synopsis));
   RANGESYN_OBS_SPAN("eval.workload");
   RANGESYN_OBS_COUNTER_ADD("engine.query.count", queries.size());
   PrefixStats stats(data);
@@ -66,7 +66,7 @@ Result<ErrorStats> EvaluateOnWorkload(
       return InvalidArgumentError(
           StrCat("eval: bad query [", q.a, ",", q.b, "] for n=", n));
     }
-    AccumulateQueryError(stats, estimator, q, out);
+    AccumulateQueryError(stats, synopsis, q, out);
   }
   if (out.count > 0) {
     out.mean_sq = out.sse / static_cast<double>(out.count);
@@ -77,8 +77,8 @@ Result<ErrorStats> EvaluateOnWorkload(
 }
 
 Result<double> AllRangesSse(const std::vector<int64_t>& data,
-                            const RangeEstimator& estimator) {
-  RANGESYN_RETURN_IF_ERROR(ValidateEvalInput(data, estimator));
+                            const FlatSynopsis& synopsis) {
+  RANGESYN_RETURN_IF_ERROR(ValidateEvalInput(data, synopsis));
   RANGESYN_OBS_SPAN("eval.all_ranges_sse");
   PrefixStats stats(data);
   const int64_t n = stats.n();
@@ -88,23 +88,23 @@ Result<double> AllRangesSse(const std::vector<int64_t>& data,
   double sse = 0.0;
   for (int64_t a = 1; a <= n; ++a) {
     for (int64_t b = a; b <= n; ++b) {
-      sse += SquaredQueryError(stats, estimator, a, b);
+      sse += SquaredQueryError(stats, synopsis, a, b);
     }
   }
   return sse;
 }
 
 Result<ErrorStats> AllRangesStats(const std::vector<int64_t>& data,
-                                  const RangeEstimator& estimator) {
+                                  const FlatSynopsis& synopsis) {
   return EvaluateOnWorkload(
-      data, estimator, AllRanges(static_cast<int64_t>(data.size())));
+      data, synopsis, AllRanges(static_cast<int64_t>(data.size())));
 }
 
 Result<double> PointQuerySse(const std::vector<int64_t>& data,
-                             const RangeEstimator& estimator) {
+                             const FlatSynopsis& synopsis) {
   RANGESYN_ASSIGN_OR_RETURN(
       ErrorStats stats,
-      EvaluateOnWorkload(data, estimator,
+      EvaluateOnWorkload(data, synopsis,
                          PointQueries(static_cast<int64_t>(data.size()))));
   return stats.sse;
 }

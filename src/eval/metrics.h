@@ -4,13 +4,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/estimator.h"
 #include "core/result.h"
 #include "data/workload.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 
-/// Aggregate error statistics of an estimator over a query workload.
+/// Aggregate error statistics of a synopsis over a query workload.
 struct ErrorStats {
   double sse = 0.0;       // sum of squared errors (the paper's metric)
   double mean_sq = 0.0;   // sse / count
@@ -21,24 +21,24 @@ struct ErrorStats {
   int64_t count = 0;      // number of queries evaluated
 };
 
-/// Evaluates `estimator` on an explicit workload against exact answers
+/// Evaluates `synopsis` on an explicit workload against exact answers
 /// computed from `data`. Queries must satisfy 1 <= a <= b <= n.
 Result<ErrorStats> EvaluateOnWorkload(const std::vector<int64_t>& data,
-                                      const RangeEstimator& estimator,
+                                      const FlatSynopsis& synopsis,
                                       const std::vector<RangeQuery>& queries);
 
 /// SSE over all n(n+1)/2 ranges — the objective every construction in the
 /// paper is measured by (Figure 1's y-axis).
 Result<double> AllRangesSse(const std::vector<int64_t>& data,
-                            const RangeEstimator& estimator);
+                            const FlatSynopsis& synopsis);
 
 /// Full statistics over all ranges.
 Result<ErrorStats> AllRangesStats(const std::vector<int64_t>& data,
-                                  const RangeEstimator& estimator);
+                                  const FlatSynopsis& synopsis);
 
 /// SSE over the n point (equality) queries.
 Result<double> PointQuerySse(const std::vector<int64_t>& data,
-                             const RangeEstimator& estimator);
+                             const FlatSynopsis& synopsis);
 
 }  // namespace rangesyn
 

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "core/logging.h"
-#include "core/mathutil.h"
 #include "core/strings.h"
 #include "histogram/prefix_stats.h"
 #include "histogram/quadratic_fit.h"
@@ -11,25 +10,15 @@
 namespace rangesyn {
 namespace {
 
-double MaybeRoundPiece(double piece, PieceRounding rounding) {
-  if (rounding == PieceRounding::kPerPiece) {
-    return static_cast<double>(RoundHalfToEven(piece));
+/// Flattens SAP2 quadratic models to c0, c1, c2 per bucket.
+std::vector<double> ModelCoefficients(
+    const std::vector<Sap2Histogram::Model>& models) {
+  std::vector<double> out;
+  out.reserve(3 * models.size());
+  for (const Sap2Histogram::Model& m : models) {
+    out.insert(out.end(), {m.c0, m.c1, m.c2});
   }
-  return piece;
-}
-
-/// cum[k] = sum over buckets j < k of width_j * value_j.
-std::vector<double> CumulativeMass(const Partition& partition,
-                                   const std::vector<double>& values) {
-  std::vector<double> cum(static_cast<size_t>(partition.num_buckets()) + 1,
-                          0.0);
-  for (int64_t k = 0; k < partition.num_buckets(); ++k) {
-    cum[static_cast<size_t>(k + 1)] =
-        cum[static_cast<size_t>(k)] +
-        static_cast<double>(partition.bucket_width(k)) *
-            values[static_cast<size_t>(k)];
-  }
-  return cum;
+  return out;
 }
 
 }  // namespace
@@ -40,7 +29,6 @@ AvgHistogram::AvgHistogram(Partition partition, std::vector<double> values,
                            std::string name, PieceRounding rounding)
     : partition_(std::move(partition)),
       values_(std::move(values)),
-      cum_mass_(CumulativeMass(partition_, values_)),
       name_(std::move(name)),
       rounding_(rounding) {}
 
@@ -76,28 +64,11 @@ Result<AvgHistogram> AvgHistogram::WithTrueAverages(
                 rounding);
 }
 
-double AvgHistogram::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= partition_.n());
-  const int64_t ka = partition_.BucketOf(a);
-  const int64_t kb = partition_.BucketOf(b);
-  if (ka == kb) {
-    const double whole =
-        static_cast<double>(b - a + 1) * values_[static_cast<size_t>(ka)];
-    if (rounding_ == PieceRounding::kNone) return whole;
-    return static_cast<double>(RoundHalfToEven(whole));
-  }
-  const double left = static_cast<double>(partition_.bucket_end(ka) - a + 1) *
-                      values_[static_cast<size_t>(ka)];
-  const double right =
-      static_cast<double>(b - partition_.bucket_start(kb) + 1) *
-      values_[static_cast<size_t>(kb)];
-  const double middle = MiddleMass(ka, kb);
-  const double total = MaybeRoundPiece(left, rounding_) + middle +
-                       MaybeRoundPiece(right, rounding_);
-  if (rounding_ == PieceRounding::kWhole) {
-    return static_cast<double>(RoundHalfToEven(total));
-  }
-  return total;
+Result<std::shared_ptr<const FlatSynopsis>> AvgHistogram::Compile() const {
+  return FlatSynopsis::FromHistogram(
+      FlatKind::kAvgHistogram, static_cast<uint8_t>(rounding_),
+      partition_.n(), partition_.ends(), values_, {values_}, name_,
+      StorageWords());
 }
 
 AvgHistogram AvgHistogram::WithValues(std::vector<double> values,
@@ -114,7 +85,6 @@ Sap0Histogram::Sap0Histogram(Partition partition, std::vector<double> suff,
                              std::vector<double> pref,
                              std::vector<double> avg)
     : partition_(std::move(partition)),
-      cum_mass_(CumulativeMass(partition_, avg)),
       suff_(std::move(suff)),
       pref_(std::move(pref)),
       avg_(std::move(avg)) {}
@@ -171,15 +141,11 @@ Result<Sap0Histogram> Sap0Histogram::FromSummaries(
                        std::move(prefixes), std::move(avg));
 }
 
-double Sap0Histogram::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= partition_.n());
-  const int64_t ka = partition_.BucketOf(a);
-  const int64_t kb = partition_.BucketOf(b);
-  if (ka == kb) {
-    return static_cast<double>(b - a + 1) * avg_[static_cast<size_t>(ka)];
-  }
-  return suff_[static_cast<size_t>(ka)] + MiddleMass(ka, kb) +
-         pref_[static_cast<size_t>(kb)];
+Result<std::shared_ptr<const FlatSynopsis>> Sap0Histogram::Compile() const {
+  return FlatSynopsis::FromHistogram(FlatKind::kSap0, 0, partition_.n(),
+                                     partition_.ends(), avg_,
+                                     {suff_, pref_, avg_}, Name(),
+                                     StorageWords());
 }
 
 // --------------------------------------------------------------- Sap1Histogram
@@ -188,7 +154,6 @@ Sap1Histogram::Sap1Histogram(Partition partition, std::vector<double> ss,
                              std::vector<double> si, std::vector<double> ps,
                              std::vector<double> pi, std::vector<double> avg)
     : partition_(std::move(partition)),
-      cum_mass_(CumulativeMass(partition_, avg)),
       suff_slope_(std::move(ss)),
       suff_icept_(std::move(si)),
       pref_slope_(std::move(ps)),
@@ -282,21 +247,11 @@ Result<Sap1Histogram> Sap1Histogram::FromSummaries(
                        std::move(prefix_intercepts), std::move(avg));
 }
 
-double Sap1Histogram::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= partition_.n());
-  const int64_t ka = partition_.BucketOf(a);
-  const int64_t kb = partition_.BucketOf(b);
-  if (ka == kb) {
-    return static_cast<double>(b - a + 1) * avg_[static_cast<size_t>(ka)];
-  }
-  const double left_len =
-      static_cast<double>(partition_.bucket_end(ka) - a + 1);
-  const double right_len =
-      static_cast<double>(b - partition_.bucket_start(kb) + 1);
-  return left_len * suff_slope_[static_cast<size_t>(ka)] +
-         suff_icept_[static_cast<size_t>(ka)] +
-         right_len * pref_slope_[static_cast<size_t>(kb)] +
-         pref_icept_[static_cast<size_t>(kb)] + MiddleMass(ka, kb);
+Result<std::shared_ptr<const FlatSynopsis>> Sap1Histogram::Compile() const {
+  return FlatSynopsis::FromHistogram(
+      FlatKind::kSap1, 0, partition_.n(), partition_.ends(), avg_,
+      {suff_slope_, suff_icept_, pref_slope_, pref_icept_, avg_}, Name(),
+      StorageWords());
 }
 
 // --------------------------------------------------------------- Sap2Histogram
@@ -305,7 +260,6 @@ Sap2Histogram::Sap2Histogram(Partition partition, std::vector<Model> suff,
                              std::vector<Model> pref,
                              std::vector<double> avg)
     : partition_(std::move(partition)),
-      cum_mass_(CumulativeMass(partition_, avg)),
       suff_(std::move(suff)),
       pref_(std::move(pref)),
       avg_(std::move(avg)) {}
@@ -397,19 +351,11 @@ Result<Sap2Histogram> Sap2Histogram::FromSummaries(
                        std::move(prefix_models), std::move(avg));
 }
 
-double Sap2Histogram::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= partition_.n());
-  const int64_t ka = partition_.BucketOf(a);
-  const int64_t kb = partition_.BucketOf(b);
-  if (ka == kb) {
-    return static_cast<double>(b - a + 1) * avg_[static_cast<size_t>(ka)];
-  }
-  const double left_len =
-      static_cast<double>(partition_.bucket_end(ka) - a + 1);
-  const double right_len =
-      static_cast<double>(b - partition_.bucket_start(kb) + 1);
-  return suff_[static_cast<size_t>(ka)].At(left_len) +
-         pref_[static_cast<size_t>(kb)].At(right_len) + MiddleMass(ka, kb);
+Result<std::shared_ptr<const FlatSynopsis>> Sap2Histogram::Compile() const {
+  return FlatSynopsis::FromHistogram(
+      FlatKind::kSap2, 0, partition_.n(), partition_.ends(), avg_,
+      {ModelCoefficients(suff_), ModelCoefficients(pref_), avg_}, Name(),
+      StorageWords());
 }
 
 // -------------------------------------------------------------- NaiveEstimator
@@ -429,9 +375,9 @@ Result<NaiveEstimator> NaiveEstimator::FromAverage(int64_t n,
   return NaiveEstimator(n, average);
 }
 
-double NaiveEstimator::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= n_);
-  return static_cast<double>(b - a + 1) * avg_;
+Result<std::shared_ptr<const FlatSynopsis>> NaiveEstimator::Compile() const {
+  return FlatSynopsis::FromVectors(FlatKind::kNaive, 0, n_, 0, 0, {}, {avg_},
+                                   Name(), StorageWords());
 }
 
 }  // namespace rangesyn

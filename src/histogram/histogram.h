@@ -1,26 +1,21 @@
 #ifndef RANGESYN_HISTOGRAM_HISTOGRAM_H_
 #define RANGESYN_HISTOGRAM_HISTOGRAM_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/analysis_annotations.h"
-#include "core/estimator.h"
 #include "core/result.h"
 #include "histogram/partition.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 
-/// How the classical (average-per-bucket) histogram rounds its answers.
-/// The paper's eq. (1) rounds "to a nearby integer in an arbitrary way";
-/// the OPT-A dynamic program in this library instantiates that freedom by
-/// rounding each partial end piece separately (kPerPiece), which keeps the
-/// per-piece errors integral (DESIGN.md §3.1).
-enum class PieceRounding {
-  kNone,      // return the exact real-valued formula
-  kPerPiece,  // round each partial end piece to nearest (ties to even)
-  kWhole,     // round the final sum once
-};
+// The builders' records. Each holds what its builder chose — boundaries
+// and summary values — and answers no query itself: Compile() turns it
+// into the FlatSynopsis that does (DESIGN.md §11). Name() and
+// StorageWords() are what the view reports.
 
 /// Classical histogram: bucket boundaries plus one stored value per bucket,
 /// answering with the paper's eq. (1): partial left piece + exact middle +
@@ -29,7 +24,7 @@ enum class PieceRounding {
 /// This single representation backs OPT-A, A0, POINT-OPT, EQUI-WIDTH,
 /// EQUI-DEPTH, MAXDIFF and the re-optimized variants — they differ only in
 /// how boundaries/values are chosen. Storage: 2 words per bucket.
-class AvgHistogram : public RangeEstimator {
+class AvgHistogram {
  public:
   /// `values[k]` is the stored value of bucket k. Sizes must match.
   static Result<AvgHistogram> Create(Partition partition,
@@ -42,13 +37,12 @@ class AvgHistogram : public RangeEstimator {
       const std::vector<int64_t>& data, Partition partition,
       std::string name, PieceRounding rounding);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  int64_t StorageWords() const override {
-    return 2 * partition_.num_buckets();
-  }
-  int64_t domain_size() const override { return partition_.n(); }
-  std::string Name() const override { return name_; }
+  /// The view answering eq. (1) under rounding(): FlatKind::kAvgHistogram.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const { return 2 * partition_.num_buckets(); }
+  int64_t domain_size() const { return partition_.n(); }
+  const std::string& Name() const { return name_; }
 
   const Partition& partition() const { return partition_; }
   const std::vector<double>& values() const { return values_; }
@@ -63,15 +57,8 @@ class AvgHistogram : public RangeEstimator {
   AvgHistogram(Partition partition, std::vector<double> values,
                std::string name, PieceRounding rounding);
 
-  /// Sum of width_j * value_j over full buckets j in [ka+1, kb-1].
-  RANGESYN_HOT_PATH double MiddleMass(int64_t ka, int64_t kb) const {
-    return cum_mass_[static_cast<size_t>(kb)] -
-           cum_mass_[static_cast<size_t>(ka + 1)];
-  }
-
   Partition partition_;
   std::vector<double> values_;
-  std::vector<double> cum_mass_;  // cum_mass_[k] = sum_{j<k} width_j*value_j
   std::string name_;
   PieceRounding rounding_;
 };
@@ -83,7 +70,7 @@ class AvgHistogram : public RangeEstimator {
 /// Inter-bucket query (a,b): suff(buck(a)) + exact middle + pref(buck(b));
 /// the answer depends only on the buckets of a and b, not on a and b
 /// themselves. Intra-bucket query: (b-a+1) * avg.
-class Sap0Histogram : public RangeEstimator {
+class Sap0Histogram {
  public:
   /// Builds the representation-optimal summary values for the given
   /// boundaries: suffix/prefix values are the averages of the bucket suffix
@@ -99,13 +86,12 @@ class Sap0Histogram : public RangeEstimator {
                                              std::vector<double> suffixes,
                                              std::vector<double> prefixes);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  int64_t StorageWords() const override {
-    return 3 * partition_.num_buckets();
-  }
-  int64_t domain_size() const override { return partition_.n(); }
-  std::string Name() const override { return "SAP0"; }
+  /// The view answering suff + middle + pref: FlatKind::kSap0.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const { return 3 * partition_.num_buckets(); }
+  int64_t domain_size() const { return partition_.n(); }
+  std::string Name() const { return "SAP0"; }
 
   const Partition& partition() const { return partition_; }
   const std::vector<double>& suffix_values() const { return suff_; }
@@ -116,13 +102,7 @@ class Sap0Histogram : public RangeEstimator {
   Sap0Histogram(Partition partition, std::vector<double> suff,
                 std::vector<double> pref, std::vector<double> avg);
 
-  RANGESYN_HOT_PATH double MiddleMass(int64_t ka, int64_t kb) const {
-    return cum_mass_[static_cast<size_t>(kb)] -
-           cum_mass_[static_cast<size_t>(ka + 1)];
-  }
-
   Partition partition_;
-  std::vector<double> cum_mass_;
   std::vector<double> suff_;  // avg of bucket suffix sums s[a, end]
   std::vector<double> pref_;  // avg of bucket prefix sums s[start, b]
   std::vector<double> avg_;   // bucket average (derived, not counted)
@@ -133,7 +113,7 @@ class Sap0Histogram : public RangeEstimator {
 /// (end - a + 1) * suff_slope + suff_icept, and symmetrically for prefixes.
 /// Optimal summary values are the least-squares fits; 5 words per bucket
 /// (Theorem 8). Intra-bucket queries use the bucket average.
-class Sap1Histogram : public RangeEstimator {
+class Sap1Histogram {
  public:
   /// Builds representation-optimal regression summaries for the given
   /// boundaries.
@@ -150,13 +130,12 @@ class Sap1Histogram : public RangeEstimator {
       std::vector<double> prefix_slopes,
       std::vector<double> prefix_intercepts);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  int64_t StorageWords() const override {
-    return 5 * partition_.num_buckets();
-  }
-  int64_t domain_size() const override { return partition_.n(); }
-  std::string Name() const override { return "SAP1"; }
+  /// The view answering the two linear pieces + middle: FlatKind::kSap1.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const { return 5 * partition_.num_buckets(); }
+  int64_t domain_size() const { return partition_.n(); }
+  std::string Name() const { return "SAP1"; }
 
   const Partition& partition() const { return partition_; }
   const std::vector<double>& suffix_slopes() const { return suff_slope_; }
@@ -170,13 +149,7 @@ class Sap1Histogram : public RangeEstimator {
                 std::vector<double> si, std::vector<double> ps,
                 std::vector<double> pi, std::vector<double> avg);
 
-  RANGESYN_HOT_PATH double MiddleMass(int64_t ka, int64_t kb) const {
-    return cum_mass_[static_cast<size_t>(kb)] -
-           cum_mass_[static_cast<size_t>(ka + 1)];
-  }
-
   Partition partition_;
-  std::vector<double> cum_mass_;
   std::vector<double> suff_slope_;
   std::vector<double> suff_icept_;
   std::vector<double> pref_slope_;
@@ -190,7 +163,7 @@ class Sap1Histogram : public RangeEstimator {
 /// Least-squares residuals with an intercept sum to zero, so the
 /// Decomposition Lemma still applies and the O(n²B) DP construction is
 /// exactly range-optimal for this representation. 7 words per bucket.
-class Sap2Histogram : public RangeEstimator {
+class Sap2Histogram {
  public:
   /// Per-bucket quadratic model c0 + c1*x + c2*x² in the piece length x.
   struct Model {
@@ -212,13 +185,13 @@ class Sap2Histogram : public RangeEstimator {
                                              std::vector<Model> suffix_models,
                                              std::vector<Model> prefix_models);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  int64_t StorageWords() const override {
-    return 7 * partition_.num_buckets();
-  }
-  int64_t domain_size() const override { return partition_.n(); }
-  std::string Name() const override { return "SAP2"; }
+  /// The view answering the two quadratic pieces + middle:
+  /// FlatKind::kSap2.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const { return 7 * partition_.num_buckets(); }
+  int64_t domain_size() const { return partition_.n(); }
+  std::string Name() const { return "SAP2"; }
 
   const Partition& partition() const { return partition_; }
   const std::vector<Model>& suffix_models() const { return suff_; }
@@ -229,13 +202,7 @@ class Sap2Histogram : public RangeEstimator {
   Sap2Histogram(Partition partition, std::vector<Model> suff,
                 std::vector<Model> pref, std::vector<double> avg);
 
-  RANGESYN_HOT_PATH double MiddleMass(int64_t ka, int64_t kb) const {
-    return cum_mass_[static_cast<size_t>(kb)] -
-           cum_mass_[static_cast<size_t>(ka + 1)];
-  }
-
   Partition partition_;
-  std::vector<double> cum_mass_;
   std::vector<Model> suff_;
   std::vector<Model> pref_;
   std::vector<double> avg_;  // derived, not counted in storage
@@ -243,18 +210,19 @@ class Sap2Histogram : public RangeEstimator {
 
 /// The trivial one-value synopsis: the global average answers every query
 /// as (b-a+1) * avg. Storage: 1 word. The paper's NAIVE upper bound.
-class NaiveEstimator : public RangeEstimator {
+class NaiveEstimator {
  public:
   static Result<NaiveEstimator> Build(const std::vector<int64_t>& data);
 
   /// Reconstructs from the stored word (plus the domain size).
   static Result<NaiveEstimator> FromAverage(int64_t n, double average);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  int64_t StorageWords() const override { return 1; }
-  int64_t domain_size() const override { return n_; }
-  std::string Name() const override { return "NAIVE"; }
+  /// The view answering (b-a+1) * avg: FlatKind::kNaive.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const { return 1; }
+  int64_t domain_size() const { return n_; }
+  std::string Name() const { return "NAIVE"; }
 
   double average() const { return avg_; }
 

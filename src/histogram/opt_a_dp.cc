@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "histogram/builders.h"
 #include "histogram/prefix_stats.h"
 #include "obs/obs.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 namespace {
@@ -161,13 +163,15 @@ class BucketTables {
 /// All-ranges SSE of an AvgHistogram by direct evaluation — used to derive
 /// the admissible |Λ| cap from a cheap feasible solution.
 double BruteSse(const std::vector<int64_t>& data, const AvgHistogram& hist) {
+  const Result<std::shared_ptr<const FlatSynopsis>> view = hist.Compile();
+  RANGESYN_CHECK(view.ok()) << view.status();
   PrefixStats stats(data);
   const int64_t n = stats.n();
   double sse = 0.0;
   for (int64_t a = 1; a <= n; ++a) {
     for (int64_t b = a; b <= n; ++b) {
       const double d = static_cast<double>(stats.Sum(a, b)) -
-                       hist.EstimateRange(a, b);
+                       (*view)->EstimateOne(a, b);
       sse += d * d;
     }
   }

@@ -12,20 +12,6 @@
 namespace rangesyn {
 namespace {
 
-/// cum[k] = sum over buckets j < k of width_j * avg_j.
-std::vector<double> CumulativeMass(const Partition& partition,
-                                   const std::vector<double>& avg) {
-  std::vector<double> cum(static_cast<size_t>(partition.num_buckets()) + 1,
-                          0.0);
-  for (int64_t k = 0; k < partition.num_buckets(); ++k) {
-    cum[static_cast<size_t>(k + 1)] =
-        cum[static_cast<size_t>(k)] +
-        static_cast<double>(partition.bucket_width(k)) *
-            avg[static_cast<size_t>(k)];
-  }
-  return cum;
-}
-
 Status ValidateWeights(int64_t n, const RangeWorkloadWeights& weights) {
   if (static_cast<int64_t>(weights.alpha.size()) != n ||
       static_cast<int64_t>(weights.beta.size()) != n) {
@@ -194,7 +180,6 @@ WeightedSap0Histogram::WeightedSap0Histogram(Partition partition,
                                              std::vector<double> pref,
                                              std::vector<double> avg)
     : partition_(std::move(partition)),
-      cum_mass_(CumulativeMass(partition_, avg)),
       suff_(std::move(suff)),
       pref_(std::move(pref)),
       avg_(std::move(avg)) {}
@@ -237,15 +222,12 @@ Result<WeightedSap0Histogram> WeightedSap0Histogram::FromSummaries(
                                std::move(prefixes), std::move(averages));
 }
 
-double WeightedSap0Histogram::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= partition_.n());
-  const int64_t ka = partition_.BucketOf(a);
-  const int64_t kb = partition_.BucketOf(b);
-  if (ka == kb) {
-    return static_cast<double>(b - a + 1) * avg_[static_cast<size_t>(ka)];
-  }
-  return suff_[static_cast<size_t>(ka)] + MiddleMass(ka, kb) +
-         pref_[static_cast<size_t>(kb)];
+Result<std::shared_ptr<const FlatSynopsis>> WeightedSap0Histogram::Compile()
+    const {
+  return FlatSynopsis::FromHistogram(FlatKind::kWeightedSap0, 0,
+                                     partition_.n(), partition_.ends(), avg_,
+                                     {suff_, pref_, avg_}, Name(),
+                                     StorageWords());
 }
 
 Result<WeightedSap0Histogram> BuildWeightedSap0(
@@ -277,7 +259,9 @@ Result<WeightedSap0Histogram> BuildWeightedSap0(
   // summation is quadratic and this hook runs on every build.
   constexpr int64_t kMaxAuditN = 48;
   if (hist.ok() && costs.n() <= kMaxAuditN) {
-    Result<double> direct = WeightedRangeSse(data, hist.value(), weights);
+    const Result<std::shared_ptr<const FlatSynopsis>> view = hist->Compile();
+    RANGESYN_CHECK(view.ok()) << view.status();
+    Result<double> direct = WeightedRangeSse(data, **view, weights);
     RANGESYN_CHECK(direct.ok()) << direct.status().message();
     RANGESYN_CHECK(AlmostEqual(dp.cost, direct.value(), 1e-7, 1e-6))
         << "weighted SAP0 audit: DP cost " << dp.cost
@@ -288,10 +272,10 @@ Result<WeightedSap0Histogram> BuildWeightedSap0(
 }
 
 Result<double> WeightedRangeSse(const std::vector<int64_t>& data,
-                                const RangeEstimator& estimator,
+                                const FlatSynopsis& synopsis,
                                 const RangeWorkloadWeights& weights) {
   const int64_t n = static_cast<int64_t>(data.size());
-  if (estimator.domain_size() != n) {
+  if (synopsis.n() != n) {
     return InvalidArgumentError("WeightedRangeSse: domain mismatch");
   }
   RANGESYN_RETURN_IF_ERROR(ValidateWeights(n, weights));
@@ -300,7 +284,7 @@ Result<double> WeightedRangeSse(const std::vector<int64_t>& data,
   for (int64_t a = 1; a <= n; ++a) {
     for (int64_t b = a; b <= n; ++b) {
       const double err = static_cast<double>(stats.Sum(a, b)) -
-                         estimator.EstimateRange(a, b);
+                         synopsis.EstimateOne(a, b);
       sse += weights.WeightOf(a, b) * err * err;
     }
   }

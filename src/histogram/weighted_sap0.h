@@ -2,13 +2,14 @@
 #define RANGESYN_HISTOGRAM_WEIGHTED_SAP0_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "core/analysis_annotations.h"
-#include "core/estimator.h"
 #include "core/result.h"
 #include "data/workload.h"
 #include "histogram/partition.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 
@@ -43,7 +44,7 @@ struct RangeWorkloadWeights {
 /// SSE on its boundaries. Storage 4 words per bucket: unlike uniform
 /// SAP0, the bucket average is not recoverable from the weighted
 /// summaries, so it is stored explicitly.
-class WeightedSap0Histogram : public RangeEstimator {
+class WeightedSap0Histogram {
  public:
   static Result<WeightedSap0Histogram> Build(
       const std::vector<int64_t>& data, Partition partition,
@@ -54,13 +55,12 @@ class WeightedSap0Histogram : public RangeEstimator {
       Partition partition, std::vector<double> suffixes,
       std::vector<double> prefixes, std::vector<double> averages);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  int64_t StorageWords() const override {
-    return 4 * partition_.num_buckets();
-  }
-  int64_t domain_size() const override { return partition_.n(); }
-  std::string Name() const override { return "W-SAP0"; }
+  /// The view answering suff + middle + pref: FlatKind::kWeightedSap0.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const { return 4 * partition_.num_buckets(); }
+  int64_t domain_size() const { return partition_.n(); }
+  std::string Name() const { return "W-SAP0"; }
 
   const Partition& partition() const { return partition_; }
   const std::vector<double>& suffix_values() const { return suff_; }
@@ -71,13 +71,7 @@ class WeightedSap0Histogram : public RangeEstimator {
   WeightedSap0Histogram(Partition partition, std::vector<double> suff,
                         std::vector<double> pref, std::vector<double> avg);
 
-  double MiddleMass(int64_t ka, int64_t kb) const {
-    return cum_mass_[static_cast<size_t>(kb)] -
-           cum_mass_[static_cast<size_t>(ka + 1)];
-  }
-
   Partition partition_;
-  std::vector<double> cum_mass_;
   std::vector<double> suff_;
   std::vector<double> pref_;
   std::vector<double> avg_;
@@ -123,7 +117,7 @@ Result<WeightedSap0Histogram> BuildWeightedSap0(
 /// Weighted all-ranges SSE: sum over a <= b of
 /// alpha(a) * beta(b) * (s[a,b] - estimate)². O(n²) evaluation.
 Result<double> WeightedRangeSse(const std::vector<int64_t>& data,
-                                const RangeEstimator& estimator,
+                                const FlatSynopsis& synopsis,
                                 const RangeWorkloadWeights& weights);
 
 }  // namespace rangesyn

@@ -11,41 +11,11 @@
 #include "core/logging.h"
 #include "core/mathutil.h"
 #include "core/strings.h"
-#include "histogram/weighted_sap0.h"
-#include "wavelet/synopsis.h"
 
 namespace rangesyn {
 namespace {
 
-/// Replicates histogram.cc's CumulativeMass bit-for-bit from the flat
-/// arrays: cum[k+1] = cum[k] + (double)width_k * values[k], widths derived
-/// from the 1-based right endpoints.
-std::vector<double> CumulativeMassFlat(const std::vector<int64_t>& ends,
-                                       const std::vector<double>& values) {
-  std::vector<double> cum(ends.size() + 1, 0.0);
-  int64_t start = 1;
-  for (size_t k = 0; k < ends.size(); ++k) {
-    const int64_t width = ends[k] - start + 1;
-    cum[k + 1] = cum[k] + static_cast<double>(width) * values[k];
-    start = ends[k] + 1;
-  }
-  return cum;
-}
-
-/// Per-level Haar basis heights: heights[j] = 1/sqrt(padded >> j), the
-/// same expression DescribeBasis evaluates per call, hoisted to one
-/// evaluation per level (identical IEEE-754 result).
-std::vector<double> LevelHeights(int64_t padded) {
-  const int levels = FloorLog2(static_cast<uint64_t>(padded));
-  std::vector<double> heights(static_cast<size_t>(levels) + 1);
-  for (int j = 0; j <= levels; ++j) {
-    heights[static_cast<size_t>(j)] =
-        1.0 / std::sqrt(static_cast<double>(padded >> j));
-  }
-  return heights;
-}
-
-/// Quadratic model evaluation, matching Sap2Histogram::Model::At.
+/// A SAP2 quadratic model c0 + c1*x + c2*x² in the piece length x.
 RANGESYN_HOT_PATH inline double ModelAt(const double* m, double x) {
   return m[0] + m[1] * x + m[2] * x * x;
 }
@@ -62,50 +32,12 @@ RANGESYN_COLD_PATH [[gnu::cold, gnu::noinline]] Status RangeOutsideDomain(
 constexpr int64_t kMaxFlatBuckets = std::numeric_limits<uint32_t>::max();
 constexpr int64_t kMaxFlatPadded = int64_t{1} << 40;
 
-/// Heap storage of a compiled synopsis. FromBuffers holds it as its
+/// Heap storage of a compiled synopsis. FromVectors holds it as its
 /// `backing`, the same keep-alive an mmap'd RSF1 file uses.
 struct FlatBuffers {
   std::vector<int64_t> i64s;
   std::vector<double> f64s;
 };
-
-/// Validates `buffers` into a view that owns them and carries `source`'s
-/// name and storage accounting.
-Result<std::shared_ptr<const FlatSynopsis>> FromHeap(
-    const RangeEstimator& source, FlatKind kind, uint8_t aux, int64_t n,
-    int64_t num_buckets, int64_t padded_size, FlatBuffers buffers) {
-  auto owned = std::make_shared<const FlatBuffers>(std::move(buffers));
-  return FlatSynopsis::FromBuffers(kind, aux, n, num_buckets, padded_size,
-                                   owned->i64s, owned->f64s, owned,
-                                   source.Name(), source.StorageWords());
-}
-
-/// The shared histogram compilation: the i64 section is the bucket ends,
-/// the f64 section is the cumulative mass of `mass_values` followed by
-/// the per-kind `tail` sections in order.
-Result<std::shared_ptr<const FlatSynopsis>> CompileHistogram(
-    const RangeEstimator& source, FlatKind kind, uint8_t aux,
-    const Partition& partition, const std::vector<double>& mass_values,
-    std::initializer_list<std::span<const double>> tail) {
-  FlatBuffers buffers{partition.ends(),
-                      CumulativeMassFlat(partition.ends(), mass_values)};
-  for (std::span<const double> section : tail) {
-    buffers.f64s.insert(buffers.f64s.end(), section.begin(), section.end());
-  }
-  return FromHeap(source, kind, aux, partition.n(), partition.num_buckets(),
-                  0, std::move(buffers));
-}
-
-/// Flattens SAP2 quadratic models to c0, c1, c2 per bucket.
-std::vector<double> ModelCoefficients(
-    const std::vector<Sap2Histogram::Model>& models) {
-  std::vector<double> out;
-  out.reserve(3 * models.size());
-  for (const Sap2Histogram::Model& m : models) {
-    out.insert(out.end(), {m.c0, m.c1, m.c2});
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -129,6 +61,52 @@ Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromBuffers(
   s->f64_ = f64s;
   RANGESYN_RETURN_IF_ERROR(s->InitAndValidate());
   return std::shared_ptr<const FlatSynopsis>(std::move(s));
+}
+
+Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromVectors(
+    FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
+    int64_t padded_size, std::vector<int64_t> i64s, std::vector<double> f64s,
+    std::string name, int64_t storage_words) {
+  auto owned = std::make_shared<const FlatBuffers>(
+      FlatBuffers{std::move(i64s), std::move(f64s)});
+  return FromBuffers(kind, aux, n, num_buckets, padded_size, owned->i64s,
+                     owned->f64s, owned, std::move(name), storage_words);
+}
+
+Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::FromHistogram(
+    FlatKind kind, uint8_t aux, int64_t n, std::vector<int64_t> ends,
+    std::span<const double> mass_values,
+    std::initializer_list<std::span<const double>> tail, std::string name,
+    int64_t storage_words) {
+  size_t f64_size = ends.size() + 1;
+  for (std::span<const double> section : tail) f64_size += section.size();
+  std::vector<double> f64s;
+  f64s.reserve(f64_size);
+  f64s.push_back(0.0);
+  int64_t start = 1;
+  for (size_t k = 0; k < ends.size() && k < mass_values.size(); ++k) {
+    const int64_t width = ends[k] - start + 1;
+    f64s.push_back(f64s.back() + static_cast<double>(width) * mass_values[k]);
+    start = ends[k] + 1;
+  }
+  for (std::span<const double> section : tail) {
+    f64s.insert(f64s.end(), section.begin(), section.end());
+  }
+  const int64_t num_buckets = static_cast<int64_t>(ends.size());
+  return FromVectors(kind, aux, n, num_buckets, 0, std::move(ends),
+                     std::move(f64s), std::move(name), storage_words);
+}
+
+std::vector<double> FlatSynopsis::LevelHeights(int64_t padded_size) {
+  // The expression haar.h's DescribeBasis evaluates per call, hoisted to
+  // one evaluation per level (identical IEEE-754 result).
+  const int levels = FloorLog2(static_cast<uint64_t>(padded_size));
+  std::vector<double> heights(static_cast<size_t>(levels) + 1);
+  for (int j = 0; j <= levels; ++j) {
+    heights[static_cast<size_t>(j)] =
+        1.0 / std::sqrt(static_cast<double>(padded_size >> j));
+  }
+  return heights;
 }
 
 Status FlatSynopsis::InitAndValidate() {
@@ -280,59 +258,6 @@ Status FlatSynopsis::InitAndValidate() {
   }
 
   return InvalidArgumentError("FlatSynopsis: unknown kind tag");
-}
-
-Result<std::shared_ptr<const FlatSynopsis>> FlatSynopsis::Compile(
-    const RangeEstimator& estimator) {
-  if (const auto* h = dynamic_cast<const AvgHistogram*>(&estimator)) {
-    return CompileHistogram(estimator, FlatKind::kAvgHistogram,
-                            static_cast<uint8_t>(h->rounding()),
-                            h->partition(), h->values(), {h->values()});
-  }
-  if (const auto* h = dynamic_cast<const Sap0Histogram*>(&estimator)) {
-    return CompileHistogram(
-        estimator, FlatKind::kSap0, 0, h->partition(), h->averages(),
-        {h->suffix_values(), h->prefix_values(), h->averages()});
-  }
-  if (const auto* h =
-          dynamic_cast<const WeightedSap0Histogram*>(&estimator)) {
-    return CompileHistogram(
-        estimator, FlatKind::kWeightedSap0, 0, h->partition(), h->averages(),
-        {h->suffix_values(), h->prefix_values(), h->averages()});
-  }
-  if (const auto* h = dynamic_cast<const Sap1Histogram*>(&estimator)) {
-    return CompileHistogram(
-        estimator, FlatKind::kSap1, 0, h->partition(), h->averages(),
-        {h->suffix_slopes(), h->suffix_intercepts(), h->prefix_slopes(),
-         h->prefix_intercepts(), h->averages()});
-  }
-  if (const auto* h = dynamic_cast<const Sap2Histogram*>(&estimator)) {
-    return CompileHistogram(estimator, FlatKind::kSap2, 0, h->partition(),
-                            h->averages(),
-                            {ModelCoefficients(h->suffix_models()),
-                             ModelCoefficients(h->prefix_models()),
-                             h->averages()});
-  }
-  if (const auto* e = dynamic_cast<const NaiveEstimator*>(&estimator)) {
-    return FromHeap(estimator, FlatKind::kNaive, 0, e->domain_size(), 0, 0,
-                    FlatBuffers{{}, {e->average()}});
-  }
-  if (const auto* w = dynamic_cast<const WaveletSynopsis*>(&estimator)) {
-    const int64_t padded = w->padded_size();
-    std::vector<double> f64s = LevelHeights(padded);
-    f64s.resize(f64s.size() + static_cast<size_t>(padded), 0.0);
-    const size_t table_off =
-        f64s.size() - static_cast<size_t>(padded);
-    for (const WaveletCoefficient& c : w->coefficients()) {
-      f64s[table_off + static_cast<size_t>(c.index)] = c.value;
-    }
-    const uint8_t aux = w->domain() == WaveletDomain::kData ? 0 : 1;
-    return FromHeap(estimator, FlatKind::kWavelet, aux, w->domain_size(), 0,
-                    padded, FlatBuffers{{}, std::move(f64s)});
-  }
-  return UnimplementedError(
-      StrCat("FlatSynopsis: no flat compilation for estimator '",
-             estimator.Name(), "'"));
 }
 
 void FlatSynopsis::BuildBucketHint() {
@@ -494,19 +419,18 @@ double FlatSynopsis::EstimateSap2(int64_t a, int64_t b) const {
 
 double FlatSynopsis::WaveReconstructAt(int64_t t) const {
   RANGESYN_DCHECK(t >= 0 && t < padded_size_);
-  // Mirrors WaveletSynopsis::ReconstructAt with the hash probes replaced
-  // by dense-table loads. Absent coefficients hold 0.0, and adding a
-  // 0.0 * basis term never changes the running IEEE-754 sum the legacy
-  // skip-if-absent walk produces, so the result is bit-identical.
-  // level_size is a power of two at every level, so the legacy walk's
-  // divisions and multiplications are exact shifts here (identical
-  // integer results, no FP involvement).
+  // The value at t is the sum, from the DC down, of each ancestor's
+  // coefficient times its Haar basis value at t (haar.h's BasisValue),
+  // read from the dense table: absent coefficients hold 0.0, and adding
+  // a 0.0 * basis term never changes the running IEEE-754 sum. Every
+  // level size is a power of two, so the node index and span arithmetic
+  // are exact shifts.
   //
-  // The legacy walk weighs each node by +h when t lies in its left half
-  // and by -h otherwise, i.e. by bit (shift - 1) of t. Negation is
-  // exactly a sign-bit flip, so XOR-ing that bit into the sign of h gives
-  // the same operand as the `t < mid ? h : -h` select, without a
-  // data-dependent branch (which mispredicts on half the levels).
+  // A node weighs t by +h when t lies in its left half and by -h
+  // otherwise, i.e. by bit (shift - 1) of t. Negation is exactly a
+  // sign-bit flip, so XOR-ing that bit into the sign of h gives the same
+  // operand as a `t < mid ? h : -h` select, without a data-dependent
+  // branch (which mispredicts on half the levels).
   double v = 0.0;
   v += table_[0] * heights_[0];  // DC: BasisValue is the height
   const uint64_t u = static_cast<uint64_t>(t);
@@ -522,18 +446,20 @@ double FlatSynopsis::WaveReconstructAt(int64_t t) const {
 
 double FlatSynopsis::WaveReconstructRangeSum(int64_t lo, int64_t hi) const {
   RANGESYN_DCHECK(lo >= 0 && lo <= hi && hi < padded_size_);
-  // Mirrors WaveletSynopsis::ReconstructRangeSum (the ForEachAncestorPair
-  // walk) with BasisRangeSum inlined; visit order and every arithmetic
-  // step match the legacy path exactly. As in WaveReconstructAt, every
-  // division/multiplication by level_size is an exact shift.
+  // Only the DC and the ancestors of lo and hi have a nonzero sum over
+  // [lo, hi] (haar.h's ForEachAncestorPair); each adds its coefficient
+  // times its basis sum over the range (BasisRangeSum, inlined), coarse
+  // to fine, the lo node's term before the hi node's. As in
+  // WaveReconstructAt, every division/multiplication by a level size is
+  // an exact shift.
   //
   // lo and hi share their ancestor at every level coarser than the
   // highest bit where they differ, and have distinct ancestors at every
   // finer one, so the walk splits there instead of testing a_hi != a_lo
   // per level. Below the split the lo node's overlap with [lo, hi] runs
   // from lo to the node's end and the hi node's from the node's start to
-  // hi, which drops the legacy walk's span clamps. The counts are exact
-  // integers either way, so every term and its order are unchanged.
+  // hi, so no span needs clamping. The counts are exact integers either
+  // way, so every term and its order are those of the clamped walk.
   double v = 0.0;
   v += table_[0] *
        (static_cast<double>(hi - lo + 1) * heights_[0]);  // DC term

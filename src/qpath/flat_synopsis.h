@@ -2,17 +2,27 @@
 #define RANGESYN_QPATH_FLAT_SYNOPSIS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/analysis_annotations.h"
-#include "core/estimator.h"
 #include "core/result.h"
-#include "histogram/histogram.h"
 
 namespace rangesyn {
+
+/// How an averaging histogram rounds its answers (kAvgHistogram's aux
+/// tag). The paper's eq. (1) rounds "to a nearby integer in an arbitrary
+/// way"; the OPT-A dynamic program in this library instantiates that
+/// freedom by rounding each partial end piece separately (kPerPiece),
+/// which keeps the per-piece errors integral (DESIGN.md §3.1).
+enum class PieceRounding {
+  kNone,      // return the exact real-valued formula
+  kPerPiece,  // round each partial end piece to nearest (ties to even)
+  kWhole,     // round the final sum once
+};
 
 /// Kind tag of a flat-compiled synopsis, stored in the RSF1 header
 /// (qpath/flat_file.h). The values are part of the on-disk format.
@@ -32,16 +42,21 @@ struct FlatQuery {
   int64_t b = 0;
 };
 
-/// Immutable structure-of-arrays compilation of a RangeEstimator for the
-/// serving hot path (DESIGN.md §11). All state lives in exactly two
+/// The one query path of the library (DESIGN.md §11): an immutable
+/// structure-of-arrays view of a built synopsis that answers range-sum
+/// queries s[a,b] = sum of A[a..b] (1-based, inclusive). Every builder's
+/// record (AvgHistogram, Sap0Histogram, WaveletSynopsis, ...) compiles
+/// itself into one through FromVectors; evaluation, the catalog, the CLI
+/// and the server all answer through it. All state lives in exactly two
 /// contiguous buffers — one of int64 words, one of doubles — held alive
-/// by one `backing` handle: the heap vectors Compile filled, an mmap'd
-/// RSF1 file, or a decoded copy of RSF1 bytes. Queries behave identically
-/// over each.
+/// by one `backing` handle: the heap vectors a record's Compile filled,
+/// an mmap'd RSF1 file, or a decoded copy of RSF1 bytes. Queries behave
+/// identically over each.
 ///
-/// Beside the two buffers a synopsis carries the source estimator's
-/// Name() and paper StorageWords(), recorded by Compile and stored in the
-/// RSF1 header, so a reopened synopsis reports what its builder did.
+/// Beside the two buffers a synopsis carries its builder's name and
+/// paper storage words (one word per stored boundary or summary value,
+/// the x-axis of the paper's Figure 1), stored in the RSF1 header, so a
+/// reopened synopsis reports what its builder did.
 ///
 /// Layouts (B = num_buckets, P = padded_size, L = log2(P)):
 ///
@@ -58,11 +73,11 @@ struct FlatQuery {
 ///     kWavelet        heights[L+1] | table[P]  aux = domain, no i64 words
 ///
 /// The wavelet table is the *dense* coefficient vector (absent
-/// coefficients are 0.0), indexed by the Haar layout position, so the
-/// per-ancestor unordered_map probes of the legacy path become direct
-/// loads. Summation order matches the legacy walk exactly; adding a
-/// 0.0-weighted term cannot change any IEEE-754 sum that the legacy
-/// skip-if-absent walk produces, so results are bit-identical.
+/// coefficients are 0.0), indexed by the Haar layout position, so each
+/// ancestor of a Haar walk is one direct load. Adding a 0.0-weighted term
+/// cannot change any IEEE-754 sum that a skip-if-absent walk over the
+/// retained coefficients produces, so the dense walk answers what the
+/// sparse one would.
 ///
 /// Three tables are derived at construction and are not part of RSF1:
 ///   - a histogram view with n <= kMaxEndTableN holds, per position i,
@@ -86,20 +101,12 @@ struct FlatQuery {
 /// hold it for as long as any span obtained from the synopsis.
 class RANGESYN_OWNER_TYPE FlatSynopsis {
  public:
-  /// Compiles a built estimator into its flat form, recording its Name()
-  /// and StorageWords(). Supported concrete types: AvgHistogram,
-  /// Sap0Histogram, Sap1Histogram, Sap2Histogram, WeightedSap0Histogram,
-  /// NaiveEstimator, WaveletSynopsis.
-  RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
-  Compile(const RangeEstimator& estimator);
-
   /// Assembles a view over buffers that `backing` keeps alive for the
-  /// synopsis' lifetime (Compile's heap vectors, an mmap'd file, or a
-  /// copy of RSF1 bytes). The buffers are structurally validated (counts,
+  /// synopsis' lifetime (a record's compiled vectors, an mmap'd file, or
+  /// a copy of RSF1 bytes). The buffers are structurally validated (counts,
   /// strictly increasing ends reaching n, the wavelet height table) so a
   /// malformed file can never cause an out-of-bounds query-time access.
-  /// `name` and `storage_words` are the source estimator's, as Compile
-  /// records them.
+  /// `name` and `storage_words` are the builder's (class comment).
   RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
   FromBuffers(
       FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
@@ -107,12 +114,34 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
       std::span<const double> f64s, std::shared_ptr<const void> backing,
       std::string name = {}, int64_t storage_words = 0);
 
+  /// FromBuffers over sections the view takes ownership of: how a
+  /// builder's record compiles itself (e.g. AvgHistogram::Compile).
+  RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
+  FromVectors(FlatKind kind, uint8_t aux, int64_t n, int64_t num_buckets,
+              int64_t padded_size, std::vector<int64_t> i64s,
+              std::vector<double> f64s, std::string name,
+              int64_t storage_words);
+
+  /// FromVectors for a histogram record: `ends` is the i64 section; the
+  /// f64 section is the `cum` table of `mass_values` (cum[k] = sum over
+  /// buckets j < k of width_j * mass_values[j]) followed by `tail`, the
+  /// kind's other sections in layout order.
+  RANGESYN_LENDS_VIEW static Result<std::shared_ptr<const FlatSynopsis>>
+  FromHistogram(FlatKind kind, uint8_t aux, int64_t n,
+                std::vector<int64_t> ends, std::span<const double> mass_values,
+                std::initializer_list<std::span<const double>> tail,
+                std::string name, int64_t storage_words);
+
+  /// The wavelet f64 section's leading per-level basis heights:
+  /// heights[j] = 1/sqrt(padded_size >> j) for j = 0..log2(padded_size).
+  static std::vector<double> LevelHeights(int64_t padded_size);
+
   /// Largest n whose histogram view derives per-position end tables
   /// (DESIGN.md §11.1). Above it a view searches its buckets per query.
   static constexpr int64_t kMaxEndTableN = int64_t{1} << 16;
 
-  /// Answer for one range query; bit-identical to the source estimator's
-  /// EstimateRange. Requires 1 <= a <= b <= n (DCHECK'd only).
+  /// Answer for one range query; a point query A[i] is EstimateOne(i, i).
+  /// Requires 1 <= a <= b <= n (DCHECK'd only).
   RANGESYN_HOT_PATH double EstimateOne(int64_t a, int64_t b) const;
 
   /// Per-caller batch state. EstimateMany needs none: every table it
@@ -149,8 +178,8 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   RANGESYN_LENDS_VIEW std::span<const int64_t> i64s() const { return i64_; }
   RANGESYN_LENDS_VIEW std::span<const double> f64s() const { return f64_; }
 
-  /// The source estimator's Name() and paper storage accounting (not the
-  /// size of the flat buffers).
+  /// The builder's name (e.g. "OPT-A" or "SAP0") and paper storage
+  /// accounting (not the size of the flat buffers).
   const std::string& Name() const { return name_; }
   int64_t StorageWords() const { return storage_words_; }
 
@@ -191,8 +220,9 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   RANGESYN_HOT_PATH int64_t BucketEnd(int64_t k) const { return ends_[k]; }
 
   // End pieces of a range [a, b] with a in bucket ka and b in bucket kb,
-  // ka < kb. The kernels add them in the legacy order: AVG left + middle
-  // + right; SAP0 left + middle + right; SAP1 left + right + pi[kb] +
+  // ka < kb. The kernels add them in one fixed order per kind, the order
+  // every stored answer and golden was computed in: AVG left + middle +
+  // right; SAP0 left + middle + right; SAP1 left + right + pi[kb] +
   // middle; SAP2 left + right + middle.
   [[gnu::always_inline]] RANGESYN_HOT_PATH inline double AvgLeft(
       int64_t a, int64_t ka) const;
@@ -291,28 +321,6 @@ class RANGESYN_OWNER_TYPE FlatSynopsis {
   // read from it is bit-identical to walking both prefixes per query.
   // 8(n + 1) bytes, at most the size of the coefficient table.
   std::vector<double> prefix_;
-};
-
-/// RangeEstimator adapter over a flat view, so the evaluation and
-/// reporting stack (AllRangesStats, sweeps) can score the flat path with
-/// the same code it uses for legacy estimators.
-class FlatRangeEstimator : public RangeEstimator {
- public:
-  explicit FlatRangeEstimator(std::shared_ptr<const FlatSynopsis> flat)
-      : flat_(std::move(flat)) {}
-
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override {
-    return flat_->EstimateOne(a, b);
-  }
-  int64_t StorageWords() const override { return flat_->StorageWords(); }
-  int64_t domain_size() const override { return flat_->n(); }
-  std::string Name() const override { return flat_->Name(); }
-
-  const std::shared_ptr<const FlatSynopsis>& flat() const { return flat_; }
-
- private:
-  std::shared_ptr<const FlatSynopsis> flat_;
 };
 
 }  // namespace rangesyn

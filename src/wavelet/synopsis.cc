@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "core/logging.h"
 #include "core/mathutil.h"
 #include "core/strings.h"
-#include "wavelet/haar.h"
 
 namespace rangesyn {
 
@@ -16,12 +14,7 @@ WaveletSynopsis::WaveletSynopsis(
       padded_size_(padded_size),
       n_(domain_size),
       domain_(domain),
-      name_(std::move(name)) {
-  by_index_.reserve(coefficients_.size());
-  for (const WaveletCoefficient& c : coefficients_) {
-    by_index_.emplace(c.index, c.value);
-  }
-}
+      name_(std::move(name)) {}
 
 Result<WaveletSynopsis> WaveletSynopsis::Create(
     std::vector<WaveletCoefficient> coefficients, int64_t padded_size,
@@ -34,66 +27,36 @@ Result<WaveletSynopsis> WaveletSynopsis::Create(
       (domain == WaveletDomain::kPrefix && domain_size + 1 > padded_size)) {
     return InvalidArgumentError("WaveletSynopsis: bad domain_size");
   }
+  std::vector<int64_t> indices;
+  indices.reserve(coefficients.size());
   for (const WaveletCoefficient& c : coefficients) {
     if (c.index < 0 || c.index >= padded_size) {
       return InvalidArgumentError(
           StrCat("WaveletSynopsis: coefficient index ", c.index,
                  " out of range"));
     }
+    indices.push_back(c.index);
   }
-  WaveletSynopsis out(std::move(coefficients), padded_size, domain_size,
-                      domain, std::move(name));
-  if (out.by_index_.size() != out.coefficients_.size()) {
+  std::sort(indices.begin(), indices.end());
+  if (std::adjacent_find(indices.begin(), indices.end()) != indices.end()) {
     return InvalidArgumentError(
         "WaveletSynopsis: duplicate coefficient indices");
   }
-  return out;
+  return WaveletSynopsis(std::move(coefficients), padded_size, domain_size,
+                         domain, std::move(name));
 }
 
-double WaveletSynopsis::ReconstructAt(int64_t t) const {
-  RANGESYN_DCHECK(t >= 0 && t < padded_size_);
-  double v = 0.0;
-  ForEachAncestor(padded_size_, t, [&](int64_t k) {
-    const auto it = by_index_.find(k);
-    if (it != by_index_.end()) {
-      v += it->second * BasisValue(padded_size_, k, t);
-    }
-  });
-  return v;
-}
-
-double WaveletSynopsis::ReconstructRangeSum(int64_t lo, int64_t hi) const {
-  RANGESYN_DCHECK(lo >= 0 && lo <= hi && hi < padded_size_);
-  // A coefficient has nonzero sum over [lo, hi] only if its support
-  // straddles lo-1|lo or hi|hi+1, i.e. it is an ancestor of lo or hi (or
-  // the DC). Walk those O(log n) candidates allocation-free;
-  // ForEachAncestorPair visits them in the same ascending deduplicated
-  // order the old sorted candidate vector produced, so the summation
-  // order (and the float result) is unchanged.
-  double v = 0.0;
-  ForEachAncestorPair(padded_size_, lo, hi, [&](int64_t k) {
-    const auto it = by_index_.find(k);
-    if (it != by_index_.end()) {
-      v += it->second * BasisRangeSum(padded_size_, k, lo, hi);
-    }
-  });
-  return v;
-}
-
-double WaveletSynopsis::EstimatePoint(int64_t i) const {
-  RANGESYN_DCHECK(i >= 1 && i <= n_);
-  if (domain_ == WaveletDomain::kData) return ReconstructAt(i - 1);
-  // Prefix domain: A[i] = P[i] - P[i-1].
-  return ReconstructAt(i) - ReconstructAt(i - 1);
-}
-
-double WaveletSynopsis::EstimateRange(int64_t a, int64_t b) const {
-  RANGESYN_DCHECK(a >= 1 && a <= b && b <= n_);
-  if (domain_ == WaveletDomain::kData) {
-    return ReconstructRangeSum(a - 1, b - 1);
+Result<std::shared_ptr<const FlatSynopsis>> WaveletSynopsis::Compile() const {
+  std::vector<double> f64s = FlatSynopsis::LevelHeights(padded_size_);
+  const size_t table_off = f64s.size();
+  f64s.resize(table_off + static_cast<size_t>(padded_size_), 0.0);
+  for (const WaveletCoefficient& c : coefficients_) {
+    f64s[table_off + static_cast<size_t>(c.index)] = c.value;
   }
-  // Prefix domain: s[a,b] = P[b] - P[a-1]; P[t] sits at slot t.
-  return ReconstructAt(b) - ReconstructAt(a - 1);
+  const uint8_t aux = domain_ == WaveletDomain::kData ? 0 : 1;
+  return FlatSynopsis::FromVectors(FlatKind::kWavelet, aux, n_, 0,
+                                   padded_size_, {}, std::move(f64s), name_,
+                                   StorageWords());
 }
 
 }  // namespace rangesyn

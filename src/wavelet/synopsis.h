@@ -2,13 +2,12 @@
 #define RANGESYN_WAVELET_SYNOPSIS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/analysis_annotations.h"
-#include "core/estimator.h"
 #include "core/result.h"
+#include "qpath/flat_synopsis.h"
 
 namespace rangesyn {
 
@@ -31,11 +30,12 @@ enum class WaveletDomain {
   kPrefix,
 };
 
-/// Sparse Haar synopsis answering point and range queries in O(log n)
-/// using the error-tree structure: only coefficients whose support
-/// straddles a query endpoint contribute. Storage: 2 words per retained
-/// coefficient (index + value).
-class WaveletSynopsis : public RangeEstimator {
+/// Sparse Haar synopsis, the wavelet builders' record: the retained
+/// coefficients of one domain. Compile() turns it into the FlatSynopsis
+/// that answers queries in O(log n) using the error-tree structure: only
+/// coefficients whose support straddles a query endpoint contribute.
+/// Storage: 2 words per retained coefficient (index + value).
+class WaveletSynopsis {
  public:
   /// `padded_size` is the power-of-two transform length; `domain_size` the
   /// true n of the underlying distribution. Coefficient indices must be
@@ -44,14 +44,14 @@ class WaveletSynopsis : public RangeEstimator {
       std::vector<WaveletCoefficient> coefficients, int64_t padded_size,
       int64_t domain_size, WaveletDomain domain, std::string name);
 
-  RANGESYN_HOT_PATH double EstimateRange(int64_t a, int64_t b)
-      const override;
-  RANGESYN_HOT_PATH double EstimatePoint(int64_t i) const override;
-  int64_t StorageWords() const override {
+  /// The view holding the dense coefficient table: FlatKind::kWavelet.
+  Result<std::shared_ptr<const FlatSynopsis>> Compile() const;
+
+  int64_t StorageWords() const {
     return 2 * static_cast<int64_t>(coefficients_.size());
   }
-  int64_t domain_size() const override { return n_; }
-  std::string Name() const override { return name_; }
+  int64_t domain_size() const { return n_; }
+  const std::string& Name() const { return name_; }
 
   WaveletDomain domain() const { return domain_; }
   int64_t padded_size() const { return padded_size_; }
@@ -59,21 +59,12 @@ class WaveletSynopsis : public RangeEstimator {
     return coefficients_;
   }
 
-  /// Reconstructed value of the transformed vector at 0-based position `t`
-  /// (a value of A in kData domain, of P in kPrefix domain); O(log n).
-  RANGESYN_HOT_PATH double ReconstructAt(int64_t t) const;
-
  private:
   WaveletSynopsis(std::vector<WaveletCoefficient> coefficients,
                   int64_t padded_size, int64_t domain_size,
                   WaveletDomain domain, std::string name);
 
-  /// Sum of the reconstruction over 0-based positions [lo, hi]; O(log n)
-  /// because only ancestors of lo and hi contribute nonzero range sums.
-  RANGESYN_HOT_PATH double ReconstructRangeSum(int64_t lo, int64_t hi) const;
-
   std::vector<WaveletCoefficient> coefficients_;
-  std::unordered_map<int64_t, double> by_index_;
   int64_t padded_size_;
   int64_t n_;
   WaveletDomain domain_;

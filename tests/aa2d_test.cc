@@ -11,6 +11,7 @@
 #include "eval/metrics.h"
 #include "histogram/builders.h"
 #include "histogram/prefix_stats.h"
+#include "qpath/flat_synopsis.h"
 #include "wavelet/aa2d.h"
 #include "wavelet/haar.h"
 #include "wavelet/selection.h"
@@ -57,11 +58,14 @@ TEST(AATest, UpperTriangleSseEqualsAllRangesSse) {
   auto aa = MaterializeAA(data);
   ASSERT_TRUE(aa.ok());
 
-  auto check = [&](const RangeEstimator& est) {
+  auto check = [&](const auto& record) {
+    auto view = record.Compile();
+    ASSERT_TRUE(view.ok()) << view.status();
+    const FlatSynopsis& est = *view.value();
     Matrix approx(16, 16);
     for (int64_t i = 0; i < 16; ++i) {
       for (int64_t j = i; j < 16; ++j) {
-        approx(i, j) = est.EstimateRange(i + 1, j + 1);
+        approx(i, j) = est.EstimateOne(i + 1, j + 1);
       }
     }
     auto direct = AllRangesSse(data, est);

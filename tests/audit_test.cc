@@ -69,7 +69,7 @@ TEST(OracleTest, NaiveAllRangesSseZeroForExactEstimator) {
   const std::vector<int64_t> data(6, 7);
   auto naive = BuildNaive(data);
   ASSERT_TRUE(naive.ok());
-  auto sse = NaiveAllRangesSse(data, naive.value());
+  auto sse = NaiveAllRangesSse(data, *naive->Compile().value());
   ASSERT_TRUE(sse.ok());
   EXPECT_NEAR(sse.value(), 0.0, 1e-12);
 }
@@ -78,7 +78,7 @@ TEST(OracleTest, NaiveAllRangesSseRejectsDomainMismatch) {
   const std::vector<int64_t> data = {1, 2, 3};
   auto naive = BuildNaive(std::vector<int64_t>{1, 2, 3, 4});
   ASSERT_TRUE(naive.ok());
-  EXPECT_FALSE(NaiveAllRangesSse(data, naive.value()).ok());
+  EXPECT_FALSE(NaiveAllRangesSse(data, *naive->Compile().value()).ok());
 }
 
 TEST(OracleTest, ExhaustivePartitionSearchOnSyntheticCost) {
@@ -125,7 +125,7 @@ TEST(OracleTest, ExhaustiveWaveletSubsetMatchesBuilder) {
   const std::vector<int64_t> data = {9, 2, 7, 1, 8, 3, 6};
   auto synopsis = BuildWaveRangeOpt(data, /*budget=*/3);
   ASSERT_TRUE(synopsis.ok()) << synopsis.status();
-  auto realized = NaiveAllRangesSse(data, synopsis.value());
+  auto realized = NaiveAllRangesSse(data, *synopsis->Compile().value());
   ASSERT_TRUE(realized.ok());
   auto best = NaiveBestPrefixWaveletSse(data, /*budget=*/3);
   ASSERT_TRUE(best.ok()) << best.status();
@@ -176,7 +176,7 @@ TEST(VerifierTest, RoundTripOfHandBuiltHistogram) {
   const std::vector<int64_t> data = {5, 0, 3, 9, 9, 1, 2, 8};
   auto sap0 = BuildSap0(data, 3);
   ASSERT_TRUE(sap0.ok());
-  EXPECT_TRUE(verifier.VerifySerializeRoundTrip(sap0.value()).ok());
+  EXPECT_TRUE(verifier.VerifySerializeRoundTrip(*sap0->Compile().value()).ok());
 }
 
 // The acceptance sweep: every production pipeline against every oracle,

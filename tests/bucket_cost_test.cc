@@ -107,7 +107,7 @@ TEST_P(BucketCostPropertyTest, Sap0CostSumEqualsHistogramSse) {
     }
     auto hist = Sap0Histogram::Build(data, partition.value());
     ASSERT_TRUE(hist.ok());
-    auto sse = AllRangesSse(data, hist.value());
+    auto sse = AllRangesSse(data, *hist->Compile().value());
     ASSERT_TRUE(sse.ok());
     EXPECT_NEAR(cost_sum, sse.value(), 1e-6 * (1.0 + sse.value()));
   }
@@ -131,7 +131,7 @@ TEST_P(BucketCostPropertyTest, Sap1CostSumEqualsHistogramSse) {
     }
     auto hist = Sap1Histogram::Build(data, partition.value());
     ASSERT_TRUE(hist.ok());
-    auto sse = AllRangesSse(data, hist.value());
+    auto sse = AllRangesSse(data, *hist->Compile().value());
     ASSERT_TRUE(sse.ok());
     EXPECT_NEAR(cost_sum, sse.value(), 1e-6 * (1.0 + sse.value()));
   }
@@ -176,7 +176,7 @@ TEST_P(BucketCostPropertyTest, A0CostAccountsForAllButCrossTerm) {
   auto hist = AvgHistogram::WithTrueAverages(data, part, "A0",
                                              PieceRounding::kNone);
   ASSERT_TRUE(hist.ok());
-  auto sse = AllRangesSse(data, hist.value());
+  auto sse = AllRangesSse(data, *hist->Compile().value());
   ASSERT_TRUE(sse.ok());
   EXPECT_NEAR(cost_sum + cross, sse.value(),
               1e-6 * (1.0 + std::fabs(sse.value())));

@@ -140,8 +140,10 @@ TEST(DeadlineTest, UnlimitedDeadlineChangesNothing) {
   const auto b = BuildSap0(data, 5, Deadline());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  const auto view_a = a->Compile().value();
+  const auto view_b = b->Compile().value();
   for (int64_t q = 1; q <= 200; q += 7) {
-    EXPECT_EQ(a.value().EstimateRange(1, q), b.value().EstimateRange(1, q));
+    EXPECT_EQ(view_a->EstimateOne(1, q), view_b->EstimateOne(1, q));
   }
 }
 
@@ -176,10 +178,10 @@ TEST(DeadlineTest, ExpiredDeadlineOnOptaDegradesToUsableSynopsis) {
   EXPECT_EQ(out.built_method, "equiwidth");
   EXPECT_NE(out.fallback_reason.find("deadline exceeded"), std::string::npos);
   // The fallback must be a real, queryable synopsis under the budget.
-  ASSERT_NE(out.estimator, nullptr);
-  EXPECT_EQ(out.estimator->domain_size(), 96);
-  EXPECT_LE(out.estimator->StorageWords(), spec.budget_words);
-  const double est = out.estimator->EstimateRange(1, 96);
+  ASSERT_NE(out.synopsis, nullptr);
+  EXPECT_EQ(out.synopsis->n(), 96);
+  EXPECT_LE(out.synopsis->StorageWords(), spec.budget_words);
+  const double est = out.synopsis->EstimateOne(1, 96);
   EXPECT_GE(est, 0.0);
 }
 
@@ -199,8 +201,8 @@ TEST(DeadlineTest, ExpiredDeadlineOnWaveletDegradesWithinFamily) {
   EXPECT_TRUE(r.value().degraded);
   EXPECT_EQ(r.value().degraded_from, "wave-range-opt");
   EXPECT_EQ(r.value().built_method, "topbb");
-  ASSERT_NE(r.value().estimator, nullptr);
-  EXPECT_EQ(r.value().estimator->domain_size(), 128);
+  ASSERT_NE(r.value().synopsis, nullptr);
+  EXPECT_EQ(r.value().synopsis->n(), 128);
 }
 
 TEST(DeadlineTest, StateBudgetTripDegradesViaResourceExhausted) {

@@ -160,7 +160,8 @@ TEST(DeterminismTest, OptABitIdenticalAcrossThreadCounts) {
       // Oracle: the DP's claimed SSE is the histogram's actual all-ranges
       // SSE, recomputed by direct summation.
       if (n <= 14) {
-        auto naive = audit::NaiveAllRangesSse(data, parallel->histogram);
+        auto naive = audit::NaiveAllRangesSse(
+            data, *parallel->histogram.Compile().value());
         ASSERT_TRUE(naive.ok()) << naive.status();
         EXPECT_NEAR(naive.value(), parallel->optimal_sse,
                     1e-9 * parallel->optimal_sse + 1e-6)
@@ -226,7 +227,8 @@ TEST(DeterminismTest, WaveletSelectionBitIdenticalAcrossThreadCounts) {
       if (n == 7 || n == 15) {
         auto best = audit::NaiveBestPrefixWaveletSse(data, budget);
         ASSERT_TRUE(best.ok()) << best.status();
-        auto actual = audit::NaiveAllRangesSse(data, parallel.range_opt);
+        auto actual = audit::NaiveAllRangesSse(
+            data, *parallel.range_opt.Compile().value());
         ASSERT_TRUE(actual.ok()) << actual.status();
         EXPECT_NEAR(actual.value(), best.value(),
                     1e-9 * best.value() + 1e-6)

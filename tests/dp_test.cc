@@ -431,13 +431,13 @@ TEST(BuildersOptimalityTest, Sap0IsRangeOptimalForItsRepresentation) {
     for (int64_t b = 1; b <= 4; ++b) {
       auto built = BuildSap0(data, b);
       ASSERT_TRUE(built.ok());
-      auto built_sse = AllRangesSse(data, built.value());
+      auto built_sse = AllRangesSse(data, *built->Compile().value());
       ASSERT_TRUE(built_sse.ok());
       for (int64_t k = 1; k <= b; ++k) {
         ForEachPartition(9, k, [&](const Partition& p) {
           auto alt = Sap0Histogram::Build(data, p);
           ASSERT_TRUE(alt.ok());
-          auto alt_sse = AllRangesSse(data, alt.value());
+          auto alt_sse = AllRangesSse(data, *alt->Compile().value());
           ASSERT_TRUE(alt_sse.ok());
           EXPECT_GE(alt_sse.value(), built_sse.value() - 1e-6);
         });
@@ -451,13 +451,13 @@ TEST(BuildersOptimalityTest, Sap1IsRangeOptimalForItsRepresentation) {
   for (int64_t b = 1; b <= 3; ++b) {
     auto built = BuildSap1(data, b);
     ASSERT_TRUE(built.ok());
-    auto built_sse = AllRangesSse(data, built.value());
+    auto built_sse = AllRangesSse(data, *built->Compile().value());
     ASSERT_TRUE(built_sse.ok());
     for (int64_t k = 1; k <= b; ++k) {
       ForEachPartition(8, k, [&](const Partition& p) {
         auto alt = Sap1Histogram::Build(data, p);
         ASSERT_TRUE(alt.ok());
-        auto alt_sse = AllRangesSse(data, alt.value());
+        auto alt_sse = AllRangesSse(data, *alt->Compile().value());
         ASSERT_TRUE(alt_sse.ok());
         EXPECT_GE(alt_sse.value(), built_sse.value() - 1e-6);
       });
@@ -494,7 +494,7 @@ TEST(BuildersTest, VOptimalMinimizesUnweightedPointSse) {
   auto built = BuildVOptimal(data, 3, PieceRounding::kNone);
   ASSERT_TRUE(built.ok());
   auto point_sse = [&](const AvgHistogram& h) {
-    auto s = PointQuerySse(data, h);
+    auto s = PointQuerySse(data, *h.Compile().value());
     RANGESYN_CHECK(s.ok());
     return s.value();
   };
@@ -518,7 +518,8 @@ TEST(BuildersTest, PrefixOptIsOptimalForPrefixQueries) {
   auto built = BuildPrefixOpt(data, b, PieceRounding::kNone);
   ASSERT_TRUE(built.ok());
   auto prefix_sse = [&](const AvgHistogram& h) {
-    auto stats = EvaluateOnWorkload(data, h, PrefixQueries(9));
+    auto stats =
+        EvaluateOnWorkload(data, *h.Compile().value(), PrefixQueries(9));
     RANGESYN_CHECK(stats.ok());
     return stats->sse;
   };

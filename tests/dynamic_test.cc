@@ -47,17 +47,19 @@ TEST_P(DynamicPropertyTest, UpdatesTrackFromScratchRebuild) {
     auto rebuilt = BuildWaveRangeOpt(data, budget);
     ASSERT_TRUE(dynamic.ok());
     ASSERT_TRUE(rebuilt.ok());
+    const auto dynamic_flat = dynamic->Compile().value();
+    const auto rebuilt_flat = rebuilt->Compile().value();
     // Same selection rule on (numerically) identical coefficients -> the
     // same answers everywhere.
     for (int64_t a = 1; a <= n; a += 2) {
       for (int64_t b = a; b <= n; b += 3) {
-        EXPECT_NEAR(dynamic->EstimateRange(a, b),
-                    rebuilt->EstimateRange(a, b), 1e-6)
+        EXPECT_NEAR(dynamic_flat->EstimateOne(a, b),
+                    rebuilt_flat->EstimateOne(a, b), 1e-6)
             << "budget=" << budget << " [" << a << "," << b << "]";
       }
     }
-    auto sse_dyn = AllRangesSse(data, dynamic.value());
-    auto sse_new = AllRangesSse(data, rebuilt.value());
+    auto sse_dyn = AllRangesSse(data, *dynamic_flat);
+    auto sse_new = AllRangesSse(data, *rebuilt_flat);
     ASSERT_TRUE(sse_dyn.ok());
     ASSERT_TRUE(sse_new.ok());
     EXPECT_NEAR(sse_dyn.value(), sse_new.value(),
@@ -76,10 +78,12 @@ TEST_P(DynamicPropertyTest, UpdateThenRevertIsIdentity) {
   ASSERT_TRUE(maintainer->ApplyUpdate(5, -17).ok());
   auto after = maintainer->Snapshot(6);
   ASSERT_TRUE(after.ok());
+  const auto before_flat = before->Compile().value();
+  const auto after_flat = after->Compile().value();
   for (int64_t a = 1; a <= n; ++a) {
     for (int64_t b = a; b <= n; ++b) {
-      EXPECT_NEAR(before->EstimateRange(a, b), after->EstimateRange(a, b),
-                  1e-7);
+      EXPECT_NEAR(before_flat->EstimateOne(a, b),
+                  after_flat->EstimateOne(a, b), 1e-7);
     }
   }
 }

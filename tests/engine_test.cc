@@ -89,9 +89,9 @@ TEST(FactoryTest, AllKnownMethodsBuildAndRespectBudget) {
     auto built = BuildSynopsis(spec, data);
     ASSERT_TRUE(built.ok()) << method << ": " << built.status();
     EXPECT_LE((*built)->StorageWords(), 16) << method;
-    EXPECT_EQ((*built)->domain_size(), 64) << method;
+    EXPECT_EQ((*built)->n(), 64) << method;
     // Every synopsis must produce finite estimates.
-    const double est = (*built)->EstimateRange(5, 40);
+    const double est = (*built)->EstimateOne(5, 40);
     EXPECT_TRUE(std::isfinite(est)) << method;
   }
 }

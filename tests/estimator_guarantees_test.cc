@@ -61,7 +61,7 @@ TEST_P(GuaranteesTest, OptAIsTheAvgRepresentationEnvelope) {
   options.max_buckets = b;
   auto opta = BuildOptA(data, options);
   ASSERT_TRUE(opta.ok()) << opta.status();
-  auto opta_sse = AllRangesSse(data, opta->histogram);
+  auto opta_sse = AllRangesSse(data, *opta->histogram.Compile().value());
   ASSERT_TRUE(opta_sse.ok());
 
   auto check_not_below = [&](const Result<AvgHistogram>& other) {
@@ -71,7 +71,7 @@ TEST_P(GuaranteesTest, OptAIsTheAvgRepresentationEnvelope) {
     auto same_rule = AvgHistogram::WithTrueAverages(
         data, other->partition(), "competitor", PieceRounding::kPerPiece);
     ASSERT_TRUE(same_rule.ok());
-    auto sse = AllRangesSse(data, same_rule.value());
+    auto sse = AllRangesSse(data, *same_rule->Compile().value());
     ASSERT_TRUE(sse.ok());
     EXPECT_GE(sse.value(), opta_sse.value() - 1e-6);
   };
@@ -94,9 +94,10 @@ TEST_P(GuaranteesTest, SapLadderAtEqualBucketCount) {
   ASSERT_TRUE(opta.ok());
   ASSERT_TRUE(sap1.ok());
   ASSERT_TRUE(sap2.ok());
-  const double sse_opta = AllRangesSse(data, opta->histogram).value();
-  const double sse_sap1 = AllRangesSse(data, sap1.value()).value();
-  const double sse_sap2 = AllRangesSse(data, sap2.value()).value();
+  const double sse_opta =
+      AllRangesSse(data, *opta->histogram.Compile().value()).value();
+  const double sse_sap1 = AllRangesSse(data, *sap1->Compile().value()).value();
+  const double sse_sap2 = AllRangesSse(data, *sap2->Compile().value()).value();
   // SAP1's optimal linear models can represent OPT-A's averages (slope =
   // avg, intercept = 0); the slack absorbs OPT-A's sub-unit rounding.
   const double rounding_slack =
@@ -113,8 +114,10 @@ TEST_P(GuaranteesTest, ReoptNeverHurtsUnroundedBases) {
       ASSERT_TRUE(base.ok());
       auto reopt = Reoptimize(data, base.value());
       ASSERT_TRUE(reopt.ok());
-      const double sse_base = AllRangesSse(data, base.value()).value();
-      const double sse_reopt = AllRangesSse(data, reopt.value()).value();
+      const double sse_base =
+          AllRangesSse(data, *base->Compile().value()).value();
+      const double sse_reopt =
+          AllRangesSse(data, *reopt->Compile().value()).value();
       EXPECT_LE(sse_reopt, sse_base + 1e-6);
     }
   }
@@ -124,21 +127,24 @@ TEST_P(GuaranteesTest, NaiveIsTheCeiling) {
   const std::vector<int64_t> data = MakeData(30);
   auto naive = BuildNaive(data);
   ASSERT_TRUE(naive.ok());
-  const double ceiling = AllRangesSse(data, naive.value()).value();
+  const double ceiling = AllRangesSse(data, *naive->Compile().value()).value();
   // Every multi-bucket construction with its own optimal values must do
   // at least as well (up to OPT-A's sub-unit rounding noise).
   const double slack = 4.0 * static_cast<double>(data.size() * data.size());
   auto sap0 = BuildSap0(data, 4);
   ASSERT_TRUE(sap0.ok());
-  EXPECT_LE(AllRangesSse(data, sap0.value()).value(), ceiling + 1e-6);
+  EXPECT_LE(AllRangesSse(data, *sap0->Compile().value()).value(),
+            ceiling + 1e-6);
   auto sap1 = BuildSap1(data, 4);
   ASSERT_TRUE(sap1.ok());
-  EXPECT_LE(AllRangesSse(data, sap1.value()).value(), ceiling + 1e-6);
+  EXPECT_LE(AllRangesSse(data, *sap1->Compile().value()).value(),
+            ceiling + 1e-6);
   OptAOptions options;
   options.max_buckets = 4;
   auto opta = BuildOptA(data, options);
   ASSERT_TRUE(opta.ok());
-  EXPECT_LE(AllRangesSse(data, opta->histogram).value(), ceiling + slack);
+  EXPECT_LE(AllRangesSse(data, *opta->histogram.Compile().value()).value(),
+            ceiling + slack);
 }
 
 TEST_P(GuaranteesTest, MoreBucketsNeverHurtOptA) {

@@ -259,7 +259,8 @@ TEST_F(FailpointTest, DpAllocationFaultFailsBuildCleanly) {
   spec.method = "sap0";
   spec.budget_words = 12;
   ASSERT_TRUE(failpoint::Configure("alloc.interval_dp=always").ok());
-  const Result<RangeEstimatorPtr> r = BuildSynopsis(spec, data);
+  const Result<std::shared_ptr<const FlatSynopsis>> r =
+      BuildSynopsis(spec, data);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
   failpoint::Clear();
@@ -271,9 +272,7 @@ TEST_F(FailpointTest, SaveSynopsisFaultReportsStatus) {
   SynopsisSpec spec;
   spec.method = "equiwidth";
   spec.budget_words = 12;
-  auto est = BuildSynopsis(spec, data);
-  ASSERT_TRUE(est.ok());
-  auto flat = FlatSynopsis::Compile(*est.value());
+  auto flat = BuildSynopsis(spec, data);
   ASSERT_TRUE(flat.ok());
   const std::string path = ::testing::TempDir() + "/fp_syn.rsn";
   ASSERT_TRUE(failpoint::Configure("engine.serialize.save=always").ok());

@@ -54,31 +54,14 @@ std::vector<int64_t> TinyData(uint64_t seed) {
 }
 
 /// A synopsis that parsed must behave like one: basic queries in-range.
-void ExpectQueryable(const RangeEstimator& est) {
-  const int64_t n = est.domain_size();
+void ExpectQueryable(const FlatSynopsis& synopsis) {
+  const int64_t n = synopsis.n();
   ASSERT_GE(n, 1);
-  const double full = est.EstimateRange(1, n);
+  const double full = synopsis.EstimateOne(1, n);
   EXPECT_FALSE(std::isnan(full)) << "NaN estimate";
-  (void)est.EstimatePoint(1);
-  (void)est.StorageWords();
-  (void)est.Name();
-}
-
-Status SaveRsf1(const RangeEstimator& est, const std::string& path) {
-  RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(est));
-  return SaveFlatSynopsis(*flat, path);
-}
-
-Result<RangeEstimatorPtr> AsEstimator(
-    Result<std::shared_ptr<const FlatSynopsis>> flat) {
-  RANGESYN_RETURN_IF_ERROR(flat.status());
-  return RangeEstimatorPtr(
-      std::make_unique<FlatRangeEstimator>(std::move(flat).value()));
-}
-
-Result<RangeEstimatorPtr> OpenRsf1(const std::string& path) {
-  return AsEstimator(OpenFlatMapped(path));
+  (void)synopsis.EstimateOne(1, 1);
+  (void)synopsis.StorageWords();
+  (void)synopsis.Name();
 }
 
 class FuzzCorruptionTest : public ::testing::Test {
@@ -113,19 +96,19 @@ TEST_F(FuzzCorruptionTest, SeededFailpointSchedulesNeverCrash) {
     spec.method = methods[static_cast<size_t>(i) % methods.size()];
     spec.budget_words = 12;
 
-    const Result<RangeEstimatorPtr> built = BuildSynopsis(spec, data);
+    const auto built = BuildSynopsis(spec, data);
     if (!built.ok()) {
       ++failed_steps;
     } else {
       ++ok_builds;
       ExpectQueryable(*built.value());
-      const Status saved = SaveRsf1(*built.value(), syn_path);
+      const Status saved = SaveFlatSynopsis(*built.value(), syn_path);
       if (!saved.ok()) ++failed_steps;
     }
 
     // The file only ever holds a complete save from this or an earlier
     // schedule (atomic replace), so a fault-free read must parse.
-    const Result<RangeEstimatorPtr> loaded = OpenRsf1(syn_path);
+    const auto loaded = OpenFlatMapped(syn_path);
     if (loaded.ok()) {
       ExpectQueryable(*loaded.value());
     }
@@ -163,8 +146,8 @@ TEST_F(FuzzCorruptionTest, SeededFailpointSchedulesNeverCrash) {
   spec.budget_words = 12;
   const auto clean = BuildSynopsis(spec, data);
   ASSERT_TRUE(clean.ok()) << clean.status().message();
-  ASSERT_TRUE(SaveRsf1(*clean.value(), syn_path).ok());
-  const auto reload = OpenRsf1(syn_path);
+  ASSERT_TRUE(SaveFlatSynopsis(*clean.value(), syn_path).ok());
+  const auto reload = OpenFlatMapped(syn_path);
   ASSERT_TRUE(reload.ok()) << reload.status().message();
   ExpectQueryable(*reload.value());
   std::remove(syn_path.c_str());
@@ -220,10 +203,8 @@ TEST_F(FuzzCorruptionTest, MutatedSynopsisBuffersNeverCrash) {
     SynopsisSpec spec;
     spec.method = method;
     spec.budget_words = 21;
-    auto est = BuildSynopsis(spec, data);
-    ASSERT_TRUE(est.ok()) << method << ": " << est.status().message();
-    auto flat = FlatSynopsis::Compile(*est.value());
-    ASSERT_TRUE(flat.ok()) << method;
+    auto flat = BuildSynopsis(spec, data);
+    ASSERT_TRUE(flat.ok()) << method << ": " << flat.status().message();
     auto bytes = EncodeFlatSynopsis(*flat.value());
     ASSERT_TRUE(bytes.ok()) << method;
     buffers.push_back(std::move(bytes.value()));
@@ -235,7 +216,7 @@ TEST_F(FuzzCorruptionTest, MutatedSynopsisBuffersNeverCrash) {
     const std::string& base = buffers[static_cast<size_t>(iter) %
                                       buffers.size()];
     const std::string mutated = Mutate(&rng, base);
-    const auto r = AsEstimator(DecodeFlatSynopsis(mutated));
+    const auto r = DecodeFlatSynopsis(mutated);
     if (r.ok()) {
       ++parsed;
       ExpectQueryable(*r.value());

@@ -39,12 +39,13 @@ TEST(AvgHistogramTest, PaperEquationOneUnrounded) {
   auto h = AvgHistogram::WithTrueAverages(data, p.value(), "H",
                                           PieceRounding::kNone);
   ASSERT_TRUE(h.ok());
+  const auto h_flat = h->Compile().value();
   // Intra: s[1,2] -> 2 * 3 = 6.
-  EXPECT_DOUBLE_EQ(h->EstimateRange(1, 2), 6.0);
+  EXPECT_DOUBLE_EQ(h_flat->EstimateOne(1, 2), 6.0);
   // Inter: s[2,5] -> left (3-2+1)*3 = 6, right (5-4+1)*12 = 24.
-  EXPECT_DOUBLE_EQ(h->EstimateRange(2, 5), 30.0);
+  EXPECT_DOUBLE_EQ(h_flat->EstimateOne(2, 5), 30.0);
   // Full range is exact: 3*3 + 3*12 = 45 = total.
-  EXPECT_DOUBLE_EQ(h->EstimateRange(1, 6), 45.0);
+  EXPECT_DOUBLE_EQ(h_flat->EstimateOne(1, 6), 45.0);
 }
 
 TEST(AvgHistogramTest, MiddleBucketsAreExact) {
@@ -55,10 +56,11 @@ TEST(AvgHistogramTest, MiddleBucketsAreExact) {
   auto h = AvgHistogram::WithTrueAverages(data, p.value(), "H",
                                           PieceRounding::kNone);
   ASSERT_TRUE(h.ok());
+  const auto h_flat = h->Compile().value();
   // A query spanning exactly full buckets is answered exactly.
-  EXPECT_NEAR(h->EstimateRange(6, 15),
+  EXPECT_NEAR(h_flat->EstimateOne(6, 15),
               static_cast<double>(stats.Sum(6, 15)), 1e-9);
-  EXPECT_NEAR(h->EstimateRange(1, 20),
+  EXPECT_NEAR(h_flat->EstimateOne(1, 20),
               static_cast<double>(stats.Sum(1, 20)), 1e-9);
 }
 
@@ -69,9 +71,10 @@ TEST(AvgHistogramTest, PerPieceRoundingYieldsIntegerAnswers) {
   auto h = AvgHistogram::WithTrueAverages(data, p.value(), "H",
                                           PieceRounding::kPerPiece);
   ASSERT_TRUE(h.ok());
+  const auto h_flat = h->Compile().value();
   for (int64_t a = 1; a <= 15; ++a) {
     for (int64_t b = a; b <= 15; ++b) {
-      const double est = h->EstimateRange(a, b);
+      const double est = h_flat->EstimateOne(a, b);
       EXPECT_DOUBLE_EQ(est, std::nearbyint(est))
           << "estimate for [" << a << "," << b << "] not integral";
     }
@@ -87,11 +90,13 @@ TEST(AvgHistogramTest, RoundingPerturbsByLessThanOnePerPiece) {
   auto rounded = AvgHistogram::WithTrueAverages(data, p.value(), "H",
                                                 PieceRounding::kPerPiece);
   ASSERT_TRUE(exact.ok());
+  const auto exact_flat = exact->Compile().value();
   ASSERT_TRUE(rounded.ok());
+  const auto rounded_flat = rounded->Compile().value();
   for (int64_t a = 1; a <= 15; ++a) {
     for (int64_t b = a; b <= 15; ++b) {
-      EXPECT_LE(std::fabs(exact->EstimateRange(a, b) -
-                          rounded->EstimateRange(a, b)),
+      EXPECT_LE(std::fabs(exact_flat->EstimateOne(a, b) -
+                          rounded_flat->EstimateOne(a, b)),
                 1.0 + 1e-9);
     }
   }
@@ -115,7 +120,8 @@ TEST(AvgHistogramTest, WithValuesSwapsStoredValues) {
                                           PieceRounding::kNone);
   ASSERT_TRUE(h.ok());
   const AvgHistogram h2 = h->WithValues({1.0, 2.0}, "H2");
-  EXPECT_DOUBLE_EQ(h2.EstimateRange(1, 4), 2.0 * 1.0 + 2.0 * 2.0);
+  EXPECT_DOUBLE_EQ(h2.Compile().value()->EstimateOne(1, 4),
+                   2.0 * 1.0 + 2.0 * 2.0);
   EXPECT_EQ(h2.Name(), "H2");
 }
 
@@ -151,10 +157,11 @@ TEST(Sap0Test, InterBucketAnswerIndependentOfExactEndpoints) {
   ASSERT_TRUE(p.ok());
   auto h = Sap0Histogram::Build(data, p.value());
   ASSERT_TRUE(h.ok());
-  const double base = h->EstimateRange(1, 9);
+  const auto h_flat = h->Compile().value();
+  const double base = h_flat->EstimateOne(1, 9);
   for (int64_t a = 1; a <= 4; ++a) {
     for (int64_t b = 9; b <= 12; ++b) {
-      EXPECT_DOUBLE_EQ(h->EstimateRange(a, b), base);
+      EXPECT_DOUBLE_EQ(h_flat->EstimateOne(a, b), base);
     }
   }
 }
@@ -167,7 +174,8 @@ TEST(Sap0Test, SummaryValuesMinimizeSseOverPerturbations) {
   ASSERT_TRUE(p.ok());
   auto h = Sap0Histogram::Build(data, p.value());
   ASSERT_TRUE(h.ok());
-  auto base_sse = AllRangesSse(data, h.value());
+  const auto h_flat = h->Compile().value();
+  auto base_sse = AllRangesSse(data, *h_flat);
   ASSERT_TRUE(base_sse.ok());
 
   // Rebuild with perturbed values via a tiny local subclass is overkill —
@@ -180,7 +188,7 @@ TEST(Sap0Test, SummaryValuesMinimizeSseOverPerturbations) {
       double sse = 0.0;
       for (int64_t a = 1; a <= 10; ++a) {
         for (int64_t b = a; b <= 10; ++b) {
-          double est = h->EstimateRange(a, b);
+          double est = h_flat->EstimateOne(a, b);
           const int64_t ka = part.BucketOf(a);
           const int64_t kb = part.BucketOf(b);
           if (ka != kb && ka == k) est += delta;  // perturb suff(k)
@@ -238,10 +246,11 @@ TEST(Sap1Test, SingletonBucketIsExactOnItsPieces) {
   ASSERT_TRUE(p.ok());
   auto h = Sap1Histogram::Build(data, p.value());
   ASSERT_TRUE(h.ok());
+  const auto h_flat = h->Compile().value();
   // Left piece from the singleton bucket {5}: estimate of s[1,b] for b in
   // the other bucket includes suffix fit of a single point -> exact 5.
   PrefixStats stats(data);
-  EXPECT_NEAR(h->EstimateRange(1, 1),
+  EXPECT_NEAR(h_flat->EstimateOne(1, 1),
               static_cast<double>(stats.Sum(1, 1)), 1e-9);
 }
 
@@ -265,8 +274,8 @@ TEST(Sap1Test, NeverWorseThanSap0OnSameBoundaries) {
     auto h1 = Sap1Histogram::Build(data, p.value());
     ASSERT_TRUE(h0.ok());
     ASSERT_TRUE(h1.ok());
-    auto sse0 = AllRangesSse(data, h0.value());
-    auto sse1 = AllRangesSse(data, h1.value());
+    auto sse0 = AllRangesSse(data, *h0->Compile().value());
+    auto sse1 = AllRangesSse(data, *h1->Compile().value());
     ASSERT_TRUE(sse0.ok());
     ASSERT_TRUE(sse1.ok());
     EXPECT_LE(sse1.value(), sse0.value() + 1e-6);
@@ -278,9 +287,10 @@ TEST(Sap1Test, NeverWorseThanSap0OnSameBoundaries) {
 TEST(NaiveTest, GlobalAverageAnswers) {
   auto h = NaiveEstimator::Build({2, 4, 6});
   ASSERT_TRUE(h.ok());
+  const auto h_flat = h->Compile().value();
   EXPECT_DOUBLE_EQ(h->average(), 4.0);
-  EXPECT_DOUBLE_EQ(h->EstimateRange(1, 3), 12.0);
-  EXPECT_DOUBLE_EQ(h->EstimateRange(2, 2), 4.0);
+  EXPECT_DOUBLE_EQ(h_flat->EstimateOne(1, 3), 12.0);
+  EXPECT_DOUBLE_EQ(h_flat->EstimateOne(2, 2), 4.0);
   EXPECT_EQ(h->StorageWords(), 1);
 }
 

@@ -19,7 +19,7 @@ TEST(MetricsTest, PerfectEstimatorHasZeroError) {
   const std::vector<int64_t> data = {4, 4, 4, 4};
   auto h = BuildNaive(data);
   ASSERT_TRUE(h.ok());
-  auto stats = AllRangesStats(data, h.value());
+  auto stats = AllRangesStats(data, *h->Compile().value());
   ASSERT_TRUE(stats.ok());
   EXPECT_DOUBLE_EQ(stats->sse, 0.0);
   EXPECT_DOUBLE_EQ(stats->max_abs, 0.0);
@@ -33,7 +33,7 @@ TEST(MetricsTest, HandComputedErrorStats) {
   const std::vector<int64_t> data = {2, 6};
   auto h = BuildNaive(data);
   ASSERT_TRUE(h.ok());
-  auto stats = AllRangesStats(data, h.value());
+  auto stats = AllRangesStats(data, *h->Compile().value());
   ASSERT_TRUE(stats.ok());
   EXPECT_DOUBLE_EQ(stats->sse, 8.0);
   EXPECT_DOUBLE_EQ(stats->mean_sq, 8.0 / 3.0);
@@ -49,8 +49,8 @@ TEST(MetricsTest, AllRangesSseMatchesStats) {
   for (auto& v : data) v = rng.NextInt(0, 30);
   auto h = BuildEquiWidth(data, 4);
   ASSERT_TRUE(h.ok());
-  auto sse = AllRangesSse(data, h.value());
-  auto stats = AllRangesStats(data, h.value());
+  auto sse = AllRangesSse(data, *h->Compile().value());
+  auto stats = AllRangesStats(data, *h->Compile().value());
   ASSERT_TRUE(sse.ok());
   ASSERT_TRUE(stats.ok());
   EXPECT_NEAR(sse.value(), stats->sse, 1e-9 * (1.0 + stats->sse));
@@ -62,8 +62,9 @@ TEST(MetricsTest, WorkloadSubsetsScoreDifferently) {
   for (auto& v : data) v = rng.NextInt(0, 30);
   auto h = BuildEquiWidth(data, 3);
   ASSERT_TRUE(h.ok());
-  auto point = EvaluateOnWorkload(data, h.value(), PointQueries(30));
-  auto all = AllRangesStats(data, h.value());
+  auto point =
+      EvaluateOnWorkload(data, *h->Compile().value(), PointQueries(30));
+  auto all = AllRangesStats(data, *h->Compile().value());
   ASSERT_TRUE(point.ok());
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(point->count, 30);
@@ -76,20 +77,20 @@ TEST(MetricsTest, RejectsBadQueriesAndMismatch) {
   auto h = BuildNaive(data);
   ASSERT_TRUE(h.ok());
   EXPECT_FALSE(
-      EvaluateOnWorkload(data, h.value(), {{0, 2}}).ok());
+      EvaluateOnWorkload(data, *h->Compile().value(), {{0, 2}}).ok());
   EXPECT_FALSE(
-      EvaluateOnWorkload(data, h.value(), {{2, 5}}).ok());
+      EvaluateOnWorkload(data, *h->Compile().value(), {{2, 5}}).ok());
   EXPECT_FALSE(
-      EvaluateOnWorkload(data, h.value(), {{3, 2}}).ok());
+      EvaluateOnWorkload(data, *h->Compile().value(), {{3, 2}}).ok());
   const std::vector<int64_t> other = {1, 2, 3, 4};
-  EXPECT_FALSE(AllRangesSse(other, h.value()).ok());
+  EXPECT_FALSE(AllRangesSse(other, *h->Compile().value()).ok());
 }
 
 TEST(MetricsTest, PointQuerySseIsPointWorkloadSse) {
   const std::vector<int64_t> data = {2, 6};
   auto h = BuildNaive(data);
   ASSERT_TRUE(h.ok());
-  auto sse = PointQuerySse(data, h.value());
+  auto sse = PointQuerySse(data, *h->Compile().value());
   ASSERT_TRUE(sse.ok());
   EXPECT_DOUBLE_EQ(sse.value(), 8.0);
 }

@@ -37,7 +37,7 @@ double ExhaustiveOptAValue(const std::vector<int64_t>& data,
       auto hist = AvgHistogram::WithTrueAverages(data, p, "X",
                                                  PieceRounding::kPerPiece);
       if (!hist.ok()) return;
-      auto sse = AllRangesSse(data, hist.value());
+      auto sse = AllRangesSse(data, *hist->Compile().value());
       if (!sse.ok()) return;
       best = std::min(best, sse.value());
     });
@@ -68,7 +68,7 @@ TEST_P(OptAPropertyTest, DpObjectiveEqualsMeasuredSse) {
   options.max_buckets = 4;
   auto result = BuildOptA(data, options);
   ASSERT_TRUE(result.ok()) << result.status();
-  auto measured = AllRangesSse(data, result->histogram);
+  auto measured = AllRangesSse(data, *result->histogram.Compile().value());
   ASSERT_TRUE(measured.ok());
   EXPECT_NEAR(result->optimal_sse, measured.value(),
               1e-6 * (1.0 + measured.value()));
@@ -100,8 +100,8 @@ TEST_P(OptAPropertyTest, NeverWorseThanA0Heuristic) {
     ASSERT_TRUE(opta.ok());
     auto a0 = BuildA0(data, b);
     ASSERT_TRUE(a0.ok());
-    auto sse_opta = AllRangesSse(data, opta->histogram);
-    auto sse_a0 = AllRangesSse(data, a0.value());
+    auto sse_opta = AllRangesSse(data, *opta->histogram.Compile().value());
+    auto sse_a0 = AllRangesSse(data, *a0->Compile().value());
     ASSERT_TRUE(sse_opta.ok());
     ASSERT_TRUE(sse_a0.ok());
     EXPECT_LE(sse_opta.value(), sse_a0.value() + 1e-6);
@@ -238,8 +238,8 @@ TEST(OptARoundedTest, GranularityOneWithRefitMatchesExact) {
   auto rounded = BuildOptARounded(data, rounded_options);
   ASSERT_TRUE(rounded.ok());
 
-  auto sse_exact = AllRangesSse(data, exact->histogram);
-  auto sse_rounded = AllRangesSse(data, rounded->histogram);
+  auto sse_exact = AllRangesSse(data, *exact->histogram.Compile().value());
+  auto sse_rounded = AllRangesSse(data, *rounded->histogram.Compile().value());
   ASSERT_TRUE(sse_exact.ok());
   ASSERT_TRUE(sse_rounded.ok());
   EXPECT_NEAR(sse_exact.value(), sse_rounded.value(),
@@ -260,7 +260,7 @@ TEST(OptARoundedTest, CoarserGranularityDegradesGracefully) {
     options.granularity = x;
     auto rounded = BuildOptARounded(data, options);
     ASSERT_TRUE(rounded.ok()) << "x=" << x;
-    auto sse = AllRangesSse(data, rounded->histogram);
+    auto sse = AllRangesSse(data, *rounded->histogram.Compile().value());
     ASSERT_TRUE(sse.ok());
     // Never better than the true optimum, and within a generous constant
     // factor for these granularities on this volume.
@@ -277,12 +277,12 @@ TEST(OptARoundedTest, LiteralDefinitionThreeAlsoWorks) {
   options.refit_values = false;  // paper's literal "multiply through by x"
   auto rounded = BuildOptARounded(data, options);
   ASSERT_TRUE(rounded.ok());
-  auto sse = AllRangesSse(data, rounded->histogram);
+  auto sse = AllRangesSse(data, *rounded->histogram.Compile().value());
   ASSERT_TRUE(sse.ok());
   // Sanity: still vastly better than NAIVE.
   auto naive = BuildNaive(data);
   ASSERT_TRUE(naive.ok());
-  auto naive_sse = AllRangesSse(data, naive.value());
+  auto naive_sse = AllRangesSse(data, *naive->Compile().value());
   ASSERT_TRUE(naive_sse.ok());
   EXPECT_LT(sse.value(), naive_sse.value());
 }
@@ -299,8 +299,9 @@ TEST(OptARoundedTest, RefitNeverWorseThanLiteral) {
     auto literal = BuildOptARounded(data, options);
     ASSERT_TRUE(refit.ok());
     ASSERT_TRUE(literal.ok());
-    auto sse_refit = AllRangesSse(data, refit->histogram);
-    auto sse_literal = AllRangesSse(data, literal->histogram);
+    auto sse_refit = AllRangesSse(data, *refit->histogram.Compile().value());
+    auto sse_literal =
+        AllRangesSse(data, *literal->histogram.Compile().value());
     ASSERT_TRUE(sse_refit.ok());
     ASSERT_TRUE(sse_literal.ok());
     // Same boundaries; true averages can only improve the unrounded part.

@@ -19,7 +19,6 @@
 #include "histogram/builders.h"
 #include "histogram/opt_a_dp.h"
 #include "histogram/reopt.h"
-#include "qpath/flat_synopsis.h"
 #include "wavelet/selection.h"
 
 namespace rangesyn {
@@ -40,7 +39,7 @@ TEST_F(PaperScaleTest, OptADpObjectiveEqualsMeasuredSseAtFullScale) {
   options.max_buckets = 8;
   auto opta = BuildOptA(data_, options);
   ASSERT_TRUE(opta.ok()) << opta.status();
-  auto measured = AllRangesSse(data_, opta->histogram);
+  auto measured = AllRangesSse(data_, *opta->histogram.Compile().value());
   ASSERT_TRUE(measured.ok());
   EXPECT_NEAR(opta->optimal_sse, measured.value(),
               1e-9 * (1.0 + measured.value()));
@@ -63,13 +62,16 @@ TEST_F(PaperScaleTest, FigureOneOrderingsAtTwentyFourWords) {
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(topbb.ok());
 
-  const double sse_opta = AllRangesSse(data_, opta->histogram).value();
-  const double sse_a0 = AllRangesSse(data_, a0.value()).value();
+  const double sse_opta =
+      AllRangesSse(data_, *opta->histogram.Compile().value()).value();
+  const double sse_a0 = AllRangesSse(data_, *a0->Compile().value()).value();
   const double sse_pointopt =
-      AllRangesSse(data_, pointopt.value()).value();
-  const double sse_sap0 = AllRangesSse(data_, sap0.value()).value();
-  const double sse_naive = AllRangesSse(data_, naive.value()).value();
-  const double sse_topbb = AllRangesSse(data_, topbb.value()).value();
+      AllRangesSse(data_, *pointopt->Compile().value()).value();
+  const double sse_sap0 = AllRangesSse(data_, *sap0->Compile().value()).value();
+  const double sse_naive =
+      AllRangesSse(data_, *naive->Compile().value()).value();
+  const double sse_topbb =
+      AllRangesSse(data_, *topbb->Compile().value()).value();
 
   // The paper's Figure 1 orderings.
   EXPECT_LE(sse_opta, sse_a0 + 1e-6);         // OPT-A is the envelope
@@ -88,8 +90,10 @@ TEST_F(PaperScaleTest, ReoptImprovesOptAAsInSectionFive) {
   ASSERT_TRUE(opta.ok());
   auto reopt = Reoptimize(data_, opta->histogram);
   ASSERT_TRUE(reopt.ok());
-  const double sse_opta = AllRangesSse(data_, opta->histogram).value();
-  const double sse_reopt = AllRangesSse(data_, reopt.value()).value();
+  const double sse_opta =
+      AllRangesSse(data_, *opta->histogram.Compile().value()).value();
+  const double sse_reopt =
+      AllRangesSse(data_, *reopt->Compile().value()).value();
   // The paper reports "up to 41% better"; require a real improvement and
   // no regression.
   EXPECT_LT(sse_reopt, sse_opta);
@@ -104,7 +108,7 @@ TEST_F(PaperScaleTest, WaveletRangeOptPredictionExactAtN127) {
     auto synopsis = BuildWaveRangeOpt(data_, budget);
     ASSERT_TRUE(synopsis.ok());
     auto predicted = PredictPrefixSynopsisSse(data_, synopsis.value());
-    auto measured = AllRangesSse(data_, synopsis.value());
+    auto measured = AllRangesSse(data_, *synopsis->Compile().value());
     ASSERT_TRUE(predicted.ok());
     ASSERT_TRUE(measured.ok());
     EXPECT_NEAR(predicted.value(), measured.value(),
@@ -123,9 +127,10 @@ TEST_F(PaperScaleTest, RoundedDpTracksExactAtModerateGranularity) {
   rounded_options.granularity = 4;
   auto rounded = BuildOptARounded(data_, rounded_options);
   ASSERT_TRUE(rounded.ok());
-  const double sse_exact = AllRangesSse(data_, exact->histogram).value();
+  const double sse_exact =
+      AllRangesSse(data_, *exact->histogram.Compile().value()).value();
   const double sse_rounded =
-      AllRangesSse(data_, rounded->histogram).value();
+      AllRangesSse(data_, *rounded->histogram.Compile().value()).value();
   EXPECT_LE(sse_rounded, 1.25 * sse_exact + 1e4);
   EXPECT_LT(rounded->states_explored, exact->states_explored);
 }
@@ -147,9 +152,9 @@ TEST_F(PaperScaleTest, ParallelConstructionMatchesSerialGoldenEndToEnd) {
   ASSERT_TRUE(golden_sap0.ok()) << golden_sap0.status();
   ASSERT_TRUE(golden_wave.ok()) << golden_wave.status();
   const double golden_opta_sse =
-      AllRangesSse(data_, golden_opta->histogram).value();
+      AllRangesSse(data_, *golden_opta->histogram.Compile().value()).value();
   const double golden_sap0_sse =
-      AllRangesSse(data_, golden_sap0.value()).value();
+      AllRangesSse(data_, *golden_sap0->Compile().value()).value();
 
   SetGlobalThreads(8);
   auto opta = BuildOptA(data_, options);
@@ -158,8 +163,9 @@ TEST_F(PaperScaleTest, ParallelConstructionMatchesSerialGoldenEndToEnd) {
   ASSERT_TRUE(opta.ok()) << opta.status();
   ASSERT_TRUE(sap0.ok()) << sap0.status();
   ASSERT_TRUE(wave.ok()) << wave.status();
-  const double opta_sse = AllRangesSse(data_, opta->histogram).value();
-  const double sap0_sse = AllRangesSse(data_, sap0.value()).value();
+  const double opta_sse =
+      AllRangesSse(data_, *opta->histogram.Compile().value()).value();
+  const double sap0_sse = AllRangesSse(data_, *sap0->Compile().value()).value();
   SetGlobalThreads(-1);
 
   EXPECT_EQ(golden_opta->optimal_sse, opta->optimal_sse);
@@ -185,13 +191,13 @@ TEST_F(PaperScaleTest, ParallelConstructionMatchesSerialGoldenEndToEnd) {
 
 // [slow] Query micro-golden at n = 4096 (the "paper scale" the bench
 // suite uses): one seeded Zipf dataset, one synopsis per estimator
-// family, and the all-ranges SSE — 8.4M queries — computed twice, once
-// through the legacy virtual path and once through the compiled
-// FlatSynopsis. The two sweeps must agree bit for bit, and both must
-// reproduce the checked-in golden exactly (== on doubles): any change
-// to either query path, the builders, or the seeded generator shows up
-// here as a one-ULP diff, not a silent drift.
-TEST(QpathPaperScaleGoldenTest, FlatSseBitEqualsLegacyAndGoldenAtN4096) {
+// family, and the all-ranges SSE — 8.4M queries — swept through the
+// factory's FlatSynopsis. Each sum must reproduce the checked-in golden
+// exactly (== on doubles), the value the records' former range formulas
+// gave before the flat view became the only query path: any change to
+// the query path, the builders, or the seeded generator shows up here as
+// a one-ULP diff, not a silent drift.
+TEST(QpathPaperScaleGoldenTest, FlatSseMatchesGoldenAtN4096) {
   Rng rng(0x5EEDBA5EULL);
   auto floats = MakeNamedDistribution("zipf", 4096, 500000.0, &rng);
   ASSERT_TRUE(floats.ok()) << floats.status();
@@ -221,18 +227,10 @@ TEST(QpathPaperScaleGoldenTest, FlatSseBitEqualsLegacyAndGoldenAtN4096) {
     SynopsisSpec spec;
     spec.method = row.method;
     spec.budget_words = row.budget_words;
-    auto legacy = BuildSynopsis(spec, data);
-    ASSERT_TRUE(legacy.ok()) << row.method << ": " << legacy.status();
-    auto flat = FlatSynopsis::Compile(*legacy.value());
+    auto flat = BuildSynopsis(spec, data);
     ASSERT_TRUE(flat.ok()) << row.method << ": " << flat.status();
-    auto legacy_sse = AllRangesSse(data, *legacy.value());
-    ASSERT_TRUE(legacy_sse.ok()) << legacy_sse.status();
-    FlatRangeEstimator adapter(flat.value());
-    auto flat_sse = AllRangesSse(data, adapter);
+    auto flat_sse = AllRangesSse(data, *flat.value());
     ASSERT_TRUE(flat_sse.ok()) << flat_sse.status();
-    EXPECT_EQ(std::bit_cast<uint64_t>(legacy_sse.value()),
-              std::bit_cast<uint64_t>(flat_sse.value()))
-        << row.method << ": flat sweep diverged from legacy";
     EXPECT_EQ(row.sse, flat_sse.value())
         << row.method << ": golden mismatch, actual "
         << std::bit_cast<uint64_t>(flat_sse.value());

@@ -1,12 +1,12 @@
 // Bit-exact equivalence of the flat query path (src/qpath) with the
-// legacy estimators: for 200+ seeded (family x n x budget x method)
-// cases, every range estimate served by the compiled FlatSynopsis —
-// one-at-a-time, batched through EstimateMany, or reloaded zero-copy
-// from an mmap'd RSF1 file — must be *identical* as a
-// 64-bit pattern (std::bit_cast, not EXPECT_DOUBLE_EQ) to what the
-// legacy EstimateRange virtual path returns. A corruption-fuzz leg
-// checks that damaged RSF1 files are rejected at open time, never
-// half-served.
+// answers the builders' records gave before it became the only query
+// path: for 200+ seeded (family x n x budget x method) cases, every
+// range estimate served by the factory's FlatSynopsis — one-at-a-time,
+// batched through EstimateMany, or reloaded zero-copy from an mmap'd
+// RSF1 file — must be *identical* as a 64-bit pattern (std::bit_cast,
+// not EXPECT_DOUBLE_EQ) to what LegacyReference (qpath_flat_reference.h)
+// computes from the same record. A corruption-fuzz leg checks that
+// damaged RSF1 files are rejected at open time, never half-served.
 
 #include <algorithm>
 #include <bit>
@@ -28,6 +28,8 @@
 #include "histogram/builders.h"
 #include "qpath/flat_file.h"
 #include "qpath/flat_synopsis.h"
+#include "qpath_flat_reference.h"
+#include "wavelet/selection.h"
 
 namespace rangesyn {
 namespace {
@@ -46,23 +48,59 @@ std::vector<int64_t> SeededDataset(int case_id, int64_t n, double volume) {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-/// Every method family the flat path can compile, covering all seven
-/// FlatKind kernels: AVG (equidepth/maxdiff/vopt), SAP0, WSAP0 (a0),
-/// SAP1, SAP2, NAIVE, and WAVE in both domains (wave-point/topbb are
-/// data-domain, wave-range-opt is prefix-domain).
+/// Method families covering every FlatKind kernel the factory builds:
+/// AVG (equidepth/maxdiff/vopt/a0), SAP0, SAP1, SAP2, NAIVE, and WAVE in
+/// both domains (wave-point/topbb are data-domain, wave-range-opt is
+/// prefix-domain). W-SAP0 is no factory method; FlatEndTableTest and
+/// weighted_sap0_test check its kernel.
 const char* const kMethods[] = {
     "equidepth", "maxdiff", "vopt", "sap0", "a0",
     "sap1",      "sap2",    "naive", "wave-point", "topbb",
     "wave-range-opt",
 };
 
+/// The factory's view of `method` over `data` under `budget_words`, and
+/// the legacy reference of the record the factory built it from (the
+/// same builder call, rebuilt here).
+struct Built {
+  std::shared_ptr<const FlatSynopsis> flat;
+  LegacyReference legacy;
+};
+
+Built BuildWithReference(const std::string& method,
+                         const std::vector<int64_t>& data,
+                         int64_t budget_words) {
+  SynopsisSpec spec;
+  spec.method = method;
+  spec.budget_words = budget_words;
+  auto flat = BuildSynopsis(spec, data);
+  EXPECT_TRUE(flat.ok()) << method << ": " << flat.status();
+  const int64_t units = budget_words / WordsPerUnit(method).value();
+  const auto built = [&](auto record) {
+    EXPECT_TRUE(record.ok()) << method << ": " << record.status();
+    return Built{flat.value(), LegacyReference(record.value())};
+  };
+  const PieceRounding per_piece = PieceRounding::kPerPiece;
+  if (method == "equidepth") return built(BuildEquiDepth(data, units));
+  if (method == "maxdiff") return built(BuildMaxDiff(data, units));
+  if (method == "vopt") return built(BuildVOptimal(data, units, per_piece));
+  if (method == "a0") return built(BuildA0(data, units, per_piece));
+  if (method == "sap0") return built(BuildSap0(data, units));
+  if (method == "sap1") return built(BuildSap1(data, units));
+  if (method == "sap2") return built(BuildSap2(data, units));
+  if (method == "naive") return built(BuildNaive(data));
+  if (method == "wave-point") return built(BuildWavePoint(data, units));
+  if (method == "topbb") return built(BuildTopBB(data, units));
+  EXPECT_EQ(method, "wave-range-opt");
+  return built(BuildWaveRangeOpt(data, units));
+}
+
 /// All-ranges sweep: legacy vs flat one-shot, and legacy vs batched,
 /// bit-for-bit. Adds the number of ranges compared to *ranges_compared.
-void ExpectAllRangesBitIdentical(const RangeEstimator& legacy,
+void ExpectAllRangesBitIdentical(const LegacyReference& legacy,
                                  const FlatSynopsis& flat, int case_id,
                                  int64_t* ranges_compared) {
-  const int64_t n = legacy.domain_size();
-  EXPECT_EQ(n, flat.n()) << "case " << case_id;
+  const int64_t n = flat.n();
   std::vector<FlatQuery> queries;
   std::vector<double> expected;
   queries.reserve(n * (n + 1) / 2);
@@ -114,18 +152,12 @@ TEST(QpathEquivalenceTest, FlatMatchesLegacyBitForBitOnSeededGrid) {
     for (int64_t n : sizes) {
       for (int rep = 0; rep < 8; ++rep, ++case_id) {
         const std::vector<int64_t> data = SeededDataset(case_id, n, 600.0);
-        SynopsisSpec spec;
-        spec.method = method;
         // sap2 costs 7 words/unit, so the cycle floor must be >= 7.
-        spec.budget_words = 8 + 2 * (case_id % 8);
-        auto legacy = BuildSynopsis(spec, data);
-        ASSERT_TRUE(legacy.ok())
-            << method << " case " << case_id << ": " << legacy.status();
-        auto flat = FlatSynopsis::Compile(*legacy.value());
-        ASSERT_TRUE(flat.ok())
-            << method << " case " << case_id << ": " << flat.status();
-        ExpectAllRangesBitIdentical(*legacy.value(), *flat.value(),
-                                    case_id, &ranges_compared);
+        const Built built =
+            BuildWithReference(method, data, 8 + 2 * (case_id % 8));
+        ASSERT_NE(built.flat, nullptr) << method << " case " << case_id;
+        ExpectAllRangesBitIdentical(built.legacy, *built.flat, case_id,
+                                    &ranges_compared);
       }
     }
   }
@@ -143,14 +175,9 @@ TEST(QpathEquivalenceTest, ServingShapeWaveletsMatchLegacyOnEveryRange) {
   int case_id = 300;  // case_id % 3 == 0 picks the zipf family
   for (const char* method : {"wave-range-opt", "wave-point", "topbb"}) {
     const std::vector<int64_t> data = SeededDataset(case_id, n, 100000.0);
-    SynopsisSpec spec;
-    spec.method = method;
-    spec.budget_words = 64;
-    auto legacy = BuildSynopsis(spec, data);
-    ASSERT_TRUE(legacy.ok()) << method << ": " << legacy.status();
-    auto flat = FlatSynopsis::Compile(*legacy.value());
-    ASSERT_TRUE(flat.ok()) << method << ": " << flat.status();
-    ExpectAllRangesBitIdentical(*legacy.value(), *flat.value(), case_id,
+    const Built built = BuildWithReference(method, data, 64);
+    ASSERT_NE(built.flat, nullptr) << method;
+    ExpectAllRangesBitIdentical(built.legacy, *built.flat, case_id,
                                 &ranges_compared);
     case_id += 3;
   }
@@ -162,24 +189,20 @@ TEST(QpathEquivalenceTest, ServingShapeWaveletsMatchLegacyOnEveryRange) {
 // A wavelet synopsis that keeps *all* coefficients reconstructs the
 // data exactly (up to FP noise), so the flat path must agree with the
 // brute-force NaiveRangeSum oracle — this catches a flat kernel that is
-// bit-faithful to a wrong legacy kernel. The flat-vs-legacy comparison
-// stays exact; only the oracle comparison is toleranced.
+// bit-faithful to a wrong reference walk. The flat-vs-reference
+// comparison stays exact; only the oracle comparison is toleranced.
 TEST(QpathEquivalenceTest, FullRetentionWaveletMatchesNaiveOracle) {
   for (int case_id = 0; case_id < 9; ++case_id) {
     const int64_t n = 16 + 8 * (case_id % 3);
     const std::vector<int64_t> data = SeededDataset(case_id, n, 300.0);
-    SynopsisSpec spec;
-    spec.method = "wave-point";
-    spec.budget_words = 2 * 64;  // >= 2 words per coefficient, all kept
-    auto legacy = BuildSynopsis(spec, data);
-    ASSERT_TRUE(legacy.ok()) << legacy.status();
-    auto flat = FlatSynopsis::Compile(*legacy.value());
-    ASSERT_TRUE(flat.ok()) << flat.status();
+    // >= 2 words per coefficient, all kept.
+    const Built built = BuildWithReference("wave-point", data, 2 * 64);
+    ASSERT_NE(built.flat, nullptr);
     for (int64_t a = 1; a <= n; ++a) {
       for (int64_t b = a; b <= n; ++b) {
         const double oracle = audit::NaiveRangeSum(data, a, b);
-        const double got = flat.value()->EstimateOne(a, b);
-        EXPECT_EQ(Bits(legacy.value()->EstimateRange(a, b)), Bits(got));
+        const double got = built.flat->EstimateOne(a, b);
+        EXPECT_EQ(Bits(built.legacy.EstimateRange(a, b)), Bits(got));
         EXPECT_NEAR(got, oracle, 1e-6 * std::max(1.0, std::abs(oracle)))
             << "case " << case_id << " [" << a << "," << b << "]";
       }
@@ -194,18 +217,14 @@ TEST(QpathEquivalenceTest, LosslessHistogramMatchesNaiveOracle) {
   for (int case_id = 0; case_id < 6; ++case_id) {
     const int64_t n = 12;
     const std::vector<int64_t> data = SeededDataset(case_id, n, 200.0);
-    SynopsisSpec spec;
-    spec.method = "equidepth";
-    spec.budget_words = 2 * n;  // 2 words/bucket -> B = n
-    auto legacy = BuildSynopsis(spec, data);
-    ASSERT_TRUE(legacy.ok()) << legacy.status();
-    auto flat = FlatSynopsis::Compile(*legacy.value());
-    ASSERT_TRUE(flat.ok()) << flat.status();
+    // 2 words/bucket -> B = n.
+    const Built built = BuildWithReference("equidepth", data, 2 * n);
+    ASSERT_NE(built.flat, nullptr);
     for (int64_t a = 1; a <= n; ++a) {
       for (int64_t b = a; b <= n; ++b) {
         const double oracle = audit::NaiveRangeSum(data, a, b);
-        const double got = flat.value()->EstimateOne(a, b);
-        EXPECT_EQ(Bits(legacy.value()->EstimateRange(a, b)), Bits(got));
+        const double got = built.flat->EstimateOne(a, b);
+        EXPECT_EQ(Bits(built.legacy.EstimateRange(a, b)), Bits(got));
         EXPECT_NEAR(got, oracle, 1e-9 * std::max(1.0, std::abs(oracle)))
             << "case " << case_id << " [" << a << "," << b << "]";
       }
@@ -232,12 +251,13 @@ TEST(QpathEquivalenceTest, ManyBoundariesPerHintBlockMatchLegacy) {
   ASSERT_TRUE(equiwidth.ok()) << equiwidth.status();
   auto equidepth = BuildEquiDepth(data, buckets);
   ASSERT_TRUE(equidepth.ok()) << equidepth.status();
-  for (const AvgHistogram* legacy : {&equiwidth.value(), &equidepth.value()}) {
-    ASSERT_GT(legacy->partition().num_buckets(), 4096);
-    auto flat = FlatSynopsis::Compile(*legacy);
+  for (const AvgHistogram* hist : {&equiwidth.value(), &equidepth.value()}) {
+    ASSERT_GT(hist->partition().num_buckets(), 4096);
+    auto flat = hist->Compile();
     ASSERT_TRUE(flat.ok()) << flat.status();
+    const LegacyReference legacy(*hist);
     std::vector<int64_t> points = {1, n};
-    for (int64_t end : legacy->partition().ends()) {
+    for (int64_t end : hist->partition().ends()) {
       for (int64_t p : {end - 1, end, end + 1}) {
         if (p >= 1 && p <= n) points.push_back(p);
       }
@@ -256,11 +276,11 @@ TEST(QpathEquivalenceTest, ManyBoundariesPerHintBlockMatchLegacy) {
     ASSERT_TRUE(flat.value()->EstimateMany(queries, out).ok());
     for (size_t i = 0; i < queries.size(); ++i) {
       const FlatQuery q = queries[i];
-      const uint64_t want = Bits(legacy->EstimateRange(q.a, q.b));
+      const uint64_t want = Bits(legacy.EstimateRange(q.a, q.b));
       ASSERT_EQ(want, Bits(flat.value()->EstimateOne(q.a, q.b)))
-          << legacy->Name() << " [" << q.a << "," << q.b << "]";
+          << hist->Name() << " [" << q.a << "," << q.b << "]";
       ASSERT_EQ(want, Bits(out[i]))
-          << legacy->Name() << " batched [" << q.a << "," << q.b << "]";
+          << hist->Name() << " batched [" << q.a << "," << q.b << "]";
     }
   }
 }
@@ -279,9 +299,7 @@ TEST(QpathEquivalenceTest, MappedReopenBitIdentical) {
     SynopsisSpec spec;
     spec.method = method;
     spec.budget_words = 14;
-    auto legacy = BuildSynopsis(spec, data);
-    ASSERT_TRUE(legacy.ok()) << method << ": " << legacy.status();
-    auto flat = FlatSynopsis::Compile(*legacy.value());
+    auto flat = BuildSynopsis(spec, data);
     ASSERT_TRUE(flat.ok()) << method << ": " << flat.status();
     const std::string path = ::testing::TempDir() + "/qpath_rt_" +
                              std::to_string(case_id) + ".rsf";
@@ -312,9 +330,7 @@ TEST(QpathEquivalenceTest, CorruptFlatFilesAreRejectedAtOpen) {
   SynopsisSpec spec;
   spec.method = "sap1";
   spec.budget_words = 20;
-  auto legacy = BuildSynopsis(spec, data);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  auto flat = FlatSynopsis::Compile(*legacy.value());
+  auto flat = BuildSynopsis(spec, data);
   ASSERT_TRUE(flat.ok()) << flat.status();
   auto encoded = EncodeFlatSynopsis(*flat.value());
   ASSERT_TRUE(encoded.ok()) << encoded.status();

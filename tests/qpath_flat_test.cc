@@ -72,7 +72,7 @@ std::shared_ptr<const FlatSynopsis> BuildFlat(const std::string& method,
   SynopsisSpec spec;
   spec.method = method;
   spec.budget_words = budget;
-  auto flat = BuildFlatSynopsis(spec, Dataset(n, seed));
+  auto flat = BuildSynopsis(spec, Dataset(n, seed));
   EXPECT_TRUE(flat.ok()) << flat.status();
   return flat.value();
 }
@@ -175,21 +175,27 @@ TEST(FlatBatchTest, EveryMethodAndRoundingMatchesSingles) {
     SynopsisSpec spec;
     spec.method = method;
     spec.budget_words = 21;
-    auto built = BuildSynopsis(spec, data);
-    ASSERT_TRUE(built.ok()) << method << ": " << built.status();
-    auto flat = FlatSynopsis::Compile(*built.value());
+    auto flat = BuildSynopsis(spec, data);
     ASSERT_TRUE(flat.ok()) << method << ": " << flat.status();
-    ExpectBatchMatchesSingles(*flat.value(), method);
-    const auto* avg = dynamic_cast<const AvgHistogram*>(built.value().get());
-    if (avg == nullptr) continue;
+    const FlatSynopsis& view = *flat.value();
+    ExpectBatchMatchesSingles(view, method);
+    if (view.kind() != FlatKind::kAvgHistogram) continue;
     ++averaging;
+    // The same buckets and stored values under each rounding: the i64
+    // section is the bucket ends, and the values follow the B + 1 cum
+    // entries of the f64 section.
+    auto partition = Partition::FromEnds(
+        view.n(), std::vector<int64_t>(view.i64s().begin(), view.i64s().end()));
+    ASSERT_TRUE(partition.ok()) << partition.status();
+    const std::vector<double> values(
+        view.f64s().begin() + view.num_buckets() + 1, view.f64s().end());
     for (const PieceRounding rounding :
          {PieceRounding::kNone, PieceRounding::kPerPiece,
           PieceRounding::kWhole}) {
-      auto variant = AvgHistogram::Create(avg->partition(), avg->values(),
-                                          avg->Name(), rounding);
+      auto variant = AvgHistogram::Create(partition.value(), values,
+                                          view.Name(), rounding);
       ASSERT_TRUE(variant.ok()) << variant.status();
-      auto variant_flat = FlatSynopsis::Compile(variant.value());
+      auto variant_flat = variant->Compile();
       ASSERT_TRUE(variant_flat.ok()) << variant_flat.status();
       ASSERT_EQ(variant_flat.value()->aux(), static_cast<uint8_t>(rounding));
       ExpectBatchMatchesSingles(
@@ -466,7 +472,7 @@ TEST(FlatWaveletKernelTest, MappedPrefixReopenIsBitIdentical) {
   }
 }
 
-// --- Histogram end tables against the legacy kernels ------------------
+// --- Histogram end tables against the legacy formulas -----------------
 
 /// One histogram kind with its stored sections drawn at random.
 enum class HistKind { kAvg, kSap0, kWeightedSap0, kSap1, kSap2 };
@@ -497,12 +503,17 @@ double StoredValue(Rng& rng, Draw draw, bool int64_safe) {
                     static_cast<int>(rng.NextInt(-30, int64_safe ? 20 : 30)));
 }
 
-/// The legacy estimator of `kind` over `partition`, every stored section
-/// drawn by StoredValue. `rounding` applies to kAvg only.
-RangeEstimatorPtr LegacyWithStoredValues(HistKind kind,
-                                         const Partition& partition,
-                                         PieceRounding rounding, Draw draw,
-                                         uint64_t seed) {
+/// A record of `kind` over `partition`, every stored section drawn by
+/// StoredValue, as its view and its legacy reference.
+struct StoredValues {
+  std::shared_ptr<const FlatSynopsis> flat;
+  LegacyReference legacy;
+};
+
+/// StoredValues of `kind`. `rounding` applies to kAvg only.
+StoredValues WithStoredValues(HistKind kind, const Partition& partition,
+                              PieceRounding rounding, Draw draw,
+                              uint64_t seed) {
   Rng rng(seed);
   const bool int64_safe =
       kind == HistKind::kAvg && rounding != PieceRounding::kNone;
@@ -520,27 +531,28 @@ RangeEstimatorPtr LegacyWithStoredValues(HistKind kind,
     }
     return m;
   };
-  const auto owned = [](auto built) -> RangeEstimatorPtr {
+  const auto both = [](auto built) {
     EXPECT_TRUE(built.ok()) << built.status();
-    using Built = std::decay_t<decltype(built.value())>;
-    return std::make_unique<Built>(std::move(built).value());
+    auto flat = built->Compile();
+    EXPECT_TRUE(flat.ok()) << flat.status();
+    return StoredValues{flat.value(), LegacyReference(built.value())};
   };
   switch (kind) {
     case HistKind::kAvg:
-      return owned(AvgHistogram::Create(partition, section(), "AVG", rounding));
+      return both(AvgHistogram::Create(partition, section(), "AVG", rounding));
     case HistKind::kSap0:
-      return owned(Sap0Histogram::FromSummaries(partition, section(),
-                                                section()));
+      return both(Sap0Histogram::FromSummaries(partition, section(),
+                                               section()));
     case HistKind::kWeightedSap0:
-      return owned(WeightedSap0Histogram::FromSummaries(
+      return both(WeightedSap0Histogram::FromSummaries(
           partition, section(), section(), section()));
     case HistKind::kSap1:
-      return owned(Sap1Histogram::FromSummaries(
+      return both(Sap1Histogram::FromSummaries(
           partition, section(), section(), section(), section()));
     case HistKind::kSap2:
-      return owned(Sap2Histogram::FromSummaries(partition, models(), models()));
+      break;
   }
-  return nullptr;
+  return both(Sap2Histogram::FromSummaries(partition, models(), models()));
 }
 
 /// True when `flat` carries `legacy`'s bits. Where two NaNs meet in an
@@ -556,14 +568,14 @@ bool SameAnswer(double legacy, double flat) {
   return Bits(legacy) == Bits(flat);
 }
 
-/// Every range with both ends in `points` (ascending): legacy
-/// EstimateRange against the flat view one at a time, and the batch
-/// against the single calls, both by SameAnswer (EstimateOne and
+/// Every range with both ends in `points` (ascending): the legacy
+/// reference against the flat view one at a time, and the batch against
+/// the single calls, both by SameAnswer (EstimateOne and
 /// EstimateMany inline the kernel into different code, and a Debug or
 /// sanitizer build orders the NaN operands differently in each).
 /// Returns the number of ranges compared, and adds those whose legacy
 /// answer is not a NaN to *bit_compared.
-int64_t ExpectMatchesLegacy(const RangeEstimator& legacy,
+int64_t ExpectMatchesLegacy(const LegacyReference& legacy,
                             const FlatSynopsis& flat,
                             const std::vector<int64_t>& points,
                             const std::string& label,
@@ -606,7 +618,8 @@ std::vector<int64_t> MixedEnds(int64_t n) {
 // n = kMaxEndTableN + 1 (the same buckets, the last one widened) it
 // searches, and every range with both ends among the first 64 positions
 // and the last three is checked. Each kind and rounding runs each Draw
-// twice.
+// twice. The legacy answers are LegacyReference's copies of the records'
+// former range formulas (qpath_flat_reference.h).
 TEST(FlatEndTableTest, SpecialStoredValuesMatchLegacyOnEveryRange) {
   const int64_t big_n = FlatSynopsis::kMaxEndTableN + 1;
   std::vector<int64_t> big_points;
@@ -629,16 +642,15 @@ TEST(FlatEndTableTest, SpecialStoredValuesMatchLegacyOnEveryRange) {
           auto partition = Partition::FromEnds(n, MixedEnds(n));
           ASSERT_TRUE(partition.ok()) << partition.status();
           const Draw draw = static_cast<Draw>(rep % 3);
-          const RangeEstimatorPtr legacy = LegacyWithStoredValues(
+          const StoredValues built = WithStoredValues(
               kind, partition.value(), rounding, draw, seed);
-          ASSERT_NE(legacy, nullptr);
-          auto flat = FlatSynopsis::Compile(*legacy);
-          ASSERT_TRUE(flat.ok()) << flat.status();
+          ASSERT_NE(built.flat, nullptr);
           const bool tabled = n <= FlatSynopsis::kMaxEndTableN;
-          EXPECT_EQ(flat.value()->DerivedBytes() >= 24 * (n + 1), tabled);
+          EXPECT_EQ(built.flat->DerivedBytes() >= 24 * (n + 1), tabled);
           compared += ExpectMatchesLegacy(
-              *legacy, *flat.value(), tabled ? small_points : big_points,
-              StrCat(legacy->Name(), " rounding ", static_cast<int>(rounding),
+              built.legacy, *built.flat, tabled ? small_points : big_points,
+              StrCat(built.flat->Name(), " rounding ",
+                     static_cast<int>(rounding),
                      " draw ", static_cast<int>(draw), " seed ", seed, " n ",
                      n),
               &bit_compared);
@@ -754,16 +766,7 @@ TEST(FlatBatchTest, OutOfDomainRangesAreRefused) {
   }
 }
 
-// --- Adapter and factory ----------------------------------------------
-
-TEST(FlatSynopsisTest, AdapterReportsFlatNameAndDomain) {
-  const auto flat = BuildFlat("equidepth", 12, 32);
-  FlatRangeEstimator adapter(flat);
-  EXPECT_EQ(adapter.domain_size(), 32);
-  EXPECT_EQ(adapter.Name(), flat->Name());
-  EXPECT_EQ(Bits(adapter.EstimateRange(3, 17)),
-            Bits(flat->EstimateOne(3, 17)));
-}
+// --- Files --------------------------------------------------------------
 
 TEST(FlatFileTest, OpenMissingFileFails) {
   EXPECT_FALSE(OpenFlatMapped(TempPath("nope.rsf")).ok());

@@ -40,7 +40,7 @@ TEST(QuantileTest, ExactOnFineHistogram) {
   auto hist = BuildEquiWidth(data, 24, PieceRounding::kNone);
   ASSERT_TRUE(hist.ok());
   for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    auto est = EstimateQuantilePosition(hist.value(), q);
+    auto est = EstimateQuantilePosition(*hist->Compile().value(), q);
     ASSERT_TRUE(est.ok());
     EXPECT_EQ(est.value(), ExactQuantilePosition(data, q)) << "q=" << q;
   }
@@ -51,7 +51,7 @@ TEST(QuantileTest, CloseOnCoarseSynopses) {
   auto sap1 = BuildSap1(data, 10);
   ASSERT_TRUE(sap1.ok());
   for (double q : {0.25, 0.5, 0.75}) {
-    auto est = EstimateQuantilePosition(sap1.value(), q);
+    auto est = EstimateQuantilePosition(*sap1->Compile().value(), q);
     ASSERT_TRUE(est.ok());
     EXPECT_NEAR(static_cast<double>(est.value()),
                 static_cast<double>(ExactQuantilePosition(data, q)), 12.0)
@@ -63,23 +63,24 @@ TEST(QuantileTest, WaveletPrefixDipsAreHandled) {
   const std::vector<int64_t> data = RandomData(63, 9);
   auto wave = BuildWaveRangeOpt(data, 8);
   ASSERT_TRUE(wave.ok());
-  auto est = EstimateQuantilePosition(wave.value(), 0.5);
+  const auto wave_flat = wave->Compile().value();
+  auto est = EstimateQuantilePosition(*wave_flat, 0.5);
   ASSERT_TRUE(est.ok());
   // The returned position satisfies the defining inequality under the
   // synopsis' own estimates.
-  const double total = wave->EstimateRange(1, 63);
-  EXPECT_GE(wave->EstimateRange(1, est.value()), 0.5 * total - 1e-9);
+  const double total = wave_flat->EstimateOne(1, 63);
+  EXPECT_GE(wave_flat->EstimateOne(1, est.value()), 0.5 * total - 1e-9);
 }
 
 TEST(QuantileTest, RejectsBadArguments) {
   const std::vector<int64_t> data = {1, 2, 3};
   auto naive = BuildNaive(data);
   ASSERT_TRUE(naive.ok());
-  EXPECT_FALSE(EstimateQuantilePosition(naive.value(), 0.0).ok());
-  EXPECT_FALSE(EstimateQuantilePosition(naive.value(), 1.0).ok());
+  EXPECT_FALSE(EstimateQuantilePosition(*naive->Compile().value(), 0.0).ok());
+  EXPECT_FALSE(EstimateQuantilePosition(*naive->Compile().value(), 1.0).ok());
   auto zero = BuildNaive(std::vector<int64_t>{0, 0});
   ASSERT_TRUE(zero.ok());
-  EXPECT_FALSE(EstimateQuantilePosition(zero.value(), 0.5).ok());
+  EXPECT_FALSE(EstimateQuantilePosition(*zero->Compile().value(), 0.5).ok());
 }
 
 TEST(JoinSizeTest, ExactOracle) {
@@ -96,7 +97,8 @@ TEST(JoinSizeTest, FineHistogramsGiveExactJoin) {
   auto hs = BuildEquiWidth(s, 16, PieceRounding::kNone);
   ASSERT_TRUE(hr.ok());
   ASSERT_TRUE(hs.ok());
-  auto est = EstimateEquiJoinSize(hr.value(), hs.value());
+  auto est =
+      EstimateEquiJoinSize(*hr->Compile().value(), *hs->Compile().value());
   auto exact = ExactEquiJoinSize(r, s);
   ASSERT_TRUE(est.ok());
   ASSERT_TRUE(exact.ok());
@@ -110,7 +112,8 @@ TEST(JoinSizeTest, CoarseSynopsesApproximateJoin) {
   auto hs = BuildSap1(s, 16);
   ASSERT_TRUE(hr.ok());
   ASSERT_TRUE(hs.ok());
-  auto est = EstimateEquiJoinSize(hr.value(), hs.value());
+  auto est =
+      EstimateEquiJoinSize(*hr->Compile().value(), *hs->Compile().value());
   auto exact = ExactEquiJoinSize(r, s);
   ASSERT_TRUE(est.ok());
   ASSERT_TRUE(exact.ok());
@@ -127,8 +130,8 @@ TEST(JoinSizeTest, SelfJoinDetectsSkew) {
   auto hs = BuildSap1(skewed, 8);
   ASSERT_TRUE(hu.ok());
   ASSERT_TRUE(hs.ok());
-  auto sj_u = EstimateSelfJoinSize(hu.value());
-  auto sj_s = EstimateSelfJoinSize(hs.value());
+  auto sj_u = EstimateSelfJoinSize(*hu->Compile().value());
+  auto sj_s = EstimateSelfJoinSize(*hs->Compile().value());
   ASSERT_TRUE(sj_u.ok());
   ASSERT_TRUE(sj_s.ok());
   EXPECT_GT(sj_s.value(), 10.0 * sj_u.value());

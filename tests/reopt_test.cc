@@ -63,7 +63,7 @@ TEST_P(ReoptPropertyTest, QuadraticPredictsMeasuredSse) {
     auto hist =
         AvgHistogram::Create(p.value(), x, "X", PieceRounding::kNone);
     ASSERT_TRUE(hist.ok());
-    auto measured = AllRangesSse(data, hist.value());
+    auto measured = AllRangesSse(data, *hist->Compile().value());
     ASSERT_TRUE(measured.ok());
     EXPECT_NEAR(eq->SseAt(x), measured.value(),
                 1e-6 * (1.0 + measured.value()));
@@ -96,8 +96,8 @@ TEST_P(ReoptPropertyTest, ReoptNeverWorseThanBase) {
     ASSERT_TRUE(base.ok());
     auto reopt = Reoptimize(data, base.value());
     ASSERT_TRUE(reopt.ok());
-    auto sse_base = AllRangesSse(data, base.value());
-    auto sse_reopt = AllRangesSse(data, reopt.value());
+    auto sse_base = AllRangesSse(data, *base->Compile().value());
+    auto sse_reopt = AllRangesSse(data, *reopt->Compile().value());
     ASSERT_TRUE(sse_base.ok());
     ASSERT_TRUE(sse_reopt.ok());
     EXPECT_LE(sse_reopt.value(), sse_base.value() + 1e-6) << "B=" << b;
@@ -122,8 +122,8 @@ TEST_P(ReoptPropertyTest, ReoptOnOptACanOnlyImproveUnroundedSse) {
   auto unrounded = AvgHistogram::WithTrueAverages(
       data, opta->histogram.partition(), "X", PieceRounding::kNone);
   ASSERT_TRUE(unrounded.ok());
-  auto sse_avg = AllRangesSse(data, unrounded.value());
-  auto sse_reopt = AllRangesSse(data, reopt.value());
+  auto sse_avg = AllRangesSse(data, *unrounded->Compile().value());
+  auto sse_reopt = AllRangesSse(data, *reopt->Compile().value());
   ASSERT_TRUE(sse_avg.ok());
   ASSERT_TRUE(sse_reopt.ok());
   EXPECT_LE(sse_reopt.value(), sse_avg.value() + 1e-6);

@@ -317,7 +317,7 @@ TEST_P(Sap2PropertyTest, CostSumEqualsHistogramSse) {
     }
     auto hist = Sap2Histogram::Build(data, partition.value());
     ASSERT_TRUE(hist.ok());
-    auto sse = AllRangesSse(data, hist.value());
+    auto sse = AllRangesSse(data, *hist->Compile().value());
     ASSERT_TRUE(sse.ok());
     EXPECT_NEAR(cost_sum, sse.value(), 1e-5 * (1.0 + sse.value()));
   }
@@ -331,8 +331,8 @@ TEST_P(Sap2PropertyTest, NeverWorseThanSap1OnSameBoundaries) {
   auto h2 = Sap2Histogram::Build(data, p.value());
   ASSERT_TRUE(h1.ok());
   ASSERT_TRUE(h2.ok());
-  auto sse1 = AllRangesSse(data, h1.value());
-  auto sse2 = AllRangesSse(data, h2.value());
+  auto sse1 = AllRangesSse(data, *h1->Compile().value());
+  auto sse2 = AllRangesSse(data, *h2->Compile().value());
   ASSERT_TRUE(sse1.ok());
   ASSERT_TRUE(sse2.ok());
   // The quadratic model class contains the linear one.
@@ -344,13 +344,13 @@ TEST_P(Sap2PropertyTest, BuildIsRangeOptimalForItsRepresentation) {
   for (int64_t b = 1; b <= 3; ++b) {
     auto built = BuildSap2(data, b);
     ASSERT_TRUE(built.ok());
-    auto built_sse = AllRangesSse(data, built.value());
+    auto built_sse = AllRangesSse(data, *built->Compile().value());
     ASSERT_TRUE(built_sse.ok());
     for (int64_t k = 1; k <= b; ++k) {
       ForEachPartition(8, k, [&](const Partition& p) {
         auto alt = Sap2Histogram::Build(data, p);
         ASSERT_TRUE(alt.ok());
-        auto alt_sse = AllRangesSse(data, alt.value());
+        auto alt_sse = AllRangesSse(data, *alt->Compile().value());
         ASSERT_TRUE(alt_sse.ok());
         EXPECT_GE(alt_sse.value(), built_sse.value() - 1e-6);
       });
@@ -364,9 +364,11 @@ TEST_P(Sap2PropertyTest, FromSummariesRecoversAverages) {
   ASSERT_TRUE(p.ok());
   auto built = Sap2Histogram::Build(data, p.value());
   ASSERT_TRUE(built.ok());
+  const auto built_flat = built->Compile().value();
   auto rebuilt = Sap2Histogram::FromSummaries(
       p.value(), built->suffix_models(), built->prefix_models());
   ASSERT_TRUE(rebuilt.ok());
+  const auto rebuilt_flat = rebuilt->Compile().value();
   for (size_t k = 0; k < built->averages().size(); ++k) {
     EXPECT_NEAR(rebuilt->averages()[k], built->averages()[k], 1e-6)
         << "bucket " << k;
@@ -374,7 +376,8 @@ TEST_P(Sap2PropertyTest, FromSummariesRecoversAverages) {
   // And the full answering behavior matches.
   for (int64_t a = 1; a <= 16; a += 2) {
     for (int64_t b = a; b <= 16; b += 3) {
-      EXPECT_NEAR(rebuilt->EstimateRange(a, b), built->EstimateRange(a, b),
+      EXPECT_NEAR(rebuilt_flat->EstimateOne(a, b),
+                  built_flat->EstimateOne(a, b),
                   1e-6);
     }
   }
@@ -401,12 +404,13 @@ TEST(Sap2Test, QuadraticSuffixDataIsExactlyRepresentable) {
   ASSERT_TRUE(p.ok());
   auto h = Sap2Histogram::Build(data, p.value());
   ASSERT_TRUE(h.ok());
+  const auto h_flat = h->Compile().value();
   PrefixStats stats(data);
   // Inter-bucket queries are exact: both partial pieces are quadratic in
   // their lengths and the quadratic fit interpolates them exactly.
   for (int64_t a = 1; a <= 8; ++a) {
     for (int64_t b = 9; b <= 16; ++b) {
-      EXPECT_NEAR(h->EstimateRange(a, b),
+      EXPECT_NEAR(h_flat->EstimateOne(a, b),
                   static_cast<double>(stats.Sum(a, b)), 1e-6)
           << "[" << a << "," << b << "]";
     }

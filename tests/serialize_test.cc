@@ -73,10 +73,12 @@ TEST(BytesTest, CorruptLengthPrefixRejected) {
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
-/// Compiles `estimator` to its flat form and encodes that as RSF1.
-Result<std::string> EncodeRsf1(const RangeEstimator& estimator) {
+/// Compiles a builder's `record` to its flat form and encodes that as
+/// RSF1.
+template <typename Record>
+Result<std::string> EncodeRsf1(const Record& record) {
   RANGESYN_ASSIGN_OR_RETURN(std::shared_ptr<const FlatSynopsis> flat,
-                            FlatSynopsis::Compile(estimator));
+                            record.Compile());
   return EncodeFlatSynopsis(*flat);
 }
 
@@ -94,18 +96,18 @@ TEST_P(SerializeRoundTripTest, EstimatesSurviveRoundTrip) {
   auto original = BuildSynopsis(spec, data);
   ASSERT_TRUE(original.ok()) << original.status();
 
-  auto bytes = EncodeRsf1(*original.value());
+  auto bytes = EncodeFlatSynopsis(*original.value());
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   auto restored = DecodeFlatSynopsis(bytes.value());
   ASSERT_TRUE(restored.ok()) << restored.status();
 
   EXPECT_EQ((*restored)->Name(), (*original)->Name());
   EXPECT_EQ((*restored)->StorageWords(), (*original)->StorageWords());
-  EXPECT_EQ((*restored)->n(), (*original)->domain_size());
+  EXPECT_EQ((*restored)->n(), (*original)->n());
   for (int64_t a = 1; a <= 63; a += 2) {
     for (int64_t b = a; b <= 63; b += 5) {
       EXPECT_EQ(Bits((*restored)->EstimateOne(a, b)),
-                Bits((*original)->EstimateRange(a, b)))
+                Bits((*original)->EstimateOne(a, b)))
           << "[" << a << "," << b << "]";
     }
   }
@@ -141,8 +143,11 @@ std::vector<double> RandomDoubles(Rng* rng, size_t count) {
 /// decoding and re-encoding must reproduce the *exact* bytes — every
 /// stored word survives bitwise — and estimates must be identical, not
 /// merely close.
-void ExpectExactRoundTrip(const RangeEstimator& original) {
-  auto bytes = EncodeRsf1(original);
+template <typename Record>
+void ExpectExactRoundTrip(const Record& original) {
+  auto original_flat = original.Compile();
+  ASSERT_TRUE(original_flat.ok()) << original_flat.status();
+  auto bytes = EncodeFlatSynopsis(*original_flat.value());
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   auto restored = DecodeFlatSynopsis(bytes.value());
   ASSERT_TRUE(restored.ok()) << restored.status();
@@ -156,9 +161,9 @@ void ExpectExactRoundTrip(const RangeEstimator& original) {
   const int64_t n = original.domain_size();
   for (int64_t a = 1; a <= n; ++a) {
     EXPECT_EQ(Bits((*restored)->EstimateOne(a, n)),
-              Bits(original.EstimateRange(a, n)));
+              Bits((*original_flat)->EstimateOne(a, n)));
     EXPECT_EQ(Bits((*restored)->EstimateOne(1, a)),
-              Bits(original.EstimateRange(1, a)));
+              Bits((*original_flat)->EstimateOne(1, a)));
   }
 }
 
@@ -283,7 +288,7 @@ TEST(SerializeTest, TruncatedPayloadsRejected) {
   spec.budget_words = 15;
   auto est = BuildSynopsis(spec, data);
   ASSERT_TRUE(est.ok());
-  auto bytes = EncodeRsf1(*est.value());
+  auto bytes = EncodeFlatSynopsis(*est.value());
   ASSERT_TRUE(bytes.ok());
   // Every strict prefix must fail cleanly.
   for (size_t cut = 0; cut < bytes->size(); cut += 3) {
@@ -306,7 +311,7 @@ TEST(SerializeTest, RandomByteCorruptionNeverCrashes) {
     spec.budget_words = 14;
     auto est = BuildSynopsis(spec, data);
     ASSERT_TRUE(est.ok());
-    auto bytes = EncodeRsf1(*est.value());
+    auto bytes = EncodeFlatSynopsis(*est.value());
     ASSERT_TRUE(bytes.ok());
     for (int trial = 0; trial < 200; ++trial) {
       std::string mutated = bytes.value();
@@ -341,7 +346,7 @@ std::vector<std::pair<std::string, std::string>> BuffersForAllKinds() {
     auto est = BuildSynopsis(spec, data);
     EXPECT_TRUE(est.ok()) << method << ": " << est.status();
     if (!est.ok()) continue;
-    auto bytes = EncodeRsf1(*est.value());
+    auto bytes = EncodeFlatSynopsis(*est.value());
     EXPECT_TRUE(bytes.ok()) << method;
     if (bytes.ok()) out.emplace_back(method, std::move(bytes.value()));
   }
@@ -395,17 +400,14 @@ TEST(SerializeTest, FileRoundTrip) {
   auto est = BuildSynopsis(spec, data);
   ASSERT_TRUE(est.ok());
 
-  auto flat = FlatSynopsis::Compile(*est.value());
-  ASSERT_TRUE(flat.ok());
-
   const std::string path = ::testing::TempDir() + "/synopsis.rsn";
-  ASSERT_TRUE(SaveFlatSynopsis(*flat.value(), path).ok());
+  ASSERT_TRUE(SaveFlatSynopsis(*est.value(), path).ok());
   auto loaded = OpenFlatMapped(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ((*loaded)->Name(), "SAP0");
   EXPECT_EQ((*loaded)->StorageWords(), (*est)->StorageWords());
   EXPECT_EQ(Bits((*loaded)->EstimateOne(3, 30)),
-            Bits((*est)->EstimateRange(3, 30)));
+            Bits((*est)->EstimateOne(3, 30)));
   std::remove(path.c_str());
   EXPECT_FALSE(OpenFlatMapped(path + ".missing").ok());
 }

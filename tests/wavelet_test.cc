@@ -172,31 +172,35 @@ TEST(WaveletSynopsisTest, FullCoefficientsReproduceDataExactly) {
   const std::vector<int64_t> data = RandomData(16, 21);
   auto synopsis = BuildWavePoint(data, 16);  // keep everything
   ASSERT_TRUE(synopsis.ok());
+  const auto synopsis_flat = synopsis->Compile().value();
   PrefixStats stats(data);
   for (int64_t i = 1; i <= 16; ++i) {
-    EXPECT_NEAR(synopsis->EstimatePoint(i),
+    EXPECT_NEAR(synopsis_flat->EstimateOne(i, i),
                 static_cast<double>(data[static_cast<size_t>(i - 1)]), 1e-9);
   }
   for (int64_t a = 1; a <= 16; a += 3) {
     for (int64_t b = a; b <= 16; b += 2) {
-      EXPECT_NEAR(synopsis->EstimateRange(a, b),
+      EXPECT_NEAR(synopsis_flat->EstimateOne(a, b),
                   static_cast<double>(stats.Sum(a, b)), 1e-8);
     }
   }
 }
 
 TEST(WaveletSynopsisTest, RangeSumConsistentWithPointReconstruction) {
-  // For data-domain synopses: EstimateRange(a,b) must equal the sum of
-  // EstimatePoint over [a,b] — the O(log n) endpoint walk is just a fast
-  // path for the same reconstruction.
+  // For data-domain synopses: the range walk over [a,b] must equal the
+  // sum of the point walks over [a,b] — the O(log n) endpoint walk is
+  // just a fast path for the same reconstruction.
   const std::vector<int64_t> data = RandomData(16, 23);
   auto synopsis = BuildWavePoint(data, 5);
   ASSERT_TRUE(synopsis.ok());
+  const auto synopsis_flat = synopsis->Compile().value();
   for (int64_t a = 1; a <= 16; ++a) {
     for (int64_t b = a; b <= 16; ++b) {
       double point_sum = 0.0;
-      for (int64_t i = a; i <= b; ++i) point_sum += synopsis->EstimatePoint(i);
-      EXPECT_NEAR(synopsis->EstimateRange(a, b), point_sum, 1e-8);
+      for (int64_t i = a; i <= b; ++i) {
+        point_sum += synopsis_flat->EstimateOne(i, i);
+      }
+      EXPECT_NEAR(synopsis_flat->EstimateOne(a, b), point_sum, 1e-8);
     }
   }
 }
@@ -207,15 +211,17 @@ TEST(WaveletSynopsisTest, PrefixDomainIgnoresDcShift) {
   const std::vector<int64_t> data = RandomData(15, 25);  // n+1 = 16 = 2^4
   auto without_dc = BuildWaveRangeOpt(data, 4);
   ASSERT_TRUE(without_dc.ok());
+  const auto without_dc_flat = without_dc->Compile().value();
   std::vector<WaveletCoefficient> coeffs = without_dc->coefficients();
   coeffs.push_back({0, 12345.0});  // arbitrary DC
   auto with_dc = WaveletSynopsis::Create(coeffs, without_dc->padded_size(),
                                          15, WaveletDomain::kPrefix, "X");
   ASSERT_TRUE(with_dc.ok());
+  const auto with_dc_flat = with_dc->Compile().value();
   for (int64_t a = 1; a <= 15; ++a) {
     for (int64_t b = a; b <= 15; ++b) {
-      EXPECT_NEAR(without_dc->EstimateRange(a, b),
-                  with_dc->EstimateRange(a, b), 1e-8);
+      EXPECT_NEAR(without_dc_flat->EstimateOne(a, b),
+                  with_dc_flat->EstimateOne(a, b), 1e-8);
     }
   }
 }
@@ -248,7 +254,7 @@ TEST(SelectionTest, WavePointIsPointOptimalAmongSubsets) {
   const int64_t budget = 3;
   auto built = BuildWavePoint(data, budget);
   ASSERT_TRUE(built.ok());
-  auto built_sse = PointQuerySse(data, built.value());
+  auto built_sse = PointQuerySse(data, *built->Compile().value());
   ASSERT_TRUE(built_sse.ok());
 
   auto coeffs = HaarTransform(
@@ -265,7 +271,7 @@ TEST(SelectionTest, WavePointIsPointOptimalAmongSubsets) {
     auto alt = WaveletSynopsis::Create(subset, 8, 8, WaveletDomain::kData,
                                        "alt");
     ASSERT_TRUE(alt.ok());
-    auto alt_sse = PointQuerySse(data, alt.value());
+    auto alt_sse = PointQuerySse(data, *alt->Compile().value());
     ASSERT_TRUE(alt_sse.ok());
     EXPECT_GE(alt_sse.value(), built_sse.value() - 1e-6);
   }
@@ -278,7 +284,7 @@ TEST(SelectionTest, WaveRangeOptIsRangeOptimalAmongSubsets) {
   const int64_t budget = 3;
   auto built = BuildWaveRangeOpt(data, budget);
   ASSERT_TRUE(built.ok());
-  auto built_sse = AllRangesSse(data, built.value());
+  auto built_sse = AllRangesSse(data, *built->Compile().value());
   ASSERT_TRUE(built_sse.ok());
 
   std::vector<double> p(8, 0.0);
@@ -299,7 +305,7 @@ TEST(SelectionTest, WaveRangeOptIsRangeOptimalAmongSubsets) {
     auto alt = WaveletSynopsis::Create(subset, 8, 7, WaveletDomain::kPrefix,
                                        "alt");
     ASSERT_TRUE(alt.ok());
-    auto alt_sse = AllRangesSse(data, alt.value());
+    auto alt_sse = AllRangesSse(data, *alt->Compile().value());
     ASSERT_TRUE(alt_sse.ok());
     EXPECT_GE(alt_sse.value(), built_sse.value() - 1e-6) << "mask=" << mask;
   }
@@ -312,7 +318,7 @@ TEST(SelectionTest, PredictedPrefixSseMatchesMeasured) {
       auto synopsis = BuildWaveRangeOpt(data, budget);
       ASSERT_TRUE(synopsis.ok());
       auto predicted = PredictPrefixSynopsisSse(data, synopsis.value());
-      auto measured = AllRangesSse(data, synopsis.value());
+      auto measured = AllRangesSse(data, *synopsis->Compile().value());
       ASSERT_TRUE(predicted.ok());
       ASSERT_TRUE(measured.ok());
       EXPECT_NEAR(predicted.value(), measured.value(),
@@ -325,7 +331,7 @@ TEST(SelectionTest, FullBudgetGivesZeroRangeError) {
   const std::vector<int64_t> data = RandomData(15, 5);
   auto synopsis = BuildWaveRangeOpt(data, 16);
   ASSERT_TRUE(synopsis.ok());
-  auto sse = AllRangesSse(data, synopsis.value());
+  auto sse = AllRangesSse(data, *synopsis->Compile().value());
   ASSERT_TRUE(sse.ok());
   EXPECT_NEAR(sse.value(), 0.0, 1e-6);
 }
@@ -346,8 +352,8 @@ TEST(SelectionTest, RangeOptBeatsWastingBudgetOnDc) {
       auto wasteful = WaveletSynopsis::Create(
           coeffs, smaller->padded_size(), 31, WaveletDomain::kPrefix, "W");
       ASSERT_TRUE(wasteful.ok());
-      auto sse_opt = AllRangesSse(data, range_opt.value());
-      auto sse_waste = AllRangesSse(data, wasteful.value());
+      auto sse_opt = AllRangesSse(data, *range_opt->Compile().value());
+      auto sse_waste = AllRangesSse(data, *wasteful->Compile().value());
       ASSERT_TRUE(sse_opt.ok());
       ASSERT_TRUE(sse_waste.ok());
       EXPECT_LE(sse_opt.value(), sse_waste.value() + 1e-6);
@@ -373,9 +379,12 @@ TEST(SelectionTest, RangeOptWinsOnHeavyTailedDataAtSmallBudgets) {
     ASSERT_TRUE(range_opt.ok());
     ASSERT_TRUE(point.ok());
     ASSERT_TRUE(topbb.ok());
-    total_opt += AllRangesSse(data.value(), range_opt.value()).value();
-    total_point += AllRangesSse(data.value(), point.value()).value();
-    total_topbb += AllRangesSse(data.value(), topbb.value()).value();
+    total_opt += AllRangesSse(data.value(),
+                              *range_opt->Compile().value()).value();
+    total_point += AllRangesSse(data.value(),
+                                *point->Compile().value()).value();
+    total_topbb += AllRangesSse(data.value(),
+                                *topbb->Compile().value()).value();
   }
   EXPECT_LE(total_opt, total_point);
   EXPECT_LE(total_opt, total_topbb);

@@ -71,7 +71,7 @@ TEST_P(WeightedSap0PropertyTest, CostSumEqualsWeightedSse) {
     }
     auto hist = WeightedSap0Histogram::Build(data, p.value(), weights);
     ASSERT_TRUE(hist.ok());
-    auto sse = WeightedRangeSse(data, hist.value(), weights);
+    auto sse = WeightedRangeSse(data, *hist->Compile().value(), weights);
     ASSERT_TRUE(sse.ok());
     EXPECT_NEAR(cost_sum, sse.value(), 1e-6 * (1.0 + sse.value()));
   }
@@ -84,13 +84,13 @@ TEST_P(WeightedSap0PropertyTest, BuildIsOptimalForWeightedObjective) {
   for (int64_t b = 1; b <= 3; ++b) {
     auto built = BuildWeightedSap0(data, b, weights);
     ASSERT_TRUE(built.ok());
-    auto built_sse = WeightedRangeSse(data, built.value(), weights);
+    auto built_sse = WeightedRangeSse(data, *built->Compile().value(), weights);
     ASSERT_TRUE(built_sse.ok());
     for (int64_t k = 1; k <= b; ++k) {
       ForEachPartition(n, k, [&](const Partition& p) {
         auto alt = WeightedSap0Histogram::Build(data, p, weights);
         ASSERT_TRUE(alt.ok());
-        auto alt_sse = WeightedRangeSse(data, alt.value(), weights);
+        auto alt_sse = WeightedRangeSse(data, *alt->Compile().value(), weights);
         ASSERT_TRUE(alt_sse.ok());
         EXPECT_GE(alt_sse.value(), built_sse.value() - 1e-6);
       });
@@ -109,8 +109,8 @@ TEST_P(WeightedSap0PropertyTest, WeightedBuildBeatsUniformSap0OnWorkload) {
     auto uniform = BuildSap0(data, b);
     ASSERT_TRUE(weighted.ok());
     ASSERT_TRUE(uniform.ok());
-    auto sse_w = WeightedRangeSse(data, weighted.value(), weights);
-    auto sse_u = WeightedRangeSse(data, uniform.value(), weights);
+    auto sse_w = WeightedRangeSse(data, *weighted->Compile().value(), weights);
+    auto sse_u = WeightedRangeSse(data, *uniform->Compile().value(), weights);
     ASSERT_TRUE(sse_w.ok());
     ASSERT_TRUE(sse_u.ok());
     EXPECT_LE(sse_w.value(), sse_u.value() + 1e-6) << "B=" << b;
@@ -172,9 +172,8 @@ TEST(WeightedSap0Test, SerializationRoundTrip) {
   const RangeWorkloadWeights weights = SkewedWeights(20, 72);
   auto hist = BuildWeightedSap0(data, 4, weights);
   ASSERT_TRUE(hist.ok());
-  auto flat = FlatSynopsis::Compile(hist.value());
-  ASSERT_TRUE(flat.ok()) << flat.status();
-  auto bytes = EncodeFlatSynopsis(*flat.value());
+  const auto hist_flat = hist->Compile().value();
+  auto bytes = EncodeFlatSynopsis(*hist_flat);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   auto restored = DecodeFlatSynopsis(bytes.value());
   ASSERT_TRUE(restored.ok()) << restored.status();
@@ -182,7 +181,7 @@ TEST(WeightedSap0Test, SerializationRoundTrip) {
   EXPECT_EQ((*restored)->StorageWords(), hist->StorageWords());
   for (int64_t a = 1; a <= 20; ++a) {
     for (int64_t b = a; b <= 20; ++b) {
-      EXPECT_EQ((*restored)->EstimateOne(a, b), hist->EstimateRange(a, b));
+      EXPECT_EQ((*restored)->EstimateOne(a, b), hist_flat->EstimateOne(a, b));
     }
   }
 }
@@ -207,8 +206,10 @@ TEST(WeightedSap0Test, HotRegionWorkloadShiftsBuckets) {
   for (int64_t a = 17; a <= 32; ++a) {
     for (int64_t b = a; b <= 32; ++b) hot_queries.push_back({a, b});
   }
-  auto err_w = EvaluateOnWorkload(data, weighted.value(), hot_queries);
-  auto err_u = EvaluateOnWorkload(data, uniform.value(), hot_queries);
+  auto err_w =
+      EvaluateOnWorkload(data, *weighted->Compile().value(), hot_queries);
+  auto err_u =
+      EvaluateOnWorkload(data, *uniform->Compile().value(), hot_queries);
   ASSERT_TRUE(err_w.ok());
   ASSERT_TRUE(err_u.ok());
   EXPECT_LE(err_w->sse, err_u->sse * 1.05);
